@@ -6,7 +6,7 @@ gadget-leg count, and a cheaper circuit is re-synthesised and verified
 against a dense unitary oracle.
 """
 
-from .anneal import AnnealParams, AnnealResult, anneal, energy, neighbor
+from .anneal import AnnealParams, AnnealResult, anneal, energy
 from .circuits import (
     GateCircuit,
     Gate,
@@ -14,7 +14,6 @@ from .circuits import (
     cnot_count,
     cnot_depth,
     euler_xzx_to_zxz,
-    euler_zxz_to_xzx,
     lower_to_basis,
     parse,
     serialize,
@@ -25,6 +24,7 @@ from .gadgets import (
     apply_action,
     commutes,
     fuse_adjacent,
+    fusion_plan,
     gadget_circuit,
     leg_matrices,
     parse_gadgets,

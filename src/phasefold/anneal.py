@@ -14,8 +14,9 @@ loses to doing nothing.
 The chain keeps C, C^-1 and both products incrementally: a flip of entry
 (i, j) XORs one L_Z row into row i of C @ L_Z, and updates C^-1 by a
 rank-one Sherman-Morrison step (valid exactly when the flip preserves
-invertibility, i.e. when (C^-1)[j, i] = 0). Tests pin these updates to
-the naive recomputation.
+invertibility, i.e. when (C^-1)[j, i] = 0). Tests check the result
+against a naive recomputation: the returned C is invertible and
+``energy`` recomputed from it equals the reported best energy.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ import numpy as np
 
 from .gf2 import (
     BitMatrix,
-    as_rng,
     inverse_transpose,
     invert,
     mat_mul,
     popcount,
     random_invertible,
-    rank,
 )
 
 DEFAULT_ITERATIONS = 5000
@@ -74,24 +73,56 @@ def energy(c: BitMatrix, lz: BitMatrix, lx: BitMatrix) -> int:
     return popcount(mat_mul(c, lz)) + popcount(mat_mul(inverse_transpose(c), lx))
 
 
-def neighbor(c: BitMatrix, rng) -> BitMatrix:
-    """Uniform single-entry flip of C, redrawn until invertible.
+class _Draws:
+    """``integers(k)`` and ``random()`` of a PCG64 ``Generator``, replayed.
 
-    n = 1 has no invertible neighbour, so the input is returned unchanged.
-    Deterministic for a given generator state.
+    ``Generator.integers(k)`` for 1 < k < 2**32 takes Lemire's bounded
+    draw on 32-bit halves of the raw stream, low half first, the high
+    half kept for the next 32-bit request; ``random()`` takes the top 53
+    bits of a fresh 64-bit output and leaves a kept half alone. The
+    generator must not be used directly while a ``_Draws`` holds it.
     """
-    if not c.is_square():
-        raise ValueError("neighbor needs a square matrix")
-    n = c.rows
-    if n == 1:
-        return c
-    rng = as_rng(rng)
-    while True:
-        ij = int(rng.integers(n * n))
-        i, j = divmod(ij, n)
-        flipped = BitMatrix(n, n, [w ^ (1 << j) if r == i else w for r, w in enumerate(c._r)])
-        if rank(flipped) == n:
-            return flipped
+
+    _BLOCK = 256
+
+    def __init__(self, rng: np.random.Generator):
+        bg = rng.bit_generator
+        state = bg.state
+        if state["bit_generator"] != "PCG64":
+            raise ValueError("_Draws replays PCG64 only")
+        self._bg = bg
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._buf: list[int] = []
+        self._pos = 0
+
+    def _raw(self) -> int:
+        if self._pos == len(self._buf):
+            self._buf = self._bg.random_raw(self._BLOCK).tolist()
+            self._pos = 0
+        v = self._buf[self._pos]
+        self._pos += 1
+        return v
+
+    def integers(self, k: int) -> int:
+        """Same value as ``Generator.integers(k)`` for 1 <= k < 2**32."""
+        if k == 1:
+            return 0  # numpy draws nothing for a one-value range
+        threshold = (0x100000000 - k) % k  # rejects the biased low products
+        while True:
+            h = self._half
+            if h is None:
+                v = self._raw()
+                self._half = v >> 32
+                h = v & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = h * k
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def random(self) -> float:
+        """Same value as ``Generator.random()``."""
+        return (self._raw() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def _attempt(
@@ -124,12 +155,14 @@ def _attempt(
     e = sum(w.bit_count() for w in clz) + sum(w.bit_count() for w in y)
     best_e, best_c = e, list(c)
 
+    draws = _Draws(rng)
+    draw_index, draw_uniform = draws.integers, draws.random
     nn = n * n
+    cells = [divmod(ij, n) for ij in range(nn)]
     for k in range(iterations):
         temp = t0 * (1.0 - k / iterations)
         while True:
-            ij = int(rng.integers(nn))
-            i, j = divmod(ij, n)
+            i, j = cells[draw_index(nn)]
             if not (cinv[j] >> i) & 1:  # flip keeps C invertible
                 break
         new_row = clz[i] ^ lz_rows[j]
@@ -149,7 +182,7 @@ def _attempt(
         elif de <= 0:
             accept = True
         else:
-            accept = rng.random() < math.exp(-de / temp)
+            accept = draw_uniform() < math.exp(-de / temp)
         if not accept:
             continue
 

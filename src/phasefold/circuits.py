@@ -10,6 +10,8 @@ keywords are case-insensitive, angles are decimal radians and qubits are
     h <q>               cz <a> <b>
     crz <angle> <c> <t> crx <angle> <c> <t> cu1 <angle> <a> <b>
 
+``lex`` reads this grammar for circuit, gadget and normal-form files.
+
 ``lower_to_basis`` rewrites every gate into {CNOT, RZ, RX}; all identities
 used are checked against the dense oracle by the test suite, up to global
 phase. Pauli gates are not distinct kinds: X differs from RX(pi) only by
@@ -21,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,61 +126,67 @@ class GateCircuit:
         return len(self.gates)
 
 
-def circuit(n_qubits: int, gates: Iterable[Gate]) -> GateCircuit:
-    return GateCircuit(n_qubits, tuple(gates))
+def lex(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield (lineno, keyword, args) for each construct of a text file.
+
+    The one grammar shared by circuit, gadget and normal-form files:
+    ``#`` starts a comment, blank lines are skipped, keywords come back
+    lower-cased and line numbers are 1-based. The first construct must
+    be the only ``qubits <n>`` line, with n a plain decimal integer >= 1;
+    it is yielded too, already checked.
+    """
+    declared = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        keyword, args = parts[0].lower(), parts[1:]
+        if keyword == "qubits":
+            if declared:
+                raise ParseError(lineno, "duplicate qubits declaration")
+            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()) or int(args[0]) < 1:
+                raise ParseError(lineno, "qubits expects one positive integer")
+            declared = True
+        elif not declared:
+            raise ParseError(lineno, "expected 'qubits <n>' first")
+        yield lineno, keyword, args
+    if not declared:
+        raise ParseError(1, "missing 'qubits <n>' declaration")
+
+
+def parse_gate_line(lineno: int, head: str, args: list[str], n_qubits: int) -> Gate:
+    """The gate of one lexed line of a circuit file."""
+    if head not in GATE_KINDS:
+        raise ParseError(lineno, f"unknown gate {head!r}")
+    arity, has_angle = GATE_KINDS[head]
+    want = arity + (1 if has_angle else 0)
+    if len(args) != want:
+        raise ParseError(lineno, f"{head} expects {want} argument(s)")
+    try:
+        angle = float(args[0]) if has_angle else None
+        qubits = tuple(int(a) for a in (args[1:] if has_angle else args))
+    except ValueError:
+        raise ParseError(lineno, f"bad arguments for {head}: {' '.join(args)}") from None
+    if has_angle and not math.isfinite(angle):
+        raise ParseError(lineno, f"non-finite angle {args[0]}")
+    if any(not 0 <= q < n_qubits for q in qubits):
+        raise ParseError(lineno, f"qubit out of range for {n_qubits} qubits")
+    try:
+        return Gate(head, qubits, angle)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
 
 
 def parse(text: str) -> GateCircuit:
     """Parse the circuit text format; raises ParseError with a line number."""
-    n_qubits = None
+    n_qubits = 0
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.lower().split()
-        head, args = parts[0], parts[1:]
+    for lineno, head, args in lex(text):
         if head == "qubits":
-            if n_qubits is not None:
-                raise ParseError(lineno, "duplicate qubits declaration")
-            n_qubits = _parse_nat(lineno, args, "qubits")
-            continue
-        if n_qubits is None:
-            raise ParseError(lineno, "expected 'qubits <n>' before gates")
-        if head not in GATE_KINDS:
-            raise ParseError(lineno, f"unknown gate {head!r}")
-        arity, has_angle = GATE_KINDS[head]
-        want = arity + (1 if has_angle else 0)
-        if len(args) != want:
-            raise ParseError(lineno, f"{head} expects {want} argument(s)")
-        try:
-            angle = float(args[0]) if has_angle else None
-            qubits = tuple(int(a) for a in (args[1:] if has_angle else args))
-        except ValueError:
-            raise ParseError(lineno, f"bad arguments for {head}: {' '.join(args)}") from None
-        if has_angle and not math.isfinite(angle):
-            raise ParseError(lineno, f"non-finite angle {args[0]}")
-        if any(not 0 <= q < n_qubits for q in qubits):
-            raise ParseError(lineno, f"qubit out of range for {n_qubits} qubits")
-        try:
-            gates.append(Gate(head, qubits, angle))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    if n_qubits is None:
-        raise ParseError(1, "missing 'qubits <n>' declaration")
+            n_qubits = int(args[0])
+        else:
+            gates.append(parse_gate_line(lineno, head, args, n_qubits))
     return GateCircuit(n_qubits, tuple(gates))
-
-
-def _parse_nat(lineno: int, args: list[str], what: str) -> int:
-    if len(args) != 1:
-        raise ParseError(lineno, f"{what} expects one argument")
-    try:
-        value = int(args[0])
-    except ValueError:
-        raise ParseError(lineno, f"bad {what} count {args[0]!r}") from None
-    if value < 1:
-        raise ParseError(lineno, f"{what} must be >= 1")
-    return value
 
 
 def serialize(c: GateCircuit) -> str:
@@ -262,11 +270,6 @@ def euler_xzx_to_zxz(a1: float, a2: float, a3: float) -> tuple[float, float, flo
     b2 = 2.0 * math.atan2(abs(z2), abs(z1))
     b3 = arg1 - arg2
     return wrap_angle(b1), wrap_angle(b2), wrap_angle(b3)
-
-
-def euler_zxz_to_xzx(a1: float, a2: float, a3: float) -> tuple[float, float, float]:
-    """Colour-swapped dual: rewrite Rz(a3) Rx(a2) Rz(a1) as Rx(b3) Rz(b2) Rx(b1)."""
-    return euler_xzx_to_zxz(a1, a2, a3)
 
 
 def cnot_count(c: GateCircuit) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anneal import AnnealParams, anneal
-from .circuits import ParseError, parse, serialize
+from .circuits import ParseError, lex, parse, serialize
 from .gf2 import random_matrix
 from .oracle import (
     TooManyQubitsError,
@@ -103,12 +103,7 @@ def cmd_optimize(args) -> int:
 
 def _load_unitary(path: str):
     text = _read(path)
-    keywords = {
-        line.split("#", 1)[0].strip().split()[0].lower()
-        for line in text.splitlines()
-        if line.split("#", 1)[0].strip()
-    }
-    if keywords & {"zgadget", "xgadget"}:
+    if any(head in ("zgadget", "xgadget") for _, head, _ in lex(text)):
         nf = parse_normal_form(text)
         u = unitary_of_gadgets(nf.gadgets)
         if nf.tail.cnots:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuits import ParseError, wrap_angle
+from .circuits import ParseError, lex
 from .gf2 import BitMatrix, BitVec, inverse_transpose, mat_vec
 
 log = logging.getLogger(__name__)
@@ -147,77 +147,85 @@ def commutes(a: GadgetEntry, b: GadgetEntry) -> bool:
     return (a.legs & b.legs).popcount() % 2 == 0
 
 
-def fuse_adjacent(g: GadgetCircuit, tol: float = ZERO_ANGLE_TOL) -> GadgetCircuit:
-    """Merge equal-(basis, legs) entries that commuting swaps can join.
+def fusion_plan(entries: Sequence[GadgetEntry]) -> list[tuple[GadgetEntry, list[int]]]:
+    """Angle-agnostic fusion of equal-(basis, legs) entries across commuting swaps.
 
     Greedy bubble pass to a fixpoint: entry j is pulled next to entry i
-    when everything between commutes with it; merged angles that vanish
-    mod 2*pi drop the entry. Never increases the entry count.
+    when everything between commutes with it. Returns the surviving
+    entries in order, each with the source indices whose angles sum into
+    it, so one plan can be applied to every repetition of a layer.
     """
-    entries = list(g.entries)
+    groups = [(e, [i]) for i, e in enumerate(entries)]
     changed = True
     while changed:
         changed = False
         i = 0
-        while i < len(entries):
-            ei = entries[i]
+        while i < len(groups):
+            ei, src_i = groups[i]
             j = i + 1
             # Walk right while everything commutes with entry i; the first
             # equal-(basis, legs) entry found this way can be pulled adjacent.
-            while j < len(entries):
-                ej = entries[j]
+            while j < len(groups):
+                ej, src_j = groups[j]
                 if ej.basis == ei.basis and ej.legs == ei.legs:
-                    merged = ei.angle + ej.angle
-                    del entries[j]
-                    if is_zero_angle(merged, tol):
-                        del entries[i]
-                        i -= 1
-                    else:
-                        entries[i] = GadgetEntry(ei.basis, merged, ei.legs)
+                    src_i.extend(src_j)
+                    del groups[j]
                     changed = True
                     break
                 if not commutes(ej, ei):
                     break
                 j += 1
             i += 1
-    return GadgetCircuit(g.n_qubits, tuple(entries))
+    return groups
+
+
+def fuse_adjacent(g: GadgetCircuit, tol: float = ZERO_ANGLE_TOL) -> GadgetCircuit:
+    """Apply the fusion plan, summing angles; entries that vanish mod 2*pi drop.
+
+    A dropped entry can unblock further merges, so the plan repeats
+    until nothing drops. Never increases the entry count.
+    """
+    entries = g.entries
+    while True:
+        plan = fusion_plan(entries)
+        fused = []
+        for e, src in plan:
+            angle = sum(entries[i].angle for i in src)
+            if not is_zero_angle(angle, tol):
+                fused.append(GadgetEntry(e.basis, angle, e.legs))
+        entries = tuple(fused)
+        if len(fused) == len(plan):
+            return GadgetCircuit(g.n_qubits, entries)
+
+
+def parse_gadget_line(
+    lineno: int, head: str, args: list[str], n_qubits: int
+) -> tuple[str, float, BitVec]:
+    """(basis, angle, legs) of one lexed ``zgadget``/``xgadget`` line."""
+    if head not in ("zgadget", "xgadget"):
+        raise ParseError(lineno, f"unknown construct {head!r}")
+    if len(args) != 2:
+        raise ParseError(lineno, f"{head} expects an angle and a bitstring")
+    try:
+        angle = float(args[0])
+    except ValueError:
+        raise ParseError(lineno, f"bad angle {args[0]!r}") from None
+    if not math.isfinite(angle):
+        raise ParseError(lineno, f"non-finite angle {args[0]}")
+    if len(args[1]) != n_qubits or any(ch not in "01" for ch in args[1]):
+        raise ParseError(lineno, f"bitstring must be {n_qubits} characters of 0/1")
+    return ("Z" if head == "zgadget" else "X", angle, BitVec.from_string(args[1]))
 
 
 def parse_gadgets(text: str) -> GadgetCircuit:
     """Parse the gadget text format (qubits / zgadget / xgadget lines)."""
-    n_qubits = None
+    n_qubits = 0
     specs: list[tuple[str, float, BitVec]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.lower().split()
-        head, args = parts[0], parts[1:]
+    for lineno, head, args in lex(text):
         if head == "qubits":
-            if n_qubits is not None:
-                raise ParseError(lineno, "duplicate qubits declaration")
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
-                raise ParseError(lineno, "qubits expects one positive integer")
             n_qubits = int(args[0])
-            continue
-        if head not in ("zgadget", "xgadget"):
-            raise ParseError(lineno, f"unknown construct {head!r}")
-        if n_qubits is None:
-            raise ParseError(lineno, "expected 'qubits <n>' before gadgets")
-        if len(args) != 2:
-            raise ParseError(lineno, f"{head} expects an angle and a bitstring")
-        try:
-            angle = float(args[0])
-        except ValueError:
-            raise ParseError(lineno, f"bad angle {args[0]!r}") from None
-        if not math.isfinite(angle):
-            raise ParseError(lineno, f"non-finite angle {args[0]}")
-        if len(args[1]) != n_qubits or any(ch not in "01" for ch in args[1]):
-            raise ParseError(lineno, f"bitstring must be {n_qubits} characters of 0/1")
-        legs = BitVec.from_string(args[1])
-        specs.append(("Z" if head == "zgadget" else "X", angle, legs))
-    if n_qubits is None:
-        raise ParseError(1, "missing 'qubits <n>' declaration")
+        else:
+            specs.append(parse_gadget_line(lineno, head, args, n_qubits))
     return gadget_circuit(n_qubits, specs)
 
 
@@ -227,11 +235,3 @@ def serialize_gadgets(g: GadgetCircuit) -> str:
         head = "zgadget" if e.basis == "Z" else "xgadget"
         lines.append(f"{head} {e.angle!r} {e.legs.to_string()}")
     return "\n".join(lines) + "\n"
-
-
-def normalized(g: GadgetCircuit) -> GadgetCircuit:
-    """Wrap every angle to (-pi, pi]; same unitary up to global phase."""
-    return GadgetCircuit(
-        g.n_qubits,
-        tuple(GadgetEntry(e.basis, wrap_angle(e.angle), e.legs) for e in g.entries),
-    )

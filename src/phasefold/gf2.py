@@ -13,7 +13,7 @@ top-down.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,11 +47,6 @@ class BitVec:
 
     def __setattr__(self, *_):
         raise AttributeError("BitVec is immutable")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVec":
-        seq = list(bits)
-        return cls(len(seq), _pack_row(seq))
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
@@ -150,9 +145,6 @@ class BitMatrix:
 
     def row_word(self, i: int) -> int:
         return self._r[i]
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self._r[i])
 
     def col(self, j: int) -> BitVec:
         bits = 0

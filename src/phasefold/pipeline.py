@@ -24,11 +24,13 @@ from .circuits import GateCircuit, cnot_count, cnot_depth, euler_xzx_to_zxz
 from .gadgets import (
     GadgetCircuit,
     GadgetEntry,
+    apply_action,
+    fusion_plan,
     gadget_circuit,
     is_zero_angle,
     leg_matrices,
 )
-from .gf2 import BitMatrix, BitVec, invert, inverse_transpose, mat_mul, mat_vec
+from .gf2 import BitMatrix, BitVec, invert, mat_mul
 from .oracle import MAX_QUBITS, equiv_up_to_phase, unitary_of_circuit
 from .transform import (
     CnotCircuit,
@@ -41,7 +43,7 @@ from .transform import (
 
 log = logging.getLogger(__name__)
 
-VERIFY_QUBIT_LIMIT = MAX_QUBITS
+VERIFY_TOL = 1e-9  # max phase-aligned entry error accepted by the oracle check
 
 
 class VerificationError(RuntimeError):
@@ -111,52 +113,12 @@ def _percent_change(before: int, after: int) -> str:
     return f"{pct}%"
 
 
-def _token_commutes(a: tuple[str, BitVec], b: tuple[str, BitVec]) -> bool:
-    if a[0] == b[0]:
-        return True
-    return (a[1] & b[1]).popcount() % 2 == 0
-
-
-def _fusion_plan(tokens: list[tuple[str, BitVec]]) -> list[tuple[str, BitVec, list[int]]]:
-    """Angle-agnostic fusion of equal (basis, legs) tokens across commuting swaps.
-
-    Returns surviving groups in order, each with the source indices whose
-    angles sum into it. The same plan is applied to every repetition of
-    the unit, keeping the layer structure uniform.
-    """
-    groups: list[tuple[str, BitVec, list[int]]] = [
-        (b, legs, [i]) for i, (b, legs) in enumerate(tokens)
-    ]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(groups):
-            bi, li, src_i = groups[i]
-            j = i + 1
-            while j < len(groups):
-                bj, lj, src_j = groups[j]
-                if bj == bi and lj == li:
-                    src_i.extend(src_j)
-                    del groups[j]
-                    changed = True
-                    break
-                if not _token_commutes((bj, lj), (bi, li)):
-                    break
-                j += 1
-            i += 1
-    return groups
-
-
 def optimize(
     c: GateCircuit,
     p: AnnealParams | None = None,
     *,
     shape: str = "tree",
     verify: bool = True,
-    verify_limit: int = VERIFY_QUBIT_LIMIT,
-    exact_angle_layers: bool = False,
-    tol: float = 1e-9,
 ) -> tuple[GateCircuit, OptimizeReport]:
     """Optimise a circuit; returns the new circuit and a report.
 
@@ -168,7 +130,7 @@ def optimize(
     before = metrics_of(c)
 
     nf = extract(ci.lower_to_basis(c))
-    info = detect_layers(nf.gadgets, exact_angles=exact_angle_layers)
+    info = detect_layers(nf.gadgets)
     entries = nf.gadgets.entries
     prefix = entries[: info.offset]
     occurrences = [
@@ -186,34 +148,24 @@ def optimize(
         result = AnnealResult(BitMatrix.identity(n), 0, 0, ())
     else:
         raw_unit_energy = sum(e.legs.popcount() for e in occurrences[0])
-        tokens = [(e.basis, e.legs) for e in occurrences[0]]
-        groups = _fusion_plan(tokens)
-        unit_struct = GadgetCircuit(
-            n, tuple(GadgetEntry(b, 0.0, legs) for b, legs, _ in groups)
-        )
-        lz, lx = leg_matrices(unit_struct)
+        # One fusion plan serves every repetition, keeping the layers uniform.
+        plan = fusion_plan(occurrences[0])
+        unit = GadgetCircuit(n, tuple(e for e, _ in plan))
+        lz, lx = leg_matrices(unit)
         result = anneal(lz, lx, p)
         c_best = result.best_c
-        use_blocks = not c_best.is_identity()
-        if use_blocks:
-            # Gadgets with legs C*L commute left across a block of action
-            # C^-1 back to legs L, so the sandwich C^-1-block ; unit' ; C-block
-            # reproduces the original unit exactly.
-            gates.extend(synth_cnot(invert(c_best)).to_gates().gates)
-            c_x = inverse_transpose(c_best)
-        new_legs = []
-        for basis, legs, _ in groups:
-            if use_blocks:
-                legs = mat_vec(c_best if basis == "Z" else c_x, legs)
-            new_legs.append(legs)
+        # Gadgets with legs C*L commute left across a block of action C^-1
+        # back to legs L, so the sandwich C^-1-block ; unit' ; C-block
+        # reproduces the original unit exactly. For C = I both blocks are empty.
+        gates.extend(synth_cnot(invert(c_best)).to_gates().gates)
+        acted = apply_action(unit, c_best).entries
         for occ in occurrences:
-            for (basis, _, src), legs in zip(groups, new_legs):
+            for e, (_, src) in zip(acted, plan):
                 angle = sum(occ[i].angle for i in src)
                 if is_zero_angle(angle):
                     continue
-                gates.extend(synth_gadget(GadgetEntry(basis, angle, legs), shape).gates)
-        if use_blocks:
-            gates.extend(synth_cnot(c_best).to_gates().gates)
+                gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
+        gates.extend(synth_cnot(c_best).to_gates().gates)
 
     # The tail is a pure CNOT circuit, so its unitary is the basis permutation
     # fixed by h_z; re-synthesising it keeps the exact unitary and lets a
@@ -222,11 +174,11 @@ def optimize(
     out = euler_peephole(GateCircuit(n, tuple(gates)))
 
     verified = "skipped"
-    if verify and n <= verify_limit:
-        ok = equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(out), tol)
+    if verify and n <= MAX_QUBITS:
+        ok = equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(out), VERIFY_TOL)
         verified = "yes" if ok else "no"
     elif verify:
-        log.warning("skipping verification: %d qubits exceeds limit %d", n, verify_limit)
+        log.warning("skipping verification: %d qubits exceeds limit %d", n, MAX_QUBITS)
 
     # Before-energy is the raw unit's leg count; fusion happens before the
     # anneal, so the after-energy may undercut even the fused identity score.
@@ -240,7 +192,7 @@ def optimize(
     )
     if verified == "no":
         raise VerificationError(
-            f"optimised circuit is not equivalent to its input (tol {tol}); report:\n"
+            f"optimised circuit is not equivalent to its input (tol {VERIFY_TOL}); report:\n"
             + report.to_kv()
         )
     return out, report

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import circuits as ci
-from .circuits import Gate, GateCircuit, ParseError
+from .circuits import Gate, GateCircuit, ParseError, lex, parse_gate_line
 from .gadgets import (
     GadgetCircuit,
     GadgetEntry,
-    parse_gadgets,
+    gadget_circuit,
+    parse_gadget_line,
     serialize_gadgets,
 )
 from .gf2 import BitMatrix, BitVec, NotInvertibleError, rank
@@ -43,9 +44,6 @@ class CnotCircuit:
 
     def to_gates(self) -> GateCircuit:
         return GateCircuit(self.n_qubits, tuple(ci.cnot(c, t) for c, t in self.cnots))
-
-    def reversed(self) -> "CnotCircuit":
-        return CnotCircuit(self.n_qubits, tuple(reversed(self.cnots)))
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,10 @@ def _failure(tokens: Sequence) -> list[int]:
     return fail
 
 
-def detect_layers(g: GadgetCircuit, exact_angles: bool = False) -> LayerInfo:
+def detect_layers(g: GadgetCircuit) -> LayerInfo:
     """Structural layer repetition: entries = prefix + unit^repeats.
 
-    Matching compares (basis, legs) only unless ``exact_angles`` is set.
+    Matching compares (basis, legs) only; angles are free.
     The minimal KMP period p of the token sequence is used; the leading
     ``d mod p`` entries form the non-repeating prefix (offset) and the
     rest splits into maximal repeats. Without at least two full repeats
@@ -156,11 +154,7 @@ def detect_layers(g: GadgetCircuit, exact_angles: bool = False) -> LayerInfo:
     d = len(g.entries)
     if d == 0:
         return LayerInfo(0, 1, 0)
-    if exact_angles:
-        tokens = [(e.basis, e.legs, e.angle) for e in g.entries]
-    else:
-        tokens = [(e.basis, e.legs) for e in g.entries]
-    fail = _failure(tokens)
+    fail = _failure([(e.basis, e.legs) for e in g.entries])
     period = d - fail[-1]
     offset = d % period
     repeats = (d - offset) // period
@@ -259,35 +253,19 @@ def serialize_normal_form(nf: NormalForm) -> str:
 
 def parse_normal_form(text: str) -> NormalForm:
     """Parse gadget text that may carry a trailing cnot block."""
-    gadget_lines: list[str] = []
+    n_qubits = 0
+    specs: list[tuple[str, float, BitVec]] = []
     cnots: list[tuple[int, int]] = []
-    n_qubits = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            gadget_lines.append(raw)
-            continue
-        parts = line.lower().split()
-        if parts[0] == "cnot":
-            if n_qubits is None:
-                raise ParseError(lineno, "cnot tail before qubits declaration")
-            if len(parts) != 3:
-                raise ParseError(lineno, "cnot expects two qubits")
-            try:
-                c, t = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "bad cnot arguments") from None
-            if not (0 <= c < n_qubits and 0 <= t < n_qubits) or c == t:
-                raise ParseError(lineno, "cnot qubits out of range or equal")
-            cnots.append((c, t))
+    for lineno, head, args in lex(text):
+        if head == "qubits":
+            n_qubits = int(args[0])
+        elif head == "cnot":
+            cnots.append(parse_gate_line(lineno, head, args, n_qubits).qubits)
+        elif cnots:
+            raise ParseError(lineno, "gadget lines after the cnot tail")
         else:
-            if parts[0] == "qubits" and len(parts) == 2 and parts[1].isdigit():
-                n_qubits = int(parts[1])
-            if cnots:
-                raise ParseError(lineno, "gadget lines after the cnot tail")
-            gadget_lines.append(raw)
-    gadgets = parse_gadgets("\n".join(gadget_lines))
-    return NormalForm(gadgets, CnotCircuit(gadgets.n_qubits, tuple(cnots)))
+            specs.append(parse_gadget_line(lineno, head, args, n_qubits))
+    return NormalForm(gadget_circuit(n_qubits, specs), CnotCircuit(n_qubits, tuple(cnots)))
 
 
 def normal_form_to_gates(nf: NormalForm, shape: str = "tree") -> GateCircuit:

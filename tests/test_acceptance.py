@@ -28,7 +28,14 @@ from phasefold.oracle import (
     unitary_of_circuit,
     unitary_of_gadgets,
 )
-from phasefold.pipeline import AnsatzSpec, generate, metrics_of, mppp_period, optimize
+from phasefold.pipeline import (
+    VERIFY_TOL,
+    AnsatzSpec,
+    generate,
+    metrics_of,
+    mppp_period,
+    optimize,
+)
 from phasefold.transform import CnotCircuit, h_x, h_z, synth_gadget_circuit
 
 
@@ -92,6 +99,7 @@ def test_criterion_3_semantic_preservation():
     started = time.perf_counter()
     rng = np.random.default_rng(2025)
     params = AnnealParams(iterations=250, attempts=2, seed=17)
+    assert VERIFY_TOL == 1e-9  # optimize's own oracle check runs at 1e-9
     for trial in range(200):
         n = int(rng.integers(1, 7))
         gates = []
@@ -105,7 +113,7 @@ def test_criterion_3_semantic_preservation():
             else:
                 gates.append(ci.rx(float(rng.uniform(-math.pi, math.pi)), int(rng.integers(n))))
         c = GateCircuit(n, tuple(gates))
-        out, report = optimize(c, params, tol=1e-9)
+        out, report = optimize(c, params)
         assert report.verified == "yes", f"trial {trial} failed verification"
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"criterion 3 exceeded 2 min ({elapsed:.2f}s)"

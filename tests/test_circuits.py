@@ -12,13 +12,14 @@ from phasefold.circuits import (
     cnot_count,
     cnot_depth,
     euler_xzx_to_zxz,
-    euler_zxz_to_xzx,
     lower_to_basis,
     parse,
     serialize,
     wrap_angle,
 )
+from phasefold.gadgets import parse_gadgets
 from phasefold.oracle import equiv_up_to_phase, rx_matrix, rz_matrix, unitary_of_circuit
+from phasefold.transform import parse_normal_form
 
 
 def test_parse_simple():
@@ -205,7 +206,7 @@ def test_euler_colour_swapped_dual():
     rng = np.random.default_rng(56)
     for _ in range(200):
         a1, a2, a3 = rng.uniform(-math.pi, math.pi, size=3)
-        b1, b2, b3 = euler_zxz_to_xzx(a1, a2, a3)
+        b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)  # the docstring's colour swap
         got = rx_matrix(b3) @ rz_matrix(b2) @ rx_matrix(b1)
         want = rz_matrix(a3) @ rx_matrix(a2) @ rz_matrix(a1)
         assert equiv_up_to_phase(got, want, 1e-9)
@@ -247,3 +248,26 @@ def test_depth_at_most_count():
 def test_depth_equals_count_when_sharing_a_qubit():
     c = GateCircuit(3, (ci.cnot(0, 1), ci.cnot(0, 2), ci.cnot(1, 0)))
     assert cnot_depth(c) == cnot_count(c) == 3
+
+
+BAD_QUBITS_LINES = ["qubits ²", "qubits +2", "qubits -2", "qubits 0", "qubits 2 3", "qubits"]
+
+
+@pytest.mark.parametrize("parser", [parse, parse_gadgets, parse_normal_form])
+@pytest.mark.parametrize("line", BAD_QUBITS_LINES)
+def test_one_qubits_rule_for_every_file_kind(parser, line):
+    # One declaration rule: a single ASCII decimal integer >= 1, else a
+    # line-numbered ParseError, whichever parser reads the file.
+    with pytest.raises(ParseError, match="^line 1: "):
+        parser(f"{line}\nzgadget 0.5 11\n")
+
+
+@pytest.mark.parametrize("parser", [parse, parse_gadgets, parse_normal_form])
+def test_shared_grammar_comments_case_and_order(parser):
+    parser("# header\n\nQUBITS 2  # two\n")
+    with pytest.raises(ParseError, match="^line 2: duplicate"):
+        parser("qubits 2\nqubits 2\n")
+    with pytest.raises(ParseError, match="^line 1: "):
+        parser("cnot 0 1\nqubits 2\n")
+    with pytest.raises(ParseError, match="^line 1: missing"):
+        parser("# nothing\n")

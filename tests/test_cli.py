@@ -219,3 +219,10 @@ def test_optimize_verification_failure_exits_2(tmp_path, capsys, monkeypatch):
     src = _write(tmp_path, "c.pf", "qubits 1\nrz 0.5 0\n")
     assert main(["optimize", src]) == 2
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_non_ascii_qubit_count_exits_1(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.pf", "qubits ²\nzgadget 0.5 1\n")
+    good = _write(tmp_path, "good.pf", "qubits 1\nzgadget 0.5 1\n")
+    assert main(["verify", bad, good]) == 1
+    assert "error: line 1: qubits expects one positive integer" in capsys.readouterr().err

@@ -288,5 +288,22 @@ def test_mppp_parameter_bound():
 
 def test_optimize_verify_skipped_above_limit():
     c = GateCircuit(12, (ci.rz(0.4, 11),))
-    out, report = optimize(c, FAST, verify_limit=10)
+    out, report = optimize(c, FAST)
     assert report.verified == "skipped"
+
+
+def test_optimize_raises_when_its_output_fails_the_oracle(monkeypatch):
+    import phasefold.pipeline as pl
+    from phasefold.pipeline import VerificationError
+
+    def drop_first_rotation(c):
+        out = euler_peephole(c)
+        i = next(i for i, g in enumerate(out.gates) if g.kind in ("rz", "rx"))
+        return GateCircuit(out.n_qubits, out.gates[:i] + out.gates[i + 1 :])
+
+    monkeypatch.setattr(pl, "euler_peephole", drop_first_rotation)
+    c = GateCircuit(2, (ci.cnot(0, 1), ci.rz(0.4, 1), ci.rx(0.3, 0), ci.cnot(0, 1)))
+    result = None
+    with pytest.raises(VerificationError, match="not equivalent"):
+        result = optimize(c, FAST)
+    assert result is None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from phasefold import circuits as ci
-from phasefold.circuits import GateCircuit, cnot_depth
+from phasefold.circuits import GateCircuit, ParseError, cnot_depth
 from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit, zgadget
 from phasefold.gf2 import (
     BitMatrix,
@@ -195,9 +195,11 @@ def test_detect_layers_partial_leading_layer():
 
 
 def test_detect_layers_angle_free_vs_exact():
+    # Angles are free, legs and basis must match exactly.
     g = gadget_circuit(2, [("Z", 0.1, "11"), ("Z", 0.2, "11")])
     assert detect_layers(g) == LayerInfo(1, 2, 0)
-    assert detect_layers(g, exact_angles=True) == LayerInfo(2, 1, 0)
+    g = gadget_circuit(2, [("Z", 0.1, "11"), ("Z", 0.1, "10")])
+    assert detect_layers(g) == LayerInfo(2, 1, 0)
 
 
 def test_detect_layers_against_brute_force():
@@ -347,3 +349,12 @@ def test_normal_form_text_roundtrip():
 def test_normal_form_text_no_tail():
     nf = NormalForm(gadget_circuit(2, [("Z", 0.3, "10")]), CnotCircuit(2, ()))
     assert parse_normal_form(serialize_normal_form(nf)) == nf
+
+
+def test_normal_form_text_errors_name_their_line():
+    with pytest.raises(ParseError, match="^line 3: "):
+        parse_normal_form("qubits 2\nzgadget 0.5 10\ncnot 0 2\n")
+    with pytest.raises(ParseError, match="^line 4: gadget lines after the cnot tail"):
+        parse_normal_form("qubits 2\nzgadget 0.5 10\ncnot 0 1\nxgadget 0.5 11\n")
+    with pytest.raises(ParseError, match="^line 2: "):
+        parse_normal_form("qubits 2\nrz 0.5 0\n")

@@ -11,12 +11,25 @@ is a prefix: more attempts never change earlier ones. The driver returns
 the best matrix over all attempts and the identity, so the result never
 loses to doing nothing.
 
-The chain keeps C, C^-1 and both products incrementally: a flip of entry
-(i, j) XORs one L_Z row into row i of C @ L_Z, and updates C^-1 by a
-rank-one Sherman-Morrison step (valid exactly when the flip preserves
-invertibility, i.e. when (C^-1)[j, i] = 0). Tests check the result
-against a naive recomputation: the returned C is invertible and
-``energy`` recomputed from it equals the reported best energy.
+A chain keeps C as a list of rows, C @ L_Z as a list of rows, and two
+packed Python ints with n slots of s = max(n, d_x) bits each: slot r of
+CT (``ct``) is row r of (C^-1)^T, i.e. column r of C^-1, and slot r of
+Y (``y``) is row r of (C^-1)^T @ L_X. Flipping entry (i, j) of C keeps
+it invertible exactly when (C^-1)[j, i] = 0, bit i*s + j of CT. The
+flip XORs L_Z row j into row i of C @ L_Z, and by the rank-one
+(Sherman-Morrison) update it XORs w = row i of (C^-1)^T @ L_X, already
+slot i of Y, into the slots r with (C^-1)[j, r] = 1. Those flags,
+V = (CT >> j) & ONES, hold one bit at the foot of each slot, so V * w
+places w in exactly the flagged slots without carries: each proposal
+costs a fixed number of int operations, with no loop over n. Accepting
+it sets Y ^= V * w and CT ^= V * (slot i of CT). The proposal and
+acceptance draws are ``_Draws``' values, inlined.
+
+Tests check the chain against a list-based reference that recomputes w
+with a loop (identical results and random stream on hundreds of seeded
+instances) and against a naive recomputation: the returned C is
+invertible and ``energy`` recomputed from it equals the reported best
+energy.
 """
 
 from __future__ import annotations
@@ -29,7 +42,6 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     inverse_transpose,
-    invert,
     mat_mul,
     popcount,
     random_invertible,
@@ -81,6 +93,8 @@ class _Draws:
     half kept for the next 32-bit request; ``random()`` takes the top 53
     bits of a fresh 64-bit output and leaves a kept half alone. The
     generator must not be used directly while a ``_Draws`` holds it.
+    ``_attempt`` inlines both draws for k = n * n; the tests replay this
+    class against it.
     """
 
     _BLOCK = 256
@@ -136,8 +150,7 @@ def _attempt(
     """One annealing chain; returns (best energy, best C rows)."""
     start = random_invertible(n, rng)
     c = list(start._r)
-    cinv = list(invert(start)._r)
-    # clz[i] = row i of C @ L_Z ; y[r] = row r of (C^-1)^T @ L_X
+    # clz[i] = row i of C @ L_Z
     clz = []
     for w in c:
         acc = 0
@@ -145,56 +158,83 @@ def _attempt(
             if (w >> k) & 1:
                 acc ^= lz_rows[k]
         clz.append(acc)
-    y = []
-    for r in range(n):
+    # Slot r of ct is row r of (C^-1)^T; slot r of y is row r of (C^-1)^T @ L_X.
+    d_x = max(w.bit_length() for w in lx_rows)
+    s = max(n, d_x)
+    ct = y = 0
+    for r, col in enumerate(inverse_transpose(start)._r):
         acc = 0
         for k in range(n):
-            if (cinv[k] >> r) & 1:
+            if (col >> k) & 1:
                 acc ^= lx_rows[k]
-        y.append(acc)
-    e = sum(w.bit_count() for w in clz) + sum(w.bit_count() for w in y)
+        ct |= col << (r * s)
+        y |= acc << (r * s)
+    e_x = y.bit_count()
+    e = sum(w.bit_count() for w in clz) + e_x
     best_e, best_c = e, list(c)
 
-    draws = _Draws(rng)
-    draw_index, draw_uniform = draws.integers, draws.random
+    # The draws of _Draws, inlined: a proposal takes a 32-bit half of the
+    # raw stream (kept half first), a uniform a fresh 64-bit word.
+    bg = rng.bit_generator
+    state = bg.state
+    if state["bit_generator"] != "PCG64":
+        raise ValueError("the chain replays PCG64 only")
+    half = state["uinteger"] if state["has_uint32"] else -1
+    block = _Draws._BLOCK
+    buf: list[int] = []
+    pos = block
     nn = n * n
-    cells = [divmod(ij, n) for ij in range(nn)]
+    threshold = (0x100000000 - nn) % nn  # Lemire: reject the biased low products
+    cells = [(i, j, i * s, i * s + j) for i in range(n) for j in range(n)]
+    ones = sum(1 << (r * s) for r in range(n))
+    nmask = (1 << n) - 1
+    xmask = (1 << d_x) - 1
+    exp = math.exp
     for k in range(iterations):
         temp = t0 * (1.0 - k / iterations)
         while True:
-            i, j = cells[draw_index(nn)]
-            if not (cinv[j] >> i) & 1:  # flip keeps C invertible
+            if half < 0:
+                if pos == block:
+                    buf = bg.random_raw(block).tolist()
+                    pos = 0
+                v = buf[pos]
+                pos += 1
+                half = v >> 32
+                m = (v & 0xFFFFFFFF) * nn
+            else:
+                m = half * nn
+                half = -1
+            if m & 0xFFFFFFFF < threshold:
+                continue
+            i, j, si, sij = cells[m >> 32]
+            if not (ct >> sij) & 1:  # (C^-1)[j, i] = 0: the flip keeps C invertible
                 break
-        new_row = clz[i] ^ lz_rows[j]
-        de = new_row.bit_count() - clz[i].bit_count()
-        # Rank-one effect on (C^-1)^T L_X: rows flagged by v gain w.
-        w = 0
-        for kk in range(n):
-            if (cinv[kk] >> i) & 1:
-                w ^= lx_rows[kk]
-        vmask = cinv[j]
-        for r in range(n):
-            if (vmask >> r) & 1:
-                de += (y[r] ^ w).bit_count() - y[r].bit_count()
+        row = clz[i]
+        new_row = row ^ lz_rows[j]
+        # Row i of (C^-1)^T L_X lands on the rows flagged by row j of C^-1.
+        v_slots = (ct >> j) & ones
+        new_y = y ^ v_slots * ((y >> si) & xmask)
+        new_e_x = new_y.bit_count()
+        de = new_row.bit_count() - row.bit_count() + new_e_x - e_x
 
         if temp <= 0.0:
             accept = de < 0
         elif de <= 0:
             accept = True
         else:
-            accept = draw_uniform() < math.exp(-de / temp)
+            if pos == block:
+                buf = bg.random_raw(block).tolist()
+                pos = 0
+            u = (buf[pos] >> 11) * (1.0 / 9007199254740992.0)
+            pos += 1
+            accept = u < exp(-de / temp)
         if not accept:
             continue
 
         c[i] ^= 1 << j
         clz[i] = new_row
-        row_j = cinv[j]
-        for kk in range(n):
-            if (cinv[kk] >> i) & 1:
-                cinv[kk] ^= row_j
-        for r in range(n):
-            if (vmask >> r) & 1:
-                y[r] ^= w
+        ct ^= v_slots * ((ct >> si) & nmask)
+        y, e_x = new_y, new_e_x
         e += de
         if e < best_e:
             best_e, best_c = e, list(c)

@@ -126,14 +126,33 @@ class GateCircuit:
         return len(self.gates)
 
 
+QUBIT_LIMIT = 256  # largest qubit count a text file may declare
+
+
+def _nat_below(token: str, bound: int) -> int | None:
+    """``token`` as an integer in [0, bound), else None.
+
+    Only plain ASCII decimal digits count: no sign, no '_', no other
+    scripts.
+    """
+    if not (token.isascii() and token.isdigit()):
+        return None
+    digits = token.lstrip("0") or "0"
+    if len(digits) > len(str(bound)):  # keeps int() off very long digit strings
+        return None
+    value = int(digits)
+    return value if value < bound else None
+
+
 def lex(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """Yield (lineno, keyword, args) for each construct of a text file.
 
     The one grammar shared by circuit, gadget and normal-form files:
     ``#`` starts a comment, blank lines are skipped, keywords come back
     lower-cased and line numbers are 1-based. The first construct must
-    be the only ``qubits <n>`` line, with n a plain decimal integer >= 1;
-    it is yielded too, already checked.
+    be the only ``qubits <n>`` line, with n a plain decimal integer from
+    1 to ``QUBIT_LIMIT``; it is yielded too, checked, with n written
+    without leading zeros.
     """
     declared = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -144,8 +163,10 @@ def lex(text: str) -> Iterator[tuple[int, str, list[str]]]:
         if keyword == "qubits":
             if declared:
                 raise ParseError(lineno, "duplicate qubits declaration")
-            if len(args) != 1 or not (args[0].isascii() and args[0].isdigit()) or int(args[0]) < 1:
-                raise ParseError(lineno, "qubits expects one positive integer")
+            count = _nat_below(args[0], QUBIT_LIMIT + 1) if len(args) == 1 else None
+            if not count:
+                raise ParseError(lineno, f"qubits expects one positive integer up to {QUBIT_LIMIT}")
+            args = [str(count)]
             declared = True
         elif not declared:
             raise ParseError(lineno, "expected 'qubits <n>' first")
@@ -164,13 +185,13 @@ def parse_gate_line(lineno: int, head: str, args: list[str], n_qubits: int) -> G
         raise ParseError(lineno, f"{head} expects {want} argument(s)")
     try:
         angle = float(args[0]) if has_angle else None
-        qubits = tuple(int(a) for a in (args[1:] if has_angle else args))
     except ValueError:
         raise ParseError(lineno, f"bad arguments for {head}: {' '.join(args)}") from None
     if has_angle and not math.isfinite(angle):
         raise ParseError(lineno, f"non-finite angle {args[0]}")
-    if any(not 0 <= q < n_qubits for q in qubits):
-        raise ParseError(lineno, f"qubit out of range for {n_qubits} qubits")
+    qubits = tuple(_nat_below(a, n_qubits) for a in (args[1:] if has_angle else args))
+    if None in qubits:
+        raise ParseError(lineno, f"qubit indices must be plain integers from 0 to {n_qubits - 1}")
     try:
         return Gate(head, qubits, angle)
     except ValueError as exc:

@@ -1,15 +1,18 @@
 """Annealer: energy oracle values, chain invariants, optimality on small instances."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from phasefold.anneal import AnnealParams, _Draws, anneal, default_t0, energy
+from phasefold.anneal import AnnealParams, _attempt, _Draws, anneal, default_t0, energy
 from phasefold.gf2 import (
     BitMatrix,
     NotInvertibleError,
+    invert,
     popcount,
+    random_invertible,
     random_matrix,
     rank,
 )
@@ -46,6 +49,136 @@ def test_draws_replay_generator(consumed):
             assert draws.integers(k) == int(ref.integers(k)), k
         else:
             assert draws.random() == ref.random()
+
+
+def reference_attempt(n, lz_rows, lx_rows, iterations, t0, rng):
+    """The chain on row lists, one O(n) loop per product: the packed chain's reference."""
+    start = random_invertible(n, rng)
+    c = list(start._r)
+    cinv = list(invert(start)._r)
+    # clz[i] = row i of C @ L_Z ; y[r] = row r of (C^-1)^T @ L_X
+    clz = []
+    for w in c:
+        acc = 0
+        for k in range(n):
+            if (w >> k) & 1:
+                acc ^= lz_rows[k]
+        clz.append(acc)
+    y = []
+    for r in range(n):
+        acc = 0
+        for k in range(n):
+            if (cinv[k] >> r) & 1:
+                acc ^= lx_rows[k]
+        y.append(acc)
+    e = sum(w.bit_count() for w in clz) + sum(w.bit_count() for w in y)
+    best_e, best_c = e, list(c)
+
+    draws = _Draws(rng)
+    nn = n * n
+    for k in range(iterations):
+        temp = t0 * (1.0 - k / iterations)
+        while True:
+            i, j = divmod(draws.integers(nn), n)
+            if not (cinv[j] >> i) & 1:  # flip keeps C invertible
+                break
+        new_row = clz[i] ^ lz_rows[j]
+        de = new_row.bit_count() - clz[i].bit_count()
+        # Rank-one effect on (C^-1)^T L_X: rows flagged by v gain w.
+        w = 0
+        for kk in range(n):
+            if (cinv[kk] >> i) & 1:
+                w ^= lx_rows[kk]
+        vmask = cinv[j]
+        for r in range(n):
+            if (vmask >> r) & 1:
+                de += (y[r] ^ w).bit_count() - y[r].bit_count()
+
+        if temp <= 0.0:
+            accept = de < 0
+        elif de <= 0:
+            accept = True
+        else:
+            accept = draws.random() < math.exp(-de / temp)
+        if not accept:
+            continue
+
+        c[i] ^= 1 << j
+        clz[i] = new_row
+        row_j = cinv[j]
+        for kk in range(n):
+            if (cinv[kk] >> i) & 1:
+                cinv[kk] ^= row_j
+        for r in range(n):
+            if (vmask >> r) & 1:
+                y[r] ^= w
+        e += de
+        if e < best_e:
+            best_e, best_c = e, list(c)
+    return best_e, best_c
+
+
+def _leg_rows(rng, n, d, zero_rows):
+    rows = list(random_matrix(n, d, rng)._r)
+    for r in zero_rows:
+        rows[r] = 0
+    return tuple(rows)
+
+
+def test_attempt_matches_reference_chain():
+    """The packed chain returns the reference's (best_e, best_c) on 396 instances."""
+    rng = np.random.default_rng(31)
+    cases = 0
+    for n in range(2, 13):
+        for d_z, d_x, zero_x in ((7, 0, ()), (0, 9, ()), (5, 14, ()), (14, 3, (0, n - 1))):
+            for iterations, t0 in itertools.product((1, 10, 1000), (0.05, 1.0, 40.0)):
+                lz_rows = _leg_rows(rng, n, d_z, ())
+                lx_rows = _leg_rows(rng, n, d_x, zero_x)
+                seed = int(rng.integers(2**32))
+                want = reference_attempt(
+                    n, lz_rows, lx_rows, iterations, t0, np.random.default_rng(seed)
+                )
+                got = _attempt(n, lz_rows, lx_rows, iterations, t0, np.random.default_rng(seed))
+                assert got == want, (n, d_z, d_x, iterations, t0, seed)
+                cases += 1
+    assert cases >= 300
+
+
+class PCG64(np.random.PCG64):
+    """PCG64 whose raw words often carry a zero 32-bit half.
+
+    ``Generator`` methods use the unchanged C stream; ``random_raw``, which
+    the chain and ``_Draws`` read, zeroes a half when a fixed bit of its
+    word is set. A zero half h gives h * k = 0, below Lemire's threshold
+    for every k that is not a power of two, so the bounded draw rejects.
+    The class keeps the name that ``_Draws`` and the chain check.
+    """
+
+    def random_raw(self, size=None, output=True):
+        words = super().random_raw(size, output)
+        low = (words >> np.uint64(20)) & np.uint64(1)
+        high = (words >> np.uint64(52)) & np.uint64(1)
+        keep = ~(low * np.uint64(0xFFFFFFFF) | high * np.uint64(0xFFFFFFFF00000000))
+        return words & keep
+
+
+def test_attempt_lemire_rejection_matches_draws():
+    # A real n^2 almost never hits Lemire's rejection (threshold < n^2 of
+    # 2^32 products); on this stream about half the proposals are rejected.
+    words = PCG64(8).random_raw(1000)
+    halves = np.concatenate([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)])
+    assert np.count_nonzero(halves == 0) > 800
+    rng = np.random.default_rng(8)
+    for n in (3, 5, 6, 7, 12):
+        assert (2**32 - n * n) % (n * n) > 0  # k = n^2 has a nonzero threshold
+        for seed in range(4):
+            lz_rows = _leg_rows(rng, n, 6, ())
+            lx_rows = _leg_rows(rng, n, 6, (1,))
+            want = reference_attempt(
+                n, lz_rows, lx_rows, 300, 2.0, np.random.Generator(PCG64(seed))
+            )
+            got = _attempt(n, lz_rows, lx_rows, 300, 2.0, np.random.Generator(PCG64(seed)))
+            assert got == want, (n, seed)
 
 
 def test_energy_identity_is_ten():

@@ -250,7 +250,17 @@ def test_depth_equals_count_when_sharing_a_qubit():
     assert cnot_depth(c) == cnot_count(c) == 3
 
 
-BAD_QUBITS_LINES = ["qubits ²", "qubits +2", "qubits -2", "qubits 0", "qubits 2 3", "qubits"]
+BAD_QUBITS_LINES = [
+    "qubits ²",
+    "qubits +2",
+    "qubits -2",
+    "qubits 0",
+    "qubits 2 3",
+    "qubits",
+    f"qubits {ci.QUBIT_LIMIT + 1}",
+    "qubits 100000",
+    "qubits " + "9" * 5000,  # longer than int()'s digit limit
+]
 
 
 @pytest.mark.parametrize("parser", [parse, parse_gadgets, parse_normal_form])
@@ -260,6 +270,26 @@ def test_one_qubits_rule_for_every_file_kind(parser, line):
     # line-numbered ParseError, whichever parser reads the file.
     with pytest.raises(ParseError, match="^line 1: "):
         parser(f"{line}\nzgadget 0.5 11\n")
+
+
+@pytest.mark.parametrize(
+    "parser", [parse, parse_gadgets, lambda text: parse_normal_form(text).gadgets]
+)
+def test_qubits_limit_is_inclusive(parser):
+    # Parsing alone: nothing of size n^2 is built at the limit.
+    assert parser(f"qubits {ci.QUBIT_LIMIT}\n").n_qubits == ci.QUBIT_LIMIT
+    assert parser("qubits 0003\n").n_qubits == 3
+
+
+@pytest.mark.parametrize("token", ["+0", "1_0", "١", "²", "-1", "0x1", "11"])
+@pytest.mark.parametrize("line", ["cnot 0 {}", "cnot {} 0", "rz 0.5 {}"])
+def test_qubit_index_plain_ascii_in_range(line, token):
+    # int() would read "+0" as 0, "1_0" as 10 and "١" (Arabic-Indic one) as 1.
+    text = "qubits 11\n" + line.format(token) + "\n"
+    with pytest.raises(ParseError, match="^line 2: qubit indices must be plain integers"):
+        parse(text)
+    with pytest.raises(ParseError, match="^line 2: "):
+        parse_normal_form(text)
 
 
 @pytest.mark.parametrize("parser", [parse, parse_gadgets, parse_normal_form])

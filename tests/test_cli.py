@@ -221,6 +221,12 @@ def test_optimize_verification_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert "verification failed" in capsys.readouterr().err
 
 
+def test_optimize_qubit_count_over_limit_exits_1(tmp_path, capsys):
+    src = _write(tmp_path, "big.pf", "qubits 100000\nrz 0.5 0\n")
+    assert main(["optimize", src]) == 1
+    assert "error: line 1: qubits expects one positive integer up to 256" in capsys.readouterr().err
+
+
 def test_verify_non_ascii_qubit_count_exits_1(tmp_path, capsys):
     bad = _write(tmp_path, "bad.pf", "qubits ²\nzgadget 0.5 1\n")
     good = _write(tmp_path, "good.pf", "qubits 1\nzgadget 0.5 1\n")

@@ -6,7 +6,7 @@ gadget-leg count, and a cheaper circuit is re-synthesised and verified
 against a dense unitary oracle.
 """
 
-from .anneal import AnnealParams, AnnealResult, anneal, energy
+from .annealing import AnnealParams, AnnealResult, anneal, energy
 from .circuits import (
     GateCircuit,
     Gate,

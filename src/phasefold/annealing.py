@@ -140,35 +140,24 @@ class _Draws:
 
 
 def _attempt(
-    n: int,
-    lz_rows: tuple[int, ...],
-    lx_rows: tuple[int, ...],
+    lz: BitMatrix,
+    lx: BitMatrix,
     iterations: int,
     t0: float,
     rng: np.random.Generator,
 ) -> tuple[int, list[int]]:
     """One annealing chain; returns (best energy, best C rows)."""
+    n = lz.rows
+    lz_rows = lz._r  # row k of L_Z packed over its d_z columns
     start = random_invertible(n, rng)
     c = list(start._r)
-    # clz[i] = row i of C @ L_Z
-    clz = []
-    for w in c:
-        acc = 0
-        for k in range(n):
-            if (w >> k) & 1:
-                acc ^= lz_rows[k]
-        clz.append(acc)
+    clz = list(mat_mul(start, lz)._r)  # clz[i] = row i of C @ L_Z
     # Slot r of ct is row r of (C^-1)^T; slot r of y is row r of (C^-1)^T @ L_X.
-    d_x = max(w.bit_length() for w in lx_rows)
+    cit = inverse_transpose(start)
+    d_x = lx.cols
     s = max(n, d_x)
-    ct = y = 0
-    for r, col in enumerate(inverse_transpose(start)._r):
-        acc = 0
-        for k in range(n):
-            if (col >> k) & 1:
-                acc ^= lx_rows[k]
-        ct |= col << (r * s)
-        y |= acc << (r * s)
+    ct = sum(w << (r * s) for r, w in enumerate(cit._r))
+    y = sum(w << (r * s) for r, w in enumerate(mat_mul(cit, lx)._r))
     e_x = y.bit_count()
     e = sum(w.bit_count() for w in clz) + e_x
     best_e, best_c = e, list(c)
@@ -258,15 +247,12 @@ def anneal(lz: BitMatrix, lx: BitMatrix, p: AnnealParams | None = None) -> Annea
     if n == 1 or lz.cols + lx.cols == 0:
         return AnnealResult(identity, identity_energy, identity_energy, ())
 
-    lz_rows = tuple(lz._r)  # row k of L_Z packed over its d_z columns
-    lx_rows = tuple(lx._r)
-
     best_e = None
     best_rows = None
     per_attempt: list[int] = []
     for a in range(p.attempts):
         rng = np.random.default_rng(np.random.SeedSequence((p.seed, a)))
-        e, rows = _attempt(n, lz_rows, lx_rows, p.iterations, t0, rng)
+        e, rows = _attempt(lz, lx, p.iterations, t0, rng)
         per_attempt.append(e)
         if best_e is None or e < best_e:
             best_e, best_rows = e, rows

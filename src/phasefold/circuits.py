@@ -144,6 +144,21 @@ def _nat_below(token: str, bound: int) -> int | None:
     return value if value < bound else None
 
 
+def parse_angle(lineno: int, token: str) -> float:
+    """``token`` as a finite angle, else a ParseError naming the line.
+
+    Python float syntax in plain ASCII only: no '_' separators, no other
+    scripts' digits, no inf or nan.
+    """
+    try:
+        angle = float(token) if token.isascii() and "_" not in token else math.nan
+    except ValueError:
+        angle = math.nan
+    if not math.isfinite(angle):
+        raise ParseError(lineno, f"angle must be a finite ASCII decimal, got {token!r}")
+    return angle
+
+
 def lex(text: str) -> Iterator[tuple[int, str, list[str]]]:
     """Yield (lineno, keyword, args) for each construct of a text file.
 
@@ -183,12 +198,7 @@ def parse_gate_line(lineno: int, head: str, args: list[str], n_qubits: int) -> G
     want = arity + (1 if has_angle else 0)
     if len(args) != want:
         raise ParseError(lineno, f"{head} expects {want} argument(s)")
-    try:
-        angle = float(args[0]) if has_angle else None
-    except ValueError:
-        raise ParseError(lineno, f"bad arguments for {head}: {' '.join(args)}") from None
-    if has_angle and not math.isfinite(angle):
-        raise ParseError(lineno, f"non-finite angle {args[0]}")
+    angle = parse_angle(lineno, args[0]) if has_angle else None
     qubits = tuple(_nat_below(a, n_qubits) for a in (args[1:] if has_angle else args))
     if None in qubits:
         raise ParseError(lineno, f"qubit indices must be plain integers from 0 to {n_qubits - 1}")

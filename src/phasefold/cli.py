@@ -9,15 +9,15 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anneal import AnnealParams, anneal
-from .circuits import ParseError, lex, parse, serialize
+from .annealing import DEFAULT_ATTEMPTS, DEFAULT_ITERATIONS, AnnealParams, anneal
+from .circuits import lex, parse, serialize
 from .gf2 import random_matrix
 from .oracle import (
-    TooManyQubitsError,
+    VERIFY_TOL,
     phase_aligned_max_error,
     unitary_of_circuit,
     unitary_of_gadgets,
@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
         print("error: circuits act on different qubit counts", file=sys.stderr)
         return 1
     err = phase_aligned_max_error(ua, ub)
-    if err < args.tol:
+    if err < VERIFY_TOL:
         print(f"equal max_error={err:.3e}")
         return 0
     print(f"different max_error={err:.3e}")
@@ -140,12 +140,7 @@ def _bench_cells(cfg: BenchConfig):
                     AnsatzSpec("random_gadget", cfg.n_qubits, layers, g, seed=cell_seed)
                 )
                 before = synth_gadget_circuit(ansatz, "ladder")
-                params = AnnealParams(
-                    t0=cfg.anneal.t0,
-                    iterations=cfg.anneal.iterations,
-                    attempts=cfg.anneal.attempts,
-                    seed=cell_seed,
-                )
+                params = replace(cfg.anneal, seed=cell_seed)
                 out, _ = optimize(before, params, shape=cfg.shape, verify=False)
                 cell.append((metrics_of(before), metrics_of(out)))
             results[(g, layers)] = cell
@@ -261,8 +256,8 @@ def _int_list(text: str) -> list[int]:
 
 def _add_anneal_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--attempts", type=int, default=20)
-    sub.add_argument("--iterations", type=int, default=5000)
+    sub.add_argument("--attempts", type=int, default=DEFAULT_ATTEMPTS)
+    sub.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     sub.add_argument("--t0", type=float, default=None)
 
 
@@ -291,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare two circuit/gadget files up to phase")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="random-ansatz benchmark table / sweeps")
@@ -317,10 +311,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, TooManyQubitsError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuits import ParseError, lex
+from .circuits import ParseError, lex, parse_angle
 from .gf2 import BitMatrix, BitVec, inverse_transpose, mat_vec
 
 log = logging.getLogger(__name__)
@@ -25,9 +25,9 @@ log = logging.getLogger(__name__)
 ZERO_ANGLE_TOL = 1e-12
 
 
-def is_zero_angle(angle: float, tol: float = ZERO_ANGLE_TOL) -> bool:
-    """True when the angle is 0 mod 2*pi within tolerance."""
-    return abs(math.remainder(angle, 2.0 * math.pi)) <= tol
+def is_zero_angle(angle: float) -> bool:
+    """True when the angle is 0 mod 2*pi within ``ZERO_ANGLE_TOL``."""
+    return abs(math.remainder(angle, 2.0 * math.pi)) <= ZERO_ANGLE_TOL
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def fusion_plan(entries: Sequence[GadgetEntry]) -> list[tuple[GadgetEntry, list[
     return groups
 
 
-def fuse_adjacent(g: GadgetCircuit, tol: float = ZERO_ANGLE_TOL) -> GadgetCircuit:
+def fuse_adjacent(g: GadgetCircuit) -> GadgetCircuit:
     """Apply the fusion plan, summing angles; entries that vanish mod 2*pi drop.
 
     A dropped entry can unblock further merges, so the plan repeats
@@ -191,7 +191,7 @@ def fuse_adjacent(g: GadgetCircuit, tol: float = ZERO_ANGLE_TOL) -> GadgetCircui
         fused = []
         for e, src in plan:
             angle = sum(entries[i].angle for i in src)
-            if not is_zero_angle(angle, tol):
+            if not is_zero_angle(angle):
                 fused.append(GadgetEntry(e.basis, angle, e.legs))
         entries = tuple(fused)
         if len(fused) == len(plan):
@@ -206,12 +206,7 @@ def parse_gadget_line(
         raise ParseError(lineno, f"unknown construct {head!r}")
     if len(args) != 2:
         raise ParseError(lineno, f"{head} expects an angle and a bitstring")
-    try:
-        angle = float(args[0])
-    except ValueError:
-        raise ParseError(lineno, f"bad angle {args[0]!r}") from None
-    if not math.isfinite(angle):
-        raise ParseError(lineno, f"non-finite angle {args[0]}")
+    angle = parse_angle(lineno, args[0])
     if len(args[1]) != n_qubits or any(ch not in "01" for ch in args[1]):
         raise ParseError(lineno, f"bitstring must be {n_qubits} characters of 0/1")
     return ("Z" if head == "zgadget" else "X", angle, BitVec.from_string(args[1]))

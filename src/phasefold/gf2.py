@@ -5,10 +5,11 @@ column ``j``), so row operations are single XORs and weight counting is
 ``int.bit_count``. The semantic contract is the plain {0,1} grid exposed
 by :meth:`BitMatrix.to_lists`.
 
-Invertibility is always decided by Gaussian-elimination rank over GF(2),
-never by a determinant computed over the integers or floats. Pivoting is
-deterministic: the first row with a 1 in the current column, scanning
-top-down.
+Invertibility is always decided by Gaussian elimination over GF(2)
+(``rank``, ``row_ops``), never by a determinant computed over the
+integers or floats. Pivoting is deterministic: the first row with a 1 in
+the current column, scanning top-down. ``row_ops`` is the one
+elimination that inverts a matrix and synthesises its CNOT circuit.
 """
 
 from __future__ import annotations
@@ -122,13 +123,9 @@ class BitMatrix:
 
     @classmethod
     def from_cols(cls, n_rows: int, columns: Sequence[BitVec]) -> "BitMatrix":
-        words = [0] * n_rows
-        for j, col in enumerate(columns):
-            if col.n != n_rows:
-                raise ValueError("column length mismatch")
-            for i in range(n_rows):
-                words[i] |= col[i] << j
-        return cls(n_rows, len(columns), words)
+        if any(col.n != n_rows for col in columns):
+            raise ValueError("column length mismatch")
+        return cls(len(columns), n_rows, [col.bits for col in columns]).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -137,14 +134,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(rows, cols, [0] * rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self._r[i] >> j) & 1
-
-    def row_word(self, i: int) -> int:
-        return self._r[i]
 
     def col(self, j: int) -> BitVec:
         bits = 0
@@ -238,33 +227,49 @@ def rank(a: BitMatrix) -> int:
     return r
 
 
-def invert(a: BitMatrix) -> BitMatrix:
-    """Inverse over GF(2) via Gauss-Jordan on the augmented matrix.
+def row_ops(m: BitMatrix) -> list[tuple[int, int]]:
+    """Row operations reducing ``m`` to I; each (r, s) means "row r ^= row s".
+
+    Column by column: a missing pivot is filled from the first lower row
+    with the bit set, then the column is cleared in every other row. The
+    product of the ops' matrices, in order, is ``m``; replayed on I they
+    give its inverse.
 
     Raises:
         NotInvertibleError: if the matrix is singular over GF(2).
         ValueError: if the matrix is not square.
     """
-    if not a.is_square():
-        raise ValueError("only square matrices can be inverted")
-    n = a.rows
-    work = [a._r[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
+    if not m.is_square():
+        raise ValueError("row reduction to I needs a square matrix")
+    n = m.rows
+    rows = list(m._r)
+    ops: list[tuple[int, int]] = []
     for col in range(n):
         mask = 1 << col
-        pivot = None
-        for i in range(r, n):
-            if work[i] & mask:
-                pivot = i
-                break
-        if pivot is None:
-            raise NotInvertibleError(f"matrix has GF(2) rank < {n}")
-        work[r], work[pivot] = work[pivot], work[r]
+        if not rows[col] & mask:
+            source = next((i for i in range(col + 1, n) if rows[i] & mask), None)
+            if source is None:
+                raise NotInvertibleError(f"matrix has GF(2) rank < {n}")
+            rows[col] ^= rows[source]
+            ops.append((col, source))
         for i in range(n):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        r += 1
-    return BitMatrix(n, n, [w >> n for w in work])
+            if i != col and rows[i] & mask:
+                rows[i] ^= rows[col]
+                ops.append((i, col))
+    return ops
+
+
+def invert(a: BitMatrix) -> BitMatrix:
+    """Inverse over GF(2): the ops of ``row_ops(a)`` replayed on I.
+
+    Raises:
+        NotInvertibleError: if the matrix is singular over GF(2).
+        ValueError: if the matrix is not square.
+    """
+    rows = [1 << i for i in range(a.rows)]
+    for r, s in row_ops(a):
+        rows[r] ^= rows[s]
+    return BitMatrix(a.rows, a.rows, rows)
 
 
 def inverse_transpose(a: BitMatrix) -> BitMatrix:

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 MAX_QUBITS = 10
+VERIFY_TOL = 1e-9  # max phase-aligned entry error of an equivalence
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -168,6 +169,6 @@ def phase_aligned_max_error(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - phase * v)))
 
 
-def equiv_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff u equals v up to a global phase, within ``tol`` max-norm."""
-    return phase_aligned_max_error(u, v) < tol
+def equiv_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:
+    """True iff u equals v up to a global phase, within ``VERIFY_TOL`` max-norm."""
+    return phase_aligned_max_error(u, v) < VERIFY_TOL

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits as ci
-from .anneal import AnnealParams, AnnealResult, anneal
+from .annealing import AnnealParams, AnnealResult, anneal
 from .circuits import GateCircuit, cnot_count, cnot_depth, euler_xzx_to_zxz
 from .gadgets import (
     GadgetCircuit,
@@ -31,7 +31,7 @@ from .gadgets import (
     leg_matrices,
 )
 from .gf2 import BitMatrix, BitVec, invert, mat_mul
-from .oracle import MAX_QUBITS, equiv_up_to_phase, unitary_of_circuit
+from .oracle import MAX_QUBITS, VERIFY_TOL, equiv_up_to_phase, unitary_of_circuit
 from .transform import (
     CnotCircuit,
     detect_layers,
@@ -42,8 +42,6 @@ from .transform import (
 )
 
 log = logging.getLogger(__name__)
-
-VERIFY_TOL = 1e-9  # max phase-aligned entry error accepted by the oracle check
 
 
 class VerificationError(RuntimeError):
@@ -175,7 +173,7 @@ def optimize(
 
     verified = "skipped"
     if verify and n <= MAX_QUBITS:
-        ok = equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(out), VERIFY_TOL)
+        ok = equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(out))
         verified = "yes" if ok else "no"
     elif verify:
         log.warning("skipping verification: %d qubits exceeds limit %d", n, MAX_QUBITS)

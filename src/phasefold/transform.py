@@ -26,7 +26,7 @@ from .gadgets import (
     parse_gadget_line,
     serialize_gadgets,
 )
-from .gf2 import BitMatrix, BitVec, NotInvertibleError, rank
+from .gf2 import BitMatrix, BitVec, row_ops
 
 
 @dataclass(frozen=True)
@@ -56,63 +56,53 @@ class NormalForm:
             raise ValueError("gadget and tail qubit counts differ")
 
 
-def _hz_apply(rows: list[int], control: int, target: int) -> None:
-    """Right-multiply the row-packed matrix by h_z(CNOT(c,t)) = I + E(c,t)."""
-    # Column t gains column c: every row with bit c set flips bit t.
-    for i, w in enumerate(rows):
-        if (w >> control) & 1:
-            rows[i] = w ^ (1 << target)
-
-
-def _hx_apply(rows: list[int], control: int, target: int) -> None:
-    """Right-multiply by h_x(CNOT(c,t)) = I + E(t,c)."""
-    for i, w in enumerate(rows):
-        if (w >> target) & 1:
-            rows[i] = w ^ (1 << control)
-
-
 def h_z(c: CnotCircuit) -> BitMatrix:
-    """Action on Z gadget legs; product of per-gate matrices in gate order."""
-    rows = [1 << i for i in range(c.n_qubits)]
+    """Action on Z gadget legs; product of per-gate matrices in gate order.
+
+    Kept as column words: h_z(CNOT(c,t)) = I + E(c,t) adds column c to
+    column t.
+    """
+    cols = [1 << i for i in range(c.n_qubits)]
     for control, target in c.cnots:
-        _hz_apply(rows, control, target)
-    return BitMatrix(c.n_qubits, c.n_qubits, rows)
+        cols[target] ^= cols[control]
+    return BitMatrix(c.n_qubits, c.n_qubits, cols).transpose()
 
 
 def h_x(c: CnotCircuit) -> BitMatrix:
-    """Action on X gadget legs; equals inverse_transpose(h_z(c))."""
-    rows = [1 << i for i in range(c.n_qubits)]
+    """Action on X gadget legs; equals inverse_transpose(h_z(c)).
+
+    h_x(CNOT(c,t)) = I + E(t,c) adds column t to column c.
+    """
+    cols = [1 << i for i in range(c.n_qubits)]
     for control, target in c.cnots:
-        _hx_apply(rows, control, target)
-    return BitMatrix(c.n_qubits, c.n_qubits, rows)
+        cols[control] ^= cols[target]
+    return BitMatrix(c.n_qubits, c.n_qubits, cols).transpose()
 
 
 def extract(c: GateCircuit) -> NormalForm:
     """Normal form of a {CNOT, RZ, RX} circuit: gadgets then a CNOT tail.
 
-    Sweeps left to right keeping M = h_z(CNOTs seen so far); RZ(theta, q)
-    becomes a Z gadget with legs M e_q, RX a X gadget with legs
-    inverse_transpose(M) e_q. The tail keeps the CNOTs in input order.
+    Sweeps left to right keeping the columns of M = h_z(CNOTs seen so far)
+    and of inverse_transpose(M) = h_x(same); RZ(theta, q) becomes a Z
+    gadget with legs M e_q, column q of M, and RX a X gadget with legs
+    column q of inverse_transpose(M). The tail keeps the CNOTs in input
+    order.
     """
     n = c.n_qubits
-    mz = [1 << i for i in range(n)]
-    mx = [1 << i for i in range(n)]
+    z_cols = [1 << i for i in range(n)]
+    x_cols = [1 << i for i in range(n)]
     entries: list[GadgetEntry] = []
     tail: list[tuple[int, int]] = []
     for g in c.gates:
         if g.kind == "cnot":
             control, target = g.qubits
-            _hz_apply(mz, control, target)
-            _hx_apply(mx, control, target)
+            z_cols[target] ^= z_cols[control]
+            x_cols[control] ^= x_cols[target]
             tail.append((control, target))
-        elif g.kind in ("rz", "rx"):
-            rows = mz if g.kind == "rz" else mx
-            q = g.qubits[0]
-            legs = 0
-            for i in range(n):
-                legs |= ((rows[i] >> q) & 1) << i
-            basis = "Z" if g.kind == "rz" else "X"
-            entries.append(GadgetEntry(basis, g.angle, BitVec(n, legs)))
+        elif g.kind == "rz":
+            entries.append(GadgetEntry("Z", g.angle, BitVec(n, z_cols[g.qubits[0]])))
+        elif g.kind == "rx":
+            entries.append(GadgetEntry("X", g.angle, BitVec(n, x_cols[g.qubits[0]])))
         else:
             raise ValueError(
                 f"extract expects a {{cnot, rz, rx}} circuit, got {g.kind!r}; lower first"
@@ -166,27 +156,11 @@ def detect_layers(g: GadgetCircuit) -> LayerInfo:
 def synth_cnot(m: BitMatrix) -> CnotCircuit:
     """CNOT circuit with h_z equal to ``m``, by Gaussian elimination.
 
-    Each row operation "row a ^= row b" contributes CNOT(a, b); clearing
-    one column costs at most n gates, so the total stays below n^2.
+    Each row operation "row a ^= row b" of ``row_ops`` contributes
+    CNOT(a, b); clearing one column costs at most n gates, so the total
+    stays below n^2.
     """
-    if not m.is_square():
-        raise ValueError("synthesis needs a square matrix")
-    n = m.rows
-    if rank(m) < n:
-        raise NotInvertibleError("cannot synthesise a singular matrix")
-    rows = list(m.row_word(i) for i in range(n))
-    gates: list[tuple[int, int]] = []
-    for col in range(n):
-        mask = 1 << col
-        if not rows[col] & mask:
-            source = next(i for i in range(col + 1, n) if rows[i] & mask)
-            rows[col] ^= rows[source]
-            gates.append((col, source))
-        for i in range(n):
-            if i != col and rows[i] & mask:
-                rows[i] ^= rows[col]
-                gates.append((i, col))
-    return CnotCircuit(n, tuple(gates))
+    return CnotCircuit(m.rows, tuple(row_ops(m)))
 
 
 def _fan_in_pairs(legs: list[int], tree: bool) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from phasefold import circuits as ci
-from phasefold.anneal import AnnealParams, anneal, energy
+from phasefold.annealing import AnnealParams, anneal, energy
 from phasefold.circuits import GateCircuit, euler_xzx_to_zxz, lower_to_basis
 from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit, leg_matrices
 from phasefold.gf2 import (
@@ -182,7 +182,7 @@ def test_criterion_6_euler_reconstruction():
         b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)
         got = rz_matrix(b3) @ rx_matrix(b2) @ rz_matrix(b1)
         want = rx_matrix(a3) @ rz_matrix(a2) @ rx_matrix(a1)
-        assert equiv_up_to_phase(got, want, 1e-9)
+        assert equiv_up_to_phase(got, want)
     _report(6, started, "1000 random triples reconstruct within 1e-9")
 
 
@@ -236,6 +236,6 @@ def test_criterion_8_gate_conversion_fidelity():
             lowered = lower_to_basis(GateCircuit(2, (maker(theta, 0, 1),)))
             assert all(g.kind in ("cnot", "rz", "rx") for g in lowered.gates)
             assert equiv_up_to_phase(
-                unitary_of_circuit(lowered), printed(theta), 1e-9
+                unitary_of_circuit(lowered), printed(theta)
             )
     _report(8, started, "CU1/CRZ/CRX lowerings match printed matrices at 1e-9")

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 
-from phasefold.anneal import AnnealParams, _attempt, _Draws, anneal, default_t0, energy
+from phasefold.annealing import AnnealParams, _attempt, _Draws, anneal, default_t0, energy
 from phasefold.gf2 import (
     BitMatrix,
     NotInvertibleError,
@@ -138,7 +139,13 @@ def test_attempt_matches_reference_chain():
                 want = reference_attempt(
                     n, lz_rows, lx_rows, iterations, t0, np.random.default_rng(seed)
                 )
-                got = _attempt(n, lz_rows, lx_rows, iterations, t0, np.random.default_rng(seed))
+                got = _attempt(
+                    BitMatrix(n, d_z, lz_rows),
+                    BitMatrix(n, d_x, lx_rows),
+                    iterations,
+                    t0,
+                    np.random.default_rng(seed),
+                )
                 assert got == want, (n, d_z, d_x, iterations, t0, seed)
                 cases += 1
     assert cases >= 300
@@ -177,8 +184,23 @@ def test_attempt_lemire_rejection_matches_draws():
             want = reference_attempt(
                 n, lz_rows, lx_rows, 300, 2.0, np.random.Generator(PCG64(seed))
             )
-            got = _attempt(n, lz_rows, lx_rows, 300, 2.0, np.random.Generator(PCG64(seed)))
+            got = _attempt(
+                BitMatrix(n, 6, lz_rows),
+                BitMatrix(n, 6, lx_rows),
+                300,
+                2.0,
+                np.random.Generator(PCG64(seed)),
+            )
             assert got == want, (n, seed)
+
+
+def test_annealing_module_is_not_shadowed():
+    import phasefold
+    import phasefold.annealing as m
+
+    assert isinstance(m, types.ModuleType)
+    assert phasefold.anneal is m.anneal
+    assert phasefold.anneal is anneal
 
 
 def test_energy_identity_is_ten():

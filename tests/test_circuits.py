@@ -18,7 +18,13 @@ from phasefold.circuits import (
     wrap_angle,
 )
 from phasefold.gadgets import parse_gadgets
-from phasefold.oracle import equiv_up_to_phase, rx_matrix, rz_matrix, unitary_of_circuit
+from phasefold.oracle import (
+    equiv_up_to_phase,
+    phase_aligned_max_error,
+    rx_matrix,
+    rz_matrix,
+    unitary_of_circuit,
+)
 from phasefold.transform import parse_normal_form
 
 
@@ -106,7 +112,7 @@ def test_lower_single_gate_oracle(gate):
     lowered = lower_to_basis(original)
     assert all(g.kind in ("cnot", "rz", "rx") for g in lowered.gates)
     assert equiv_up_to_phase(
-        unitary_of_circuit(original), unitary_of_circuit(lowered), 1e-9
+        unitary_of_circuit(original), unitary_of_circuit(lowered)
     )
 
 
@@ -116,7 +122,7 @@ def test_lower_crz_printed_matrix():
     expected = np.diag(
         [1, 1, np.exp(-1j * theta), np.exp(1j * theta)]
     )
-    assert equiv_up_to_phase(unitary_of_circuit(lowered), expected, 1e-9)
+    assert equiv_up_to_phase(unitary_of_circuit(lowered), expected)
 
 
 def test_lower_leaves_basis_circuit_unchanged():
@@ -152,7 +158,7 @@ def test_lower_random_mixed_circuits_oracle():
         c = GateCircuit(n, tuple(gates))
         lowered = lower_to_basis(c)
         assert equiv_up_to_phase(
-            unitary_of_circuit(c), unitary_of_circuit(lowered), 1e-9
+            unitary_of_circuit(c), unitary_of_circuit(lowered)
         )
 
 
@@ -166,19 +172,19 @@ def _xzx_unitary(a1, a2, a3):
 
 def test_euler_middle_zero_collapses():
     b1, b2, b3 = euler_xzx_to_zxz(0.4, 0.0, 0.9)
-    assert equiv_up_to_phase(_zxz_unitary(b1, b2, b3), rx_matrix(1.3), 1e-9)
+    assert equiv_up_to_phase(_zxz_unitary(b1, b2, b3), rx_matrix(1.3))
 
 
 def test_euler_specific_triple():
     a = (0.3, 0.8, -0.4)
     b1, b2, b3 = euler_xzx_to_zxz(*a)
-    assert equiv_up_to_phase(_zxz_unitary(b1, b2, b3), _xzx_unitary(*a), 1e-9)
+    assert equiv_up_to_phase(_zxz_unitary(b1, b2, b3), _xzx_unitary(*a))
 
 
 def test_euler_hadamard_like():
     b1, b2, b3 = euler_xzx_to_zxz(math.pi / 2, math.pi / 2, math.pi / 2)
     assert equiv_up_to_phase(
-        _zxz_unitary(b1, b2, b3), _xzx_unitary(math.pi / 2, math.pi / 2, math.pi / 2), 1e-9
+        _zxz_unitary(b1, b2, b3), _xzx_unitary(math.pi / 2, math.pi / 2, math.pi / 2)
     )
 
 
@@ -189,14 +195,14 @@ def test_euler_thousand_random_triples():
         b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)
         for b in (b1, b2, b3):
             assert -math.pi < b <= math.pi
-        assert equiv_up_to_phase(_zxz_unitary(b1, b2, b3), _xzx_unitary(a1, a2, a3), 1e-9)
+        assert equiv_up_to_phase(_zxz_unitary(b1, b2, b3), _xzx_unitary(a1, a2, a3))
 
 
 def test_euler_degenerate_cases():
     # |z2| = 0: pure Z rotation comes back with b2 = 0.
     b1, b2, b3 = euler_xzx_to_zxz(0.0, 1.1, 0.0)
     assert b2 == 0.0
-    assert equiv_up_to_phase(_zxz_unitary(b1, b2, b3), rz_matrix(1.1), 1e-12)
+    assert phase_aligned_max_error(_zxz_unitary(b1, b2, b3), rz_matrix(1.1)) < 1e-12
     # |z1| = 0: b2 = pi.
     b1, b2, b3 = euler_xzx_to_zxz(math.pi, 0.0, 0.0)
     assert math.isclose(b2, math.pi)
@@ -209,7 +215,7 @@ def test_euler_colour_swapped_dual():
         b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)  # the docstring's colour swap
         got = rx_matrix(b3) @ rz_matrix(b2) @ rx_matrix(b1)
         want = rz_matrix(a3) @ rx_matrix(a2) @ rz_matrix(a1)
-        assert equiv_up_to_phase(got, want, 1e-9)
+        assert equiv_up_to_phase(got, want)
 
 
 def test_wrap_angle_interval():
@@ -301,3 +307,27 @@ def test_shared_grammar_comments_case_and_order(parser):
         parser("cnot 0 1\nqubits 2\n")
     with pytest.raises(ParseError, match="^line 1: missing"):
         parser("# nothing\n")
+
+
+@pytest.mark.parametrize("token", ["1_0.5", "١.٥", "inf", "nan"])
+@pytest.mark.parametrize(
+    "parser, line",
+    [
+        (parse, "rz {} 0"),
+        (parse, "crx {} 0 1"),
+        (parse_gadgets, "zgadget {} 11"),
+        (parse_gadgets, "xgadget {} 11"),
+        (parse_normal_form, "xgadget {} 11"),
+    ],
+)
+def test_angle_plain_ascii_and_finite(parser, line, token):
+    # float() would read "1_0.5" as 10.5 and "١.٥" (Arabic-Indic digits) as 1.5.
+    text = "qubits 2\n# angle\n" + line.format(token) + "\n"
+    with pytest.raises(ParseError, match="^line 3: angle must be a finite ASCII decimal"):
+        parser(text)
+
+
+@pytest.mark.parametrize("token, value", [("+1.5", 1.5), ("-.5", -0.5), ("1E-3", 1e-3), ("7", 7.0)])
+def test_angle_accepts_plain_float_syntax(token, value):
+    assert parse(f"qubits 1\nrz {token} 0\n").gates[0].angle == value
+    assert parse_gadgets(f"qubits 1\nzgadget {token} 1\n").entries[0].angle == value

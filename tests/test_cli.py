@@ -57,6 +57,14 @@ def test_extract_bad_file_exits_1(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_optimize_bad_angle_exits_1(tmp_path, capsys):
+    src = _write(tmp_path, "bad.pf", "qubits 1\nrz 0.5 0\nrz 1_0.5 0\n")
+    assert main(["optimize", src]) == 1
+    err = capsys.readouterr().err
+    assert "line 3: angle must be a finite ASCII decimal" in err
+    assert "Traceback" not in err
+
+
 def test_extract_missing_file_exits_1(capsys):
     assert main(["extract", "/nonexistent/file.pf"]) == 1
 
@@ -85,7 +93,7 @@ def test_optimize_command_writes_equivalent_circuit(tmp_path, capsys):
     original = parse(FIVE_GADGET_CIRCUIT)
     optimized = parse((tmp_path / "opt.pf").read_text())
     assert equiv_up_to_phase(
-        unitary_of_circuit(original), unitary_of_circuit(optimized), 1e-9
+        unitary_of_circuit(original), unitary_of_circuit(optimized)
     )
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from phasefold import circuits as ci
-from phasefold.anneal import AnnealParams
+from phasefold.annealing import AnnealParams
 from phasefold.circuits import GateCircuit, serialize
 from phasefold.gadgets import gadget_circuit
 from phasefold.pipeline import AnsatzSpec, generate, optimize

@@ -1,5 +1,7 @@
 """Homomorphisms, extraction, layer detection and synthesis round trips."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from phasefold.gf2 import (
     NotInvertibleError,
     inverse_transpose,
     random_invertible,
+    rank,
 )
 from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit, unitary_of_gadgets
 from phasefold.transform import (
@@ -96,7 +99,7 @@ def test_extract_single_cnot_conjugation():
     assert nf.gadgets.entries == (GadgetEntry("Z", 0.7, BitVec.from_string("11")),)
     assert nf.tail.cnots == ((0, 1),)
     rebuilt = normal_form_to_gates(nf)
-    assert equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(rebuilt), 1e-9)
+    assert equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(rebuilt))
 
 
 def test_extract_staircase_legs_match_printed_powers():
@@ -145,7 +148,7 @@ def test_extract_soundness_random():
         nf = extract(c)
         u = unitary_of_circuit(c)
         v = unitary_of_circuit(nf.tail.to_gates()) @ unitary_of_gadgets(nf.gadgets)
-        assert equiv_up_to_phase(u, v, 1e-9)
+        assert equiv_up_to_phase(u, v)
 
 
 def _brute_layer_info(tokens):
@@ -247,6 +250,48 @@ def test_synth_cnot_roundtrip_and_bound():
         assert len(circ.cnots) <= n * n
 
 
+def _gl3_matrices():
+    """All 168 matrices of GL(3,2), in itertools.product order of their bits."""
+    for bits in itertools.product((0, 1), repeat=9):
+        m = BitMatrix.from_rows([bits[0:3], bits[3:6], bits[6:9]])
+        if rank(m) == 3:
+            yield m
+
+
+def _seeded_invertibles(n, seed, count=50):
+    rng = np.random.default_rng(seed)
+    return [random_invertible(n, rng) for _ in range(count)]
+
+
+# sha256 prefix of the exact CNOT lists, one line per matrix: a change of
+# pivot rule or op order in the elimination shows here.
+SYNTH_CNOT_PINS = {
+    "gl3": "e45ebae00aa47165",
+    "n8": "24e7113e7950dee3",
+    "n12": "79bf3e8842e7a624",
+}
+
+
+@pytest.mark.parametrize(
+    "group, matrices",
+    [
+        ("gl3", lambda: list(_gl3_matrices())),
+        ("n8", lambda: _seeded_invertibles(8, 808)),
+        ("n12", lambda: _seeded_invertibles(12, 1212)),
+    ],
+)
+def test_synth_cnot_exact_lists_pinned(group, matrices):
+    ms = matrices()
+    assert len(ms) == (168 if group == "gl3" else 50)
+    lines = []
+    for m in ms:
+        circ = synth_cnot(m)
+        assert h_z(circ) == m
+        lines.append(";".join(f"{c},{t}" for c, t in circ.cnots))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == SYNTH_CNOT_PINS[group]
+
+
 def test_synth_gadget_single_leg():
     g = zgadget(0.8, "0100")
     circ = synth_gadget(g)
@@ -260,7 +305,7 @@ def test_synth_gadget_two_leg_ladder():
     kinds = [gate.kind for gate in circ.gates]
     assert kinds == ["cnot", "rz", "cnot"]
     assert equiv_up_to_phase(
-        unitary_of_circuit(circ), unitary_of_gadgets(GadgetCircuit(2, (g,))), 1e-9
+        unitary_of_circuit(circ), unitary_of_gadgets(GadgetCircuit(2, (g,)))
     )
 
 
@@ -270,7 +315,7 @@ def test_synth_gadget_four_leg_tree_shape():
     ladder = synth_gadget(g, "ladder")
     assert sum(1 for x in tree.gates if x.kind == "cnot") == 6
     assert cnot_depth(tree) == 4
-    assert equiv_up_to_phase(unitary_of_circuit(tree), unitary_of_circuit(ladder), 1e-9)
+    assert equiv_up_to_phase(unitary_of_circuit(tree), unitary_of_circuit(ladder))
 
 
 def test_synth_gadget_oracle_various():
@@ -283,7 +328,7 @@ def test_synth_gadget_oracle_various():
         expected = unitary_of_gadgets(GadgetCircuit(n, (entry,)))
         for shape in ("ladder", "tree"):
             got = unitary_of_circuit(synth_gadget(entry, shape))
-            assert equiv_up_to_phase(got, expected, 1e-9)
+            assert equiv_up_to_phase(got, expected)
 
 
 def test_synth_gadget_bad_shape():
@@ -305,7 +350,7 @@ def test_synth_gadget_circuit_list():
     for shape in ("ladder", "tree"):
         circ = synth_gadget_circuit(g, shape)
         assert equiv_up_to_phase(
-            unitary_of_circuit(circ), unitary_of_gadgets(g), 1e-9
+            unitary_of_circuit(circ), unitary_of_gadgets(g)
         )
     assert synth_gadget_circuit(GadgetCircuit(2, ()), "tree").gates == ()
 
@@ -317,7 +362,6 @@ def test_synth_gadget_wraps_large_angles():
     assert equiv_up_to_phase(
         unitary_of_circuit(out),
         unitary_of_gadgets(GadgetCircuit(1, (big,))),
-        1e-9,
     )
 
 
@@ -334,7 +378,6 @@ def test_random_gadget_lists_match_oracle():
             assert equiv_up_to_phase(
                 unitary_of_circuit(synth_gadget_circuit(g, shape)),
                 unitary_of_gadgets(g),
-                1e-9,
             )
 
 

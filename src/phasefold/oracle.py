@@ -9,12 +9,19 @@ Conventions, fixed once and asserted by tests:
   ``exp(+i*theta/2)`` when it is odd. X gadgets are the Hadamard
   conjugates of Z gadgets on their legs.
 
-Dense 2^n x 2^n matrices only; callers must keep n <= MAX_QUBITS.
+Products are dense 2^n x 2^n matrices; callers must keep n <= MAX_QUBITS.
+CNOTs are row permutations and RZ, CZ, CRZ, CU1 and gadget phases are
+diagonals, so each composes into a pending permutation and phase vector
+at O(2^n). Only a row-mixing gate (RX, RY, H, CRX, and the Hadamards of
+an X gadget) touches the matrix: the pending part is flushed into it
+with one gather and one row scaling, then the gate mixes row pairs, each
+O(4^n). One more flush ends the product.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -74,16 +81,6 @@ def crx_matrix(theta: float) -> np.ndarray:
     return m
 
 
-def _apply(u: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Left-multiply ``u`` by ``gate`` embedded on the given qubits."""
-    k = len(qubits)
-    t = u.reshape((2,) * n + (u.shape[1],))
-    g = gate.reshape((2,) * (2 * k))
-    t = np.tensordot(g, t, axes=(list(range(k, 2 * k)), list(qubits)))
-    t = np.moveaxis(t, list(range(k)), list(qubits))
-    return t.reshape(u.shape)
-
-
 def _check_size(n_qubits: int) -> None:
     if n_qubits > MAX_QUBITS:
         raise TooManyQubitsError(
@@ -91,69 +88,138 @@ def _check_size(n_qubits: int) -> None:
         )
 
 
-_ONE_QUBIT = {"rz": rz_matrix, "rx": rx_matrix, "ry": ry_matrix}
-_TWO_QUBIT_PARAM = {"crz": crz_matrix, "crx": crx_matrix, "cu1": cu1_matrix}
+# The index tables below are cached read-only per (n, qubits); n <= MAX_QUBITS
+# bounds them to a few hundred arrays of at most 2^MAX_QUBITS entries.
+@functools.lru_cache(maxsize=None)
+def _bits(n: int) -> np.ndarray:
+    """Row q is bit q (qubit 0 = MSB) of every basis index; read-only."""
+    shifts = np.arange(n - 1, -1, -1)[:, None]
+    bits = (np.arange(1 << n)[None, :] >> shifts) & 1
+    bits.setflags(write=False)
+    return bits
+
+
+@functools.lru_cache(maxsize=None)
+def _local_index(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Index into a gate's own basis (first qubit = MSB) for every basis index."""
+    bits = _bits(n)
+    local = np.zeros(1 << n, dtype=np.int64)
+    for q in qubits:
+        local = (local << 1) | bits[q]
+    local.setflags(write=False)
+    return local
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_rows(n: int, control: int, target: int) -> np.ndarray:
+    """Row i of CNOT times U is row ``i ^ (control bit << target position)`` of U."""
+    rows = np.arange(1 << n) ^ (_bits(n)[control] << (n - 1 - target))
+    rows.setflags(write=False)
+    return rows
+
+
+class _Pending:
+    """A 2^n x 2^n unitary kept as ``ph[:, None] * u[perm]``.
+
+    Permutations and diagonals compose into ``perm`` and ``ph`` in O(2^n)
+    (``None`` stands for the identity); ``flush`` writes them into ``u``
+    with one gather and one row scaling, O(4^n), before any gate that
+    mixes rows. The gather and the pair mix write into ``spare``, which
+    then swaps with ``u``, so the two matrices are reused gate after gate.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.u = np.eye(1 << n, dtype=complex)
+        self.spare = np.empty_like(self.u)
+        self.perm: np.ndarray | None = None
+        self.ph: np.ndarray | None = None
+
+    def permute(self, rows: np.ndarray) -> None:
+        """Left-multiply by the permutation that moves row ``rows[i]`` to row i."""
+        self.perm = rows if self.perm is None else self.perm[rows]
+        if self.ph is not None:
+            self.ph = self.ph[rows]
+
+    def scale(self, diagonal: np.ndarray) -> None:
+        """Left-multiply by a diagonal matrix."""
+        self.ph = diagonal if self.ph is None else self.ph * diagonal
+
+    def flush(self) -> np.ndarray:
+        if self.perm is not None:
+            # Indices are always in range; mode="raise" would buffer ``out``.
+            np.take(self.u, self.perm, axis=0, out=self.spare, mode="clip")
+            self.u, self.spare = self.spare, self.u
+            self.perm = None
+        if self.ph is not None:
+            self.u *= self.ph[:, None]
+            self.ph = None
+        return self.u
+
+    def mix(self, gate: np.ndarray, target: int, control: int | None = None) -> None:
+        """Left-multiply by a 2x2 gate on ``target``, on the rows where ``control`` is 1."""
+        u = self.flush()
+        if control is None:
+            pairs = u.reshape(1 << target, 2, -1)
+            np.matmul(gate, pairs, out=self.spare.reshape(pairs.shape))
+            self.u, self.spare = self.spare, self.u
+            return
+        rows = u.reshape((2,) * self.n + (-1,))[(slice(None),) * control + (1,)]
+        pairs = np.moveaxis(rows, target - (control < target), -2)
+        pairs[...] = gate @ pairs
+
+
+_DIAGONAL = {
+    "rz": rz_matrix,
+    "cz": lambda _: CZ_MATRIX,
+    "cu1": cu1_matrix,
+    "crz": crz_matrix,
+}
+_MIXING = {"rx": rx_matrix, "ry": ry_matrix, "h": lambda _: H_MATRIX}
 
 
 def unitary_of_circuit(circuit) -> np.ndarray:
     """Product of gate embeddings in application order (earlier gates act first)."""
     n = circuit.n_qubits
     _check_size(n)
-    u = np.eye(1 << n, dtype=complex)
+    acc = _Pending(n)
     for g in circuit.gates:
-        if g.kind in _ONE_QUBIT:
-            u = _apply(u, _ONE_QUBIT[g.kind](g.angle), g.qubits, n)
-        elif g.kind == "h":
-            u = _apply(u, H_MATRIX, g.qubits, n)
-        elif g.kind == "cnot":
-            u = _apply(u, CNOT_MATRIX, g.qubits, n)
-        elif g.kind == "cz":
-            u = _apply(u, CZ_MATRIX, g.qubits, n)
-        elif g.kind in _TWO_QUBIT_PARAM:
-            u = _apply(u, _TWO_QUBIT_PARAM[g.kind](g.angle), g.qubits, n)
+        kind, qubits = g.kind, g.qubits
+        if kind == "cnot":
+            acc.permute(_cnot_rows(n, *qubits))
+        elif kind in _DIAGONAL:
+            diagonal = np.diagonal(_DIAGONAL[kind](g.angle))
+            acc.scale(diagonal[_local_index(n, qubits)])
+        elif kind in _MIXING:
+            acc.mix(_MIXING[kind](g.angle), qubits[0])
+        elif kind == "crx":
+            acc.mix(crx_matrix(g.angle)[2:, 2:], qubits[1], control=qubits[0])
         else:
-            raise ValueError(f"unknown gate kind {g.kind!r}")
-    return u
-
-
-def _leg_parities(n: int, legs) -> np.ndarray:
-    """Parity over the leg qubits for every basis index (qubit 0 = MSB)."""
-    idx = np.arange(1 << n)
-    par = np.zeros(1 << n, dtype=np.int64)
-    for q in range(n):
-        if legs[q]:
-            par ^= (idx >> (n - 1 - q)) & 1
-    return par
+            raise ValueError(f"unknown gate kind {kind!r}")
+    return acc.flush()
 
 
 def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:
     """Diagonal of a Z phase gadget under the sign convention above."""
-    par = _leg_parities(n, legs)
-    return np.where(par == 1, cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta))
+    leg_qubits = [q for q in range(n) if legs[q]]
+    parity = np.bitwise_xor.reduce(_bits(n)[leg_qubits], axis=0, initial=0)
+    return np.where(parity == 1, cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta))
 
 
 def unitary_of_gadgets(gadgets) -> np.ndarray:
     """Unitary of a gadget circuit; X entries via Hadamard conjugation on legs."""
     n = gadgets.n_qubits
     _check_size(n)
-    u = np.eye(1 << n, dtype=complex)
+    acc = _Pending(n)
     for entry in gadgets.entries:
-        legs = entry.legs
-        leg_qubits = [q for q in range(n) if legs[q]]
-        if entry.basis == "X":
-            for q in leg_qubits:
-                u = _apply(u, H_MATRIX, (q,), n)
-        u = gadget_diagonal(n, entry.angle, legs)[:, None] * u
-        if entry.basis == "X":
-            for q in leg_qubits:
-                u = _apply(u, H_MATRIX, (q,), n)
-    return u
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
-    return bool(
-        np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) < tol
-    )
+        leg_qubits = [q for q in range(n) if entry.legs[q]]
+        hadamards = leg_qubits if entry.basis == "X" else []
+        for q in hadamards:
+            acc.mix(H_MATRIX, q)
+        acc.scale(gadget_diagonal(n, entry.angle, entry.legs))
+        for q in hadamards:
+            acc.mix(H_MATRIX, q)
+    return acc.flush()
 
 
 def phase_aligned_max_error(u: np.ndarray, v: np.ndarray) -> float:

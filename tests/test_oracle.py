@@ -1,4 +1,9 @@
-"""Oracle conventions: gate matrices, bit ordering, gadget diagonals, phase alignment."""
+"""Oracle conventions: gate matrices, bit ordering, gadget diagonals, phase alignment.
+
+The fused kernels of ``unitary_of_circuit`` and ``unitary_of_gadgets`` are
+checked against ``reference_unitary``, a plain Kronecker/tensordot
+embedding of every gate's matrix.
+"""
 
 import cmath
 import math
@@ -8,18 +13,86 @@ import pytest
 
 from phasefold import circuits as ci
 from phasefold.circuits import GateCircuit
-from phasefold.gadgets import gadget_circuit
+from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit
+from phasefold.gf2 import BitVec
 from phasefold.oracle import (
     CNOT_MATRIX,
     CZ_MATRIX,
+    H_MATRIX,
     TooManyQubitsError,
+    crx_matrix,
+    crz_matrix,
+    cu1_matrix,
     equiv_up_to_phase,
     gadget_diagonal,
-    is_unitary,
     phase_aligned_max_error,
+    rx_matrix,
+    ry_matrix,
+    rz_matrix,
     unitary_of_circuit,
     unitary_of_gadgets,
 )
+
+KERNEL_TOL = 1e-12
+
+REFERENCE_MATRIX = {
+    "cnot": lambda _: CNOT_MATRIX,
+    "rz": rz_matrix,
+    "rx": rx_matrix,
+    "ry": ry_matrix,
+    "h": lambda _: H_MATRIX,
+    "cz": lambda _: CZ_MATRIX,
+    "crz": crz_matrix,
+    "crx": crx_matrix,
+    "cu1": cu1_matrix,
+}
+
+
+def embed(u, gate, qubits, n):
+    """Left-multiply ``u`` by ``gate`` embedded on the given qubits (qubit 0 = MSB)."""
+    k = len(qubits)
+    t = u.reshape((2,) * n + (u.shape[1],))
+    g = gate.reshape((2,) * (2 * k))
+    t = np.tensordot(g, t, axes=(list(range(k, 2 * k)), list(qubits)))
+    t = np.moveaxis(t, list(range(k)), list(qubits))
+    return t.reshape(u.shape)
+
+
+def reference_unitary(circuit):
+    n = circuit.n_qubits
+    u = np.eye(1 << n, dtype=complex)
+    for g in circuit.gates:
+        u = embed(u, REFERENCE_MATRIX[g.kind](g.angle), g.qubits, n)
+    return u
+
+
+def reference_gadget_unitary(gadgets):
+    """Z gadgets as explicit parity diagonals, X gadgets conjugated by embedded H."""
+    n = gadgets.n_qubits
+    u = np.eye(1 << n, dtype=complex)
+    for e in gadgets.entries:
+        legs = [q for q in range(n) if e.legs[q]]
+        hadamards = legs if e.basis == "X" else []
+        for q in hadamards:
+            u = embed(u, H_MATRIX, (q,), n)
+        parity = [sum((x >> (n - 1 - q)) & 1 for q in legs) % 2 for x in range(1 << n)]
+        u = np.array([cmath.exp((0.5j if p else -0.5j) * e.angle) for p in parity])[:, None] * u
+        for q in hadamards:
+            u = embed(u, H_MATRIX, (q,), n)
+    return u
+
+
+def random_gate(rng, n):
+    kinds = sorted(k for k, (arity, _) in ci.GATE_KINDS.items() if arity <= n)
+    kind = kinds[int(rng.integers(len(kinds)))]
+    arity, has_angle = ci.GATE_KINDS[kind]
+    qubits = tuple(int(q) for q in rng.choice(n, size=arity, replace=False))
+    return ci.Gate(kind, qubits, float(rng.uniform(-7, 7)) if has_angle else None)
+
+
+def assert_matches_reference(circuit):
+    err = np.max(np.abs(unitary_of_circuit(circuit) - reference_unitary(circuit)))
+    assert err < KERNEL_TOL, (err, circuit)
 
 
 def single(n, gate):
@@ -147,7 +220,7 @@ def test_every_unitary_is_unitary():
                 if t != q:
                     gates.append(ci.cnot(q, t))
         u = unitary_of_circuit(GateCircuit(n, tuple(gates)))
-        assert is_unitary(u)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(1 << n))) < 1e-9
 
 
 def test_equiv_up_to_phase_trivials():
@@ -170,3 +243,70 @@ def test_phase_aligned_error_value():
 def test_qubit_limit():
     with pytest.raises(TooManyQubitsError):
         unitary_of_circuit(GateCircuit(11, ()))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernel_matches_reference_all_kinds(n):
+    rng = np.random.default_rng(600 + n)
+    for length in (0, 1, 2, 5, 40):
+        for _ in range(3):
+            gates = tuple(random_gate(rng, n) for _ in range(length))
+            assert_matches_reference(GateCircuit(n, gates))
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        (ci.rx(0.3, 1), ci.cnot(0, 1), ci.cnot(1, 2)),
+        (ci.rx(0.3, 1), ci.rz(1.2, 2), ci.cz(0, 2)),
+        (ci.h(0), ci.cnot(2, 0), ci.crz(0.8, 0, 1), ci.cu1(-0.4, 1, 2)),
+        (ci.cnot(0, 1), ci.cnot(1, 2), ci.cnot(2, 0), ci.rz(0.5, 0)),
+    ],
+    ids=["pending-perm", "pending-phase", "pending-both", "never-flushed"],
+)
+def test_kernel_flushes_pending_at_end(gates):
+    assert_matches_reference(GateCircuit(3, gates))
+
+
+def test_kernel_rz_and_cnot_overlap_in_either_order():
+    runs = [
+        (ci.cnot(0, 1), ci.rz(0.7, 1)),
+        (ci.rz(0.7, 1), ci.cnot(0, 1)),
+        (ci.cnot(1, 0), ci.rz(0.7, 1), ci.cnot(0, 1), ci.rz(-1.1, 0)),
+        (ci.rz(0.2, 0), ci.cnot(0, 2), ci.rz(0.9, 2), ci.cnot(2, 0), ci.rz(1.6, 0)),
+    ]
+    for run in runs:
+        assert_matches_reference(GateCircuit(3, run))
+        # The same run followed by a row-mixing gate flushes it into the matrix.
+        assert_matches_reference(GateCircuit(3, run + (ci.rx(0.4, 0), ci.rx(-0.6, 2))))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [ci.rx(0.5, 2), ci.ry(0.5, 1), ci.h(0), ci.cz(2, 0), ci.crz(0.5, 2, 1), ci.crx(0.5, 2, 0),
+     ci.crx(0.5, 0, 2), ci.cu1(0.5, 1, 2)],
+    ids=lambda g: g.kind + "".join(map(str, g.qubits)),
+)
+def test_kernel_gate_after_pending_cnot_and_rz(gate):
+    pending = (ci.rx(0.1, 0), ci.cnot(0, 2), ci.rz(0.3, 2), ci.cnot(2, 1), ci.rz(-0.8, 0))
+    assert_matches_reference(GateCircuit(3, pending + (gate,)))
+    assert_matches_reference(GateCircuit(3, pending + (gate,) + pending))
+
+
+def test_kernel_empty_circuit():
+    for n in range(1, 8):
+        assert_matches_reference(GateCircuit(n, ()))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gadget_kernel_matches_reference(n):
+    rng = np.random.default_rng(700 + n)
+    for length in (0, 1, 6):
+        entries = []
+        for _ in range(length):
+            legs = BitVec(n, int(rng.integers(1, 1 << n)))
+            basis = "XZ"[int(rng.integers(2))]
+            entries.append(GadgetEntry(basis, float(rng.uniform(-7, 7)), legs))
+        g = GadgetCircuit(n, tuple(entries))
+        err = np.max(np.abs(unitary_of_gadgets(g) - reference_gadget_unitary(g)))
+        assert err < KERNEL_TOL

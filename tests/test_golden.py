@@ -59,12 +59,12 @@ CASES = {
 }
 
 PINS = {
-    "random_gadget_ansatz": "98338092239ec7a301b7fd418d625c017bd2fe16cab3d10bd88e350e0966ebaf",
+    "random_gadget_ansatz": "e6c940ad1bf30c037394686f1e43e61139584a4775d85ef586d9cf881abb71bb",
     "staircase_rx": "fe4734538155648b70bcff9e5b16addca9db049e8b2aa5de1ae26db7eeef8844",
-    "fusion_to_zero": "ad765b50b367ca6374879bfbe5bf1309a42fc25962c0b9fb073776a5878ac820",
-    "random_basis_a": "c6ed039b25402ff235a5aa5511266019a575c4b3520cca9d436d669d6c1513a0",
-    "random_basis_b": "d3170bd5f2484a0e56ac2bac249bb92b47b0a4aca3334b5f48a2b79d367f13eb",
-    "random_basis_c": "738f07744b83dfb4c86c8aa576efc503a1388bfaca209e8f4b07ea8910a1bfe7",
+    "fusion_to_zero": "17bae14a19daf396df00f992ed99d268959bf5f0b3895f790b304306a6bec69e",
+    "random_basis_a": "16a8b3811f99d96fe79d983f1ecfcb72185487affd0354ff352dc7860aae06d3",
+    "random_basis_b": "531141d0523b5205ee14be796e6c692e13082dc108b82f5d46fb258400457c30",
+    "random_basis_c": "6e176631c7fb49eb21294b89e412d9965c6ec70fb4cd7d948837ec7c44c34754",
 }
 
 

@@ -204,9 +204,12 @@ def _sweep_csv(args) -> str:
             width = value
         else:
             height = value
+        # A budget sweep anneals the same instances at every value; a shape
+        # sweep needs instances of each value's shape.
+        key = (value,) if args.sweep in ("width", "height") else ()
         for s in range(args.samples):
             rng = np.random.default_rng(
-                np.random.SeedSequence((args.seed, SWEEP_AXES.index(args.sweep), value, s))
+                np.random.SeedSequence((args.seed, SWEEP_AXES.index(args.sweep), *key, s))
             )
             lz = random_matrix(height, width, rng)
             lx = random_matrix(height, width, rng)

@@ -6,7 +6,8 @@ import types
 import numpy as np
 import pytest
 
-from phasefold.annealing import AnnealParams, _attempt, anneal, default_t0, energy
+from phasefold import annealing
+from phasefold.annealing import AnnealParams, anneal, default_t0, energy
 from phasefold.gf2 import (
     BitMatrix,
     NotInvertibleError,
@@ -33,28 +34,37 @@ def brute_force_optimum(lz, lx):
     return min(energy(c, lz, lx) for c in all_invertible(lz.rows))
 
 
-def reference_attempt(lz, lx, iterations, t0, rng):
-    """The row-addition chain with every energy recomputed from C: ``_attempt``'s reference."""
-    n = lz.rows
-    c = random_invertible(n, rng)
-    moves = rng.integers(n * (n - 1), size=iterations)
-    xi = rng.standard_exponential(iterations)
-    e = energy(c, lz, lx)
-    best_e, best_c = e, list(c._r)
-    for k in range(iterations):
-        i, j = divmod(int(moves[k]), n - 1)  # pair number -> (i, j), i != j, i-major
-        if j >= i:
-            j += 1
-        rows = list(c._r)
-        rows[i] ^= rows[j]
-        proposal = BitMatrix(n, n, rows)
-        e_new = energy(proposal, lz, lx)
-        temp = t0 * (1.0 - k / iterations)
-        if e_new - e < temp * float(xi[k]):  # Metropolis, threshold form
-            c, e = proposal, e_new
-            if e < best_e:
-                best_e, best_c = e, list(c._r)
-    return best_e, best_c
+def reference_chains(lz, lx, p, t0):
+    """The anneal's chains with every energy recomputed from C: ``_chains``' reference.
+
+    The moves come from the seed alone and are shared; attempt a draws its
+    start and its Exp(1) variates from ``SeedSequence((seed, a))``.
+    """
+    n, k = lz.rows, p.iterations
+    move_rng = np.random.default_rng(np.random.SeedSequence((p.seed, 1 << 32)))
+    moves = move_rng.integers(n * (n - 1), size=k)
+    chains = []
+    for a in range(p.attempts):
+        rng = np.random.default_rng(np.random.SeedSequence((p.seed, a)))
+        c = random_invertible(n, rng)
+        xi = rng.standard_exponential(k)
+        e = energy(c, lz, lx)
+        best_e, best_c = e, list(c._r)
+        for step in range(k):
+            i, j = divmod(int(moves[step]), n - 1)  # pair number -> (i, j), i != j, i-major
+            if j >= i:
+                j += 1
+            rows = list(c._r)
+            rows[i] ^= rows[j]
+            proposal = BitMatrix(n, n, rows)
+            e_new = energy(proposal, lz, lx)
+            temp = t0 * (1.0 - step / k)
+            if e_new - e < temp * float(xi[step]):  # Metropolis, threshold form
+                c, e = proposal, e_new
+                if e < best_e:
+                    best_e, best_c = e, list(c._r)
+        chains.append((best_e, best_c))
+    return chains
 
 
 def _leg_matrix(rng, n, d, zero_rows):
@@ -65,35 +75,95 @@ def _leg_matrix(rng, n, d, zero_rows):
 
 
 class ZeroThresholds(np.random.Generator):
-    """numpy's stream, but every third Exp(1) draw is 0.0.
+    """numpy's stream, but every third Exp(1) draw of a generator is 0.0.
 
     A real draw is 0 with probability 0, so only here does dE equal the
     threshold T_k * xi_k: at 0 a move must lower the energy, and an
-    equal-energy move is rejected.
+    equal-energy move is rejected. Draws are counted across calls, so
+    drawing in blocks zeroes the same draws as drawing all at once.
     """
 
-    def standard_exponential(self, size=None, *args, **kwargs):
-        xi = super().standard_exponential(size, *args, **kwargs)
-        xi[::3] = 0.0
+    drawn = 0
+
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        xi = super().standard_exponential(size, dtype, method, out)
+        xi[-self.drawn % 3 :: 3] = 0.0
+        self.drawn += xi.size
         return xi
 
 
-def test_attempt_matches_reference_chain():
-    """The incremental chain returns the naive chain's (best_e, best_c) on 396 instances."""
+# PACK_MIN_ATTEMPTS values that force each loop whatever the attempt count.
+LOOPS = {"one at a time": 1 << 30, "packed": 1}
+
+
+def _reference_cases():
+    pack = annealing.PACK_MIN_ATTEMPTS
+    budgets = [(a, k) for a in (1, 2, pack - 1, pack) for k in (1, 10, 1000)]
+    budgets += [(a, k) for a in (20, 33) for k in (1, 10)]
     rng = np.random.default_rng(31)
+    case = 0
     for n in range(2, 13):
-        legs = ((7, 0, (), ()), (0, 9, (), ()), (5, 14, (), ()), (14, 3, (n - 1,), (0, n - 1)))
-        for (d_z, d_x, zero_z, zero_x), iterations, t0 in itertools.product(
-            legs, (1, 10, 1000), (0.05, 1.0, 40.0)
-        ):
+        legs = (
+            (7, 0, (), ()),
+            (0, 9, (), ()),
+            (5, 14, (), ()),
+            (14, 3, (n - 1,), (0, n - 1)),
+            (84, 33, (0,), ()),
+            (1, 1, (), ()),  # dE reaches +-bound, the capped thresholds' end
+        )
+        for d_z, d_x, zero_z, zero_x in legs:
+            attempts, iterations = budgets[case % len(budgets)]
+            t0 = (0.05, 1.0, 40.0)[case % 3]
+            case += 1
             lz = _leg_matrix(rng, n, d_z, zero_z)
             lx = _leg_matrix(rng, n, d_x, zero_x)
             seed = int(rng.integers(2**32))
-            # Half the instances, picked by seed, run on the zero-threshold stream.
-            stream = ZeroThresholds if seed % 2 else np.random.Generator
-            want = reference_attempt(lz, lx, iterations, t0, stream(np.random.PCG64(seed)))
-            got = _attempt(lz, lx, iterations, t0, stream(np.random.PCG64(seed)))
-            assert got == want, (n, d_z, d_x, iterations, t0, seed, stream.__name__)
+            yield lz, lx, AnnealParams(iterations=iterations, attempts=attempts, seed=seed), t0
+    # Lanes of 300 set bits would overflow a byte of popcount, so this
+    # instance runs one chain at a time whatever the attempt count.
+    ones = [BitMatrix(3, d, [(1 << d) - 1] * 3) for d in (200, 100)]
+    yield *ones, AnnealParams(iterations=10, attempts=pack, seed=6), 40.0
+
+
+def test_attempt_matches_reference_chain(monkeypatch):
+    """Both loops return the naive chains' (best_e, best_c), attempt by attempt.
+
+    Cases: n = 2..12; Z-only, X-only and mixed legs, all-zero rows, one
+    column each, rows of 33-84 columns, and all-ones rows of 100 and 200;
+    attempts 1, 2, PACK_MIN_ATTEMPTS - 1 and PACK_MIN_ATTEMPTS up to 1000
+    iterations, 20 and 33 attempts at 1 and 10; t0 0.05, 1 and 40. Half
+    the cases, picked by seed, run on the zero-threshold stream.
+    """
+    for lz, lx, p, t0 in _reference_cases():
+        with monkeypatch.context() as m:
+            if p.seed % 2:
+                m.setattr(np.random, "default_rng", lambda s: ZeroThresholds(np.random.PCG64(s)))
+            want = reference_chains(lz, lx, p, t0)
+            for loop, threshold in LOOPS.items():
+                m.setattr(annealing, "PACK_MIN_ATTEMPTS", threshold)
+                got = annealing._chains(lz, lx, p, t0)
+                assert got == want, (loop, lz.rows, lz.cols, lx.cols, p, t0)
+
+
+def test_attempt_pool_is_a_prefix_across_loops():
+    # Below PACK_MIN_ATTEMPTS chains run one at a time, from it on packed;
+    # each attempt's chain is the same either way.
+    few = annealing.PACK_MIN_ATTEMPTS - 1
+    rng = np.random.default_rng(9)
+    for n, d in ((3, 4), (6, 10), (9, 40)):
+        lz, lx = random_matrix(n, d, rng), random_matrix(n, d, rng)
+        small = anneal(lz, lx, AnnealParams(iterations=400, attempts=few, seed=n))
+        large = anneal(lz, lx, AnnealParams(iterations=400, attempts=20, seed=n))
+        assert large.per_attempt_energies[:few] == small.per_attempt_energies
+        assert large.best_energy <= small.best_energy
+
+
+def test_move_stream_is_no_attempt_stream():
+    # numpy zero-pads SeedSequence entropy, so (seed,) would be attempt 0's key.
+    for seed in (0, 7, 2**40):
+        moves = np.random.SeedSequence((seed, annealing.MOVE_KEY)).generate_state(4)
+        for a in range(64):
+            assert (np.random.SeedSequence((seed, a)).generate_state(4) != moves).any()
 
 
 def test_annealing_module_is_not_shadowed():
@@ -251,3 +321,5 @@ def test_params_validation():
         AnnealParams(iterations=0)
     with pytest.raises(ValueError):
         AnnealParams(attempts=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        AnnealParams(seed=-1)

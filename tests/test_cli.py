@@ -194,6 +194,37 @@ def test_bench_sweep_mode(tmp_path, capsys):
         assert int(after) <= int(before)
 
 
+def test_bench_budget_sweep_shares_instances(capsys):
+    # Every value anneals the same instances, so more attempts never do worse.
+    code = main(
+        ["bench", "--sweep", "attempts", "--sweep-values", "1,2,5",
+         "--qubits", "4", "--gadgets", "6", "--samples", "6",
+         "--iterations", "60", "--seed", "3"]
+    )
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    by_sample = {}
+    for _, value, sample, before, after in rows:
+        by_sample.setdefault(int(sample), []).append((int(value), int(before), int(after)))
+    assert len(by_sample) == 6
+    for runs in by_sample.values():
+        assert [v for v, _, _ in runs] == [1, 2, 5]
+        assert len({before for _, before, _ in runs}) == 1
+        afters = [after for _, _, after in runs]
+        assert afters == sorted(afters, reverse=True)
+
+
+def test_negative_seed_is_rejected(tmp_path, capsys):
+    # One qubit and CNOT-only circuits never anneal; the seed is checked anyway.
+    for name, text in (
+        ("one.pf", "qubits 1\nrz 0.5 0\n"),
+        ("cnots.pf", "qubits 2\ncnot 0 1\ncnot 1 0\n"),
+        ("gadgets.pf", FIVE_GADGET_CIRCUIT),
+    ):
+        assert main(["optimize", _write(tmp_path, name, text), "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_bench_sweep_requires_values(capsys):
     assert main(["bench", "--sweep", "width"]) == 1
 

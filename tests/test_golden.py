@@ -59,12 +59,12 @@ CASES = {
 }
 
 PINS = {
-    "random_gadget_ansatz": "e6c940ad1bf30c037394686f1e43e61139584a4775d85ef586d9cf881abb71bb",
+    "random_gadget_ansatz": "6b739206190dc5d576ee4260b56ced87df3dbfe0341bdcac9276fda5a9a69589",
     "staircase_rx": "fe4734538155648b70bcff9e5b16addca9db049e8b2aa5de1ae26db7eeef8844",
-    "fusion_to_zero": "17bae14a19daf396df00f992ed99d268959bf5f0b3895f790b304306a6bec69e",
-    "random_basis_a": "16a8b3811f99d96fe79d983f1ecfcb72185487affd0354ff352dc7860aae06d3",
-    "random_basis_b": "531141d0523b5205ee14be796e6c692e13082dc108b82f5d46fb258400457c30",
-    "random_basis_c": "6e176631c7fb49eb21294b89e412d9965c6ec70fb4cd7d948837ec7c44c34754",
+    "fusion_to_zero": "df83d8ce3b6e2e522e3c708107fa87116b594d5507da4a9e11384a351169c3a7",
+    "random_basis_a": "4e0818f4e7382972ed4f67220cb4ab93439f68c2841e0b5c7c095e3832372ae3",
+    "random_basis_b": "2a0a81326e733f5117c3eb9b5985380ce4947064b33088c2177154102b2dd4fa",
+    "random_basis_c": "64bef79ed067cbe436ebf505cb2127f20ff33454998d0a505fe4a2fde765daf7",
 }
 
 

@@ -240,6 +240,40 @@ def test_phase_aligned_error_value():
     assert phase_aligned_max_error(u, v) < 1e-12
 
 
+def _random_rotation_circuit(rng, n, count):
+    gates = []
+    for _ in range(count):
+        q = int(rng.integers(n))
+        kind = int(rng.integers(3))
+        if kind == 0 and n > 1:
+            t = (q + 1 + int(rng.integers(n - 1))) % n
+            gates.append(ci.cnot(q, t))
+        else:
+            rot = ci.rz if kind == 1 else ci.rx
+            gates.append(rot(float(rng.uniform(-math.pi, math.pi)), q))
+    return gates
+
+
+def test_phase_pick_from_trace():
+    # The phase comes from tr(v^dag u): a random global phase is undone to
+    # rounding, a 1e-6 angle change is still caught, and a zero-trace pair
+    # such as I against Z is no equivalence.
+    rng = np.random.default_rng(811)
+    for n in range(1, 7):
+        gates = _random_rotation_circuit(rng, n, 6 * n)
+        u = unitary_of_circuit(GateCircuit(n, tuple(gates)))
+        phase = cmath.exp(1j * float(rng.uniform(-math.pi, math.pi)))
+        assert phase_aligned_max_error(u, phase * u) < 1e-12
+        k = next(k for k, g in enumerate(gates) if g.kind != "cnot")
+        bent = gates[:k] + [ci.Gate(gates[k].kind, gates[k].qubits, gates[k].angle + 1e-6)]
+        v = unitary_of_circuit(GateCircuit(n, tuple(bent + gates[k + 1 :])))
+        assert not equiv_up_to_phase(u, phase * v)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    assert np.vdot(z, np.eye(2)) == 0
+    assert not equiv_up_to_phase(np.eye(2, dtype=complex), z)
+    assert not equiv_up_to_phase(np.kron(z, np.eye(2)), np.eye(4, dtype=complex))
+
+
 def test_qubit_limit():
     with pytest.raises(TooManyQubitsError):
         unitary_of_circuit(GateCircuit(11, ()))

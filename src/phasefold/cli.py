@@ -18,6 +18,7 @@ from .circuits import lex, parse, serialize
 from .gf2 import random_matrix
 from .oracle import (
     VERIFY_TOL,
+    _cnot_rows,
     phase_aligned_max_error,
     unitary_of_circuit,
     unitary_of_gadgets,
@@ -107,7 +108,12 @@ def _load_unitary(path: str):
         nf = parse_normal_form(text)
         u = unitary_of_gadgets(nf.gadgets)
         if nf.tail.cnots:
-            u = unitary_of_circuit(nf.tail.to_gates()) @ u
+            # The tail permutes basis states: one row gather, not a dense product.
+            n = nf.gadgets.n_qubits
+            rows = np.arange(1 << n)
+            for control, target in nf.tail.cnots:
+                rows = rows[_cnot_rows(n, control, target)]
+            u = u[rows]
         return u
     return unitary_of_circuit(parse(text))
 

@@ -240,11 +240,3 @@ def parse_normal_form(text: str) -> NormalForm:
         else:
             specs.append(parse_gadget_line(lineno, head, args, n_qubits))
     return NormalForm(gadget_circuit(n_qubits, specs), CnotCircuit(n_qubits, tuple(cnots)))
-
-
-def normal_form_to_gates(nf: NormalForm, shape: str = "tree") -> GateCircuit:
-    """Synthesize gadgets then append the CNOT tail."""
-    gadget_part = synth_gadget_circuit(nf.gadgets, shape)
-    return GateCircuit(
-        nf.gadgets.n_qubits, gadget_part.gates + nf.tail.to_gates().gates
-    )

@@ -77,6 +77,31 @@ def test_extract_roundtrips_through_verify(tmp_path, capsys):
     assert "equal" in capsys.readouterr().out
 
 
+def test_extract_tail_at_eight_qubits_verifies(tmp_path, capsys):
+    # The normal form's CNOT tail is applied as a row gather: a non-empty
+    # tail at n = 8 must verify against the circuit, and changing one tail
+    # CNOT must be caught.
+    lines = ["qubits 8"]
+    for k in range(24):
+        lines.append(f"cnot {k % 8} {(3 * k + 1) % 8}" if k % 3 else f"rz {0.1 * k + 0.3} {k % 8}")
+        lines.append(f"rx {0.2 * k - 1.1} {(5 * k) % 8}")
+    lines += ["cnot 0 7", "cnot 7 3", "cnot 2 5"]
+    src = _write(tmp_path, "c.pf", "\n".join(lines) + "\n")
+    out_path = tmp_path / "c.gadgets"
+    assert main(["extract", src, "-o", str(out_path)]) == 0
+    text = out_path.read_text()
+    tail = [l for l in text.splitlines() if l.startswith("cnot")]
+    assert tail
+    assert main(["verify", src, str(out_path)]) == 0
+    assert "equal" in capsys.readouterr().out
+    _, control, target = tail[-1].split()
+    head, _, rest = text.rpartition(tail[-1])
+    bent = head + f"cnot {target} {control}" + rest
+    bent_path = _write(tmp_path, "bent.gadgets", bent)
+    assert main(["verify", src, bent_path]) == 2
+    assert "different" in capsys.readouterr().out
+
+
 def test_optimize_command_writes_equivalent_circuit(tmp_path, capsys):
     src = _write(tmp_path, "c.pf", FIVE_GADGET_CIRCUIT)
     out_path = str(tmp_path / "opt.pf")

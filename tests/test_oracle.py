@@ -2,23 +2,31 @@
 
 The fused kernels of ``unitary_of_circuit`` and ``unitary_of_gadgets`` are
 checked against ``reference_unitary``, a plain Kronecker/tensordot
-embedding of every gate's matrix.
+embedding of every gate's matrix. Both kernels, the per-gate one and the
+grouped one, are forced at any qubit count by patching
+``GROUP_MIN_QUBITS``, and the grouped one at several group caps by
+patching ``GROUP_DIRECTIONS``.
 """
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from phasefold import circuits as ci
+from phasefold import oracle
 from phasefold.circuits import GateCircuit
 from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit
 from phasefold.gf2 import BitVec
 from phasefold.oracle import (
     CNOT_MATRIX,
     CZ_MATRIX,
+    GROUP_DIRECTIONS,
+    GROUP_MIN_QUBITS,
     H_MATRIX,
+    MAX_QUBITS,
     TooManyQubitsError,
     crx_matrix,
     crz_matrix,
@@ -93,6 +101,25 @@ def random_gate(rng, n):
 def assert_matches_reference(circuit):
     err = np.max(np.abs(unitary_of_circuit(circuit) - reference_unitary(circuit)))
     assert err < KERNEL_TOL, (err, circuit)
+
+
+# (GROUP_MIN_QUBITS, GROUP_DIRECTIONS): the per-gate kernel, then the grouped
+# kernel at caps of one direction, two, and the default.
+KERNELS = [(MAX_QUBITS + 1, GROUP_DIRECTIONS), (1, 1), (1, 2), (1, GROUP_DIRECTIONS)]
+
+
+def assert_kernels_match(monkeypatch, build, reference):
+    """``build()`` agrees with ``reference`` on every kernel in ``KERNELS``."""
+    for min_qubits, directions in KERNELS:
+        monkeypatch.setattr(oracle, "GROUP_MIN_QUBITS", min_qubits)
+        monkeypatch.setattr(oracle, "GROUP_DIRECTIONS", directions)
+        err = np.max(np.abs(build() - reference))
+        assert err < KERNEL_TOL, (min_qubits, directions, err)
+
+
+def assert_circuit_kernels_match(monkeypatch, circuit):
+    reference = reference_unitary(circuit)
+    assert_kernels_match(monkeypatch, lambda: unitary_of_circuit(circuit), reference)
 
 
 def single(n, gate):
@@ -279,13 +306,16 @@ def test_qubit_limit():
         unitary_of_circuit(GateCircuit(11, ()))
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_kernel_matches_reference_all_kinds(n):
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_kernel_matches_reference_all_kinds(n, monkeypatch):
+    # 40 gates carry about 18 row-mixing ones: from n = 2 on they cross
+    # several group boundaries at caps 1 and 2, from n = 6 on at the default.
     rng = np.random.default_rng(600 + n)
-    for length in (0, 1, 2, 5, 40):
-        for _ in range(3):
+    lengths, repeats = ((0, 1, 2, 5, 40), 3) if n <= 7 else ((40,), 1)
+    for length in lengths:
+        for _ in range(repeats):
             gates = tuple(random_gate(rng, n) for _ in range(length))
-            assert_matches_reference(GateCircuit(n, gates))
+            assert_circuit_kernels_match(monkeypatch, GateCircuit(n, gates))
 
 
 @pytest.mark.parametrize(
@@ -333,7 +363,10 @@ def test_kernel_empty_circuit():
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_gadget_kernel_matches_reference(n):
+def test_gadget_kernel_matches_reference(n, monkeypatch):
+    # An X entry is H on its legs, the parity diagonal, then H on the same
+    # legs again: the second Hadamards pair rows along directions already
+    # in the group.
     rng = np.random.default_rng(700 + n)
     for length in (0, 1, 6):
         entries = []
@@ -342,5 +375,86 @@ def test_gadget_kernel_matches_reference(n):
             basis = "XZ"[int(rng.integers(2))]
             entries.append(GadgetEntry(basis, float(rng.uniform(-7, 7)), legs))
         g = GadgetCircuit(n, tuple(entries))
-        err = np.max(np.abs(unitary_of_gadgets(g) - reference_gadget_unitary(g)))
-        assert err < KERNEL_TOL
+        assert_kernels_match(monkeypatch, lambda: unitary_of_gadgets(g), reference_gadget_unitary(g))
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        (ci.rx(0.3, 1), ci.rx(-1.2, 1)),
+        (ci.rx(0.3, 1), ci.rz(0.8, 1), ci.cz(0, 1), ci.rx(-1.2, 1), ci.ry(0.5, 1)),
+        (ci.rx(0.3, 0), ci.cnot(0, 1), ci.rx(0.9, 1), ci.rx(-0.4, 0)),
+        (ci.rx(0.3, 0), ci.cnot(0, 1), ci.rz(0.2, 0), ci.rx(0.9, 1), ci.h(2), ci.cnot(2, 0),
+         ci.rx(-0.4, 0), ci.ry(1.1, 1)),
+        (ci.h(2), ci.rx(0.2, 1), ci.crx(0.5, 0, 2), ci.rz(0.3, 2), ci.crx(-0.8, 0, 1), ci.ry(0.6, 2)),
+        (ci.ry(0.7, 0), ci.crx(0.5, 1, 0), ci.cnot(1, 2), ci.crx(1.3, 1, 2), ci.rx(0.4, 3),
+         ci.crx(-0.6, 1, 3), ci.h(0)),
+        (ci.crx(0.5, 0, 1), ci.crx(0.7, 1, 0), ci.cnot(0, 1), ci.crx(-0.2, 0, 1)),
+    ],
+    ids=["rx-twice", "in-span-after-diagonals", "cnot-makes-dependent", "dependent-between-cnots",
+         "crx-control-0", "crx-control-1", "crx-both-ways"],
+)
+def test_kernel_repeats_and_dependent_directions(gates, monkeypatch):
+    # A 2x2 gate whose row offset is already in the group's span only shifts
+    # the coefficient columns; after CNOT(0, 1), RX on qubit 0 pairs rows
+    # along the XOR of the two directions already opened.
+    assert_circuit_kernels_match(monkeypatch, GateCircuit(4, gates))
+
+
+def _group_sizes(monkeypatch, circuit):
+    """Directions per applied group while ``circuit``'s unitary is built."""
+    sizes = []
+    apply_group = oracle._Grouped._apply_group
+
+    def spy(acc):
+        sizes.append(len(acc.directions))
+        apply_group(acc)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle._Grouped, "_apply_group", spy)
+        assert_matches_reference(circuit)
+    return sizes
+
+
+@pytest.mark.parametrize("directions", [1, 2, GROUP_DIRECTIONS])
+def test_group_holds_exactly_the_cap(directions, monkeypatch):
+    # RX on `directions` qubits fills one group, and repeats on the same
+    # qubits stay inside it; RX on one qubit more starts a second group.
+    monkeypatch.setattr(oracle, "GROUP_MIN_QUBITS", 1)
+    monkeypatch.setattr(oracle, "GROUP_DIRECTIONS", directions)
+    n = directions + 1
+    cap = tuple(g for q in range(directions) for g in (ci.rx(0.3 + q, q), ci.rz(0.1 * q, q)))
+    repeats = tuple(ci.rx(-0.5 - q, q) for q in range(directions))
+    assert _group_sizes(monkeypatch, GateCircuit(n, cap + repeats)) == [directions]
+    one_more = cap + (ci.rx(0.9, directions),)
+    assert _group_sizes(monkeypatch, GateCircuit(n, one_more)) == [directions, 1]
+
+
+@pytest.mark.parametrize("n", [GROUP_MIN_QUBITS - 1, GROUP_MIN_QUBITS])
+def test_kernel_either_side_of_crossover(n):
+    # Default constants: the per-gate kernel below GROUP_MIN_QUBITS, groups from it on.
+    kind = oracle._Grouped if n >= GROUP_MIN_QUBITS else oracle._Pending
+    assert isinstance(oracle._accumulator(n), kind)
+    rng = np.random.default_rng(900 + n)
+    assert_matches_reference(GateCircuit(n, tuple(random_gate(rng, n) for _ in range(30))))
+    entries = [GadgetEntry("X", 0.4, BitVec(n, (1 << n) - 2)), GadgetEntry("Z", 0.9, BitVec(n, 5))]
+    g = GadgetCircuit(n, tuple(entries))
+    assert np.max(np.abs(unitary_of_gadgets(g) - reference_gadget_unitary(g))) < KERNEL_TOL
+
+
+def test_grouped_kernel_holds_two_matrices():
+    # Peak allocation of one product at MAX_QUBITS with several groups: the
+    # matrix, one spare of the same size, and a few arrays as large as the
+    # 2^n x 2^GROUP_DIRECTIONS coefficients.
+    n = MAX_QUBITS
+    rng = np.random.default_rng(77)
+    circuit = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
+    matrix_bytes = 16 << (2 * n)
+    coef_bytes = 16 << (n + GROUP_DIRECTIONS)
+    tracemalloc.start()
+    try:
+        unitary_of_circuit(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix_bytes + 8 * coef_bytes, peak / matrix_bytes

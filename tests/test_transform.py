@@ -27,7 +27,6 @@ from phasefold.transform import (
     extract,
     h_x,
     h_z,
-    normal_form_to_gates,
     parse_normal_form,
     serialize_normal_form,
     synth_cnot,
@@ -98,7 +97,8 @@ def test_extract_single_cnot_conjugation():
     nf = extract(c)
     assert nf.gadgets.entries == (GadgetEntry("Z", 0.7, BitVec.from_string("11")),)
     assert nf.tail.cnots == ((0, 1),)
-    rebuilt = normal_form_to_gates(nf)
+    gates = synth_gadget_circuit(nf.gadgets, "tree").gates + nf.tail.to_gates().gates
+    rebuilt = GateCircuit(2, gates)
     assert equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(rebuilt))
 
 

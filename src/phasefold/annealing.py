@@ -31,34 +31,48 @@ xi ~ Exp(1), P(xi > dE/T) = exp(-dE/T), so the move is accepted when
 dE < T_k * xi_k. As dE is an integer, that is dE <= ceil(T_k * xi_k) - 1,
 an integer threshold.
 
+Before either loop runs, a chain's three row lists are formed on row
+words: the start C from ``gf2.random_invertible``, C @ L_Z by row XORs,
+and (C^-1)^T @ L_X by replaying on L_X the row operations that reduce
+C^T to I.
+
 Two loops run these chains with identical results. ``_attempt`` runs one
-chain on plain row words. ``_attempts_packed`` steps every chain at once
-(multi-spin coding, Jacobs & Rebbi 1981). Row r of all chains is one
-int of lanes: lane a is 2F bits at bit 2aF and holds chain a's row of
-C @ L_Z in its low F-bit field and its row of (C^-1)^T @ L_X in the high
-one, where F is the smallest power of two >= 8 that holds both column
-counts and n/2; the rows of C fill whole lanes of their own ints. A step
-XORs two rows, takes the popcount of every lane of the proposal and of
-the rows it replaces in one SWAR pass over the two placed side by side,
-and subtracts them with a bias so that no lane borrows. A sign-bit
-compare against one int per step that holds every lane's integer
-threshold then gives the mask of accepting lanes, and masked XORs update
-the rows. Per lane it also keeps best energy - energy; its top bit marks
-the rare step on which a lane improves, and only then are that lane's C
-rows copied out. The thresholds are written attempt by attempt into a
-uint16 table, a block of steps at a time, and read as ints with
-``int.from_bytes``. A lane's popcount must fit in a byte, so instances
-with more than ``_PACK_MAX_LEGS`` columns run one chain at a time.
+chain on plain row words and keeps the popcount of every row, so a step
+counts only the two proposed rows. ``_attempts_packed`` steps every
+chain at once (multi-spin coding, Jacobs & Rebbi 1981). Row r of all
+chains is one int of lanes: lane a is 2F bits at bit 2aF and holds chain
+a's row of C @ L_Z in its low F-bit field and its row of (C^-1)^T @ L_X
+in the high one, where F is the smallest power of two >= 8 that holds
+both column counts and n/2; the rows of C fill whole lanes of their own
+ints. A step XORs two rows, takes the popcount of every lane of the
+proposal and of the rows it replaces in one SWAR pass over the two
+placed side by side, and subtracts them with a bias so that no lane
+borrows. A sign-bit compare against one int per step that holds every
+lane's integer threshold then gives the mask of accepting lanes, and
+masked XORs update the rows. Per lane it also keeps best energy -
+energy; its top bit marks the rare step on which a lane improves, and
+only then are that lane's C rows copied out. The thresholds are written
+attempt by attempt into a uint16 table, a block of steps at a time, and
+read as ints with ``int.from_bytes``. A lane's popcount must fit in a
+byte, so instances with more than ``_PACK_MAX_LEGS`` columns run one
+chain at a time.
 
 Packing costs more per step than one chain and pays off only with
 enough chains; the constant ``PACK_MIN_ATTEMPTS`` picks the loop from
-the attempt count. Measured per ``anneal`` call (one chain at a time /
-packed, in ms, on 2 vCPUs):
+the attempt count. Measured per ``anneal`` call, in ms on a 2-vCPU Xeon:
+one chain at a time / packed, and in brackets the set-up, the same call
+at K = 1 on the loop the attempt count picks. The instances are the
+units of the first 6 seed-401 ``ansatz_anneal`` (n = 6) and
+``ansatz_verify`` (n = 9) cases and of the first 200 ``gate_level`` ones:
 
-    attempts                         2           6            8           20
-    n = 6, ~10 columns, K = 5000     5.2 / 11.8  15.0 / 15.6  19.6 / 15.4  46.4 / 21.3
-    n = 9, ~10 columns, K = 5000     4.2 / 8.8   12.2 / 12.9  14.3 / 10.6  53.4 / 25.1
-    gate-level instances, K = 250    0.41 / 0.61 1.04 / 1.14  1.33 / 1.36  5.19 / 3.29
+    attempts            2                 6                 8                 20
+    n = 6, K = 5000     1.66/4.30 (0.13)  4.81/5.47 (0.31)  6.28/5.81 (0.41)  15.8/7.64 (0.95)
+    n = 9, K = 5000     1.89/4.54 (0.17)  5.50/5.81 (0.41)  7.25/6.14 (0.55)  17.8/8.36 (1.27)
+    gate level, K = 250 0.19/0.35 (0.11)  0.49/0.59 (0.27)  0.63/0.72 (0.36)  1.51/1.31 (0.82)
+
+The set-up is mostly numpy's fixed cost per call: three to four integer
+draws per start (rejection), one generator per attempt and one for the
+moves.
 
 Tests check both loops against a reference that takes the same draws and
 recomputes ``energy`` from C at every step (identical best energy and
@@ -74,6 +88,9 @@ import numpy as np
 
 from .gf2 import (
     BitMatrix,
+    _mul_rows,
+    _row_ops,
+    _transpose_rows,
     inverse_transpose,
     mat_mul,
     popcount,
@@ -126,27 +143,38 @@ def energy(c: BitMatrix, lz: BitMatrix, lx: BitMatrix) -> int:
     return popcount(mat_mul(c, lz)) + popcount(mat_mul(inverse_transpose(c), lx))
 
 
+Start = tuple[list[int], list[int], list[int]]  # rows of C, C @ L_Z, (C^-1)^T @ L_X
+
+
+def _start(c: list[int], lz: BitMatrix, lx: BitMatrix) -> Start:
+    """A chain's three row lists for the start with rows ``c``."""
+    y = list(lx._r)
+    for r, s in _row_ops(_transpose_rows(c, len(c))):  # replayed on L_X: (C^T)^-1 @ L_X
+        y[r] ^= y[s]
+    return c, _mul_rows(c, lz._r), y
+
+
 def _attempt(
-    lz: BitMatrix,
-    lx: BitMatrix,
-    start: BitMatrix,
-    moves: tuple[list[int], list[int]],
-    limits: list[float],
+    start: Start, moves: tuple[list[int], list[int]], limits: list[int]
 ) -> tuple[int, list[int]]:
-    """One chain; ``limits[k]`` is T_k * xi_k. Returns (best energy, best C rows)."""
-    c = list(start._r)
-    clz = list(mat_mul(start, lz)._r)  # row r of C @ L_Z
-    y = list(mat_mul(inverse_transpose(start), lx)._r)  # row r of (C^-1)^T @ L_X
-    e = sum(w.bit_count() for w in clz) + sum(w.bit_count() for w in y)
+    """One chain; ``limits[k]`` is ceil(T_k * xi_k). Returns (best energy, best C rows)."""
+    c, clz, y = start
+    pz = [w.bit_count() for w in clz]  # popcounts of the rows of C @ L_Z
+    py = [w.bit_count() for w in y]
+    e = sum(pz) + sum(py)
     best_e, best_c = e, list(c)
     for i, j, limit in zip(*moves, limits):
         a = clz[i] ^ clz[j]
         b = y[j] ^ y[i]
-        de = a.bit_count() - clz[i].bit_count() + b.bit_count() - y[j].bit_count()
+        ca = a.bit_count()
+        cb = b.bit_count()
+        de = ca - pz[i] + cb - py[j]
         if de < limit:
             c[i] ^= c[j]
             clz[i] = a
             y[j] = b
+            pz[i] = ca
+            py[j] = cb
             e += de
             if e < best_e:
                 best_e, best_c = e, list(c)
@@ -156,7 +184,7 @@ def _attempt(
 def _attempts_packed(
     lz: BitMatrix,
     lx: BitMatrix,
-    starts: list[BitMatrix],
+    starts: list[Start],
     moves: tuple[list[int], list[int]],
     temps: np.ndarray,
     rngs: list[np.random.Generator],
@@ -190,15 +218,13 @@ def _attempts_packed(
     r_rows = [0] * n  # row r of every chain's C @ L_Z | (C^-1)^T @ L_X << f
     c_rows = [0] * n
     best_e = []
-    for a, start in enumerate(starts):
+    for a, (c, clz, y) in enumerate(starts):
         s = a * w
-        clz = mat_mul(start, lz)._r
-        y = mat_mul(inverse_transpose(start), lx)._r
         for r in range(n):
             r_rows[r] |= (clz[r] | y[r] << f) << s
-            c_rows[r] |= start._r[r] << s
+            c_rows[r] |= c[r] << s
         best_e.append(sum(v.bit_count() for v in clz) + sum(v.bit_count() for v in y))
-    best_c = [list(start._r) for start in starts]
+    best_c = [list(c) for c, _, _ in starts]
     offsets = spread(offset)
     slack = offsets  # lane: best energy - energy + offset; bit w-1 set iff better
     row_mask = (1 << n) - 1
@@ -265,11 +291,18 @@ def _chains(
     moves = i_of.tolist(), (r + (r >= i_of)).tolist()
     temps = t0 * (1.0 - np.arange(k) / k)
     rngs = [np.random.default_rng(np.random.SeedSequence((p.seed, a))) for a in range(p.attempts)]
-    starts = [random_invertible(n, rng) for rng in rngs]
+    starts = [_start(list(random_invertible(n, rng)._r), lz, lx) for rng in rngs]
     if p.attempts >= PACK_MIN_ATTEMPTS and lz.cols + lx.cols <= _PACK_MAX_LEGS:
         return _attempts_packed(lz, lx, starts, moves, temps, rngs)
+    # ceil(T_k xi_k) capped at bound + 1, as in the packed loop: dE in
+    # [-bound, bound] is below the cap exactly when it is below T_k xi_k.
+    cap = lz.cols + lx.cols + 1
     return [
-        _attempt(lz, lx, start, moves, (temps * rng.standard_exponential(k)).tolist())
+        _attempt(
+            start,
+            moves,
+            np.minimum(np.ceil(temps * rng.standard_exponential(k)), cap).astype(np.int64).tolist(),
+        )
         for start, rng in zip(starts, rngs)
     ]
 
@@ -285,15 +318,14 @@ def anneal(lz: BitMatrix, lx: BitMatrix, p: AnnealParams | None = None) -> Annea
         p = AnnealParams()
     t0 = p.t0 if p.t0 is not None else default_t0(lz, lx)
 
-    identity = BitMatrix.identity(n)
     identity_energy = popcount(lz) + popcount(lx)
     # Nothing to search: every C scores 0, or GL(1,2) = {I}.
     if n == 1 or lz.cols + lx.cols == 0:
-        return AnnealResult(identity, identity_energy, identity_energy, ())
+        return AnnealResult(BitMatrix.identity(n), identity_energy, identity_energy, ())
 
     results = _chains(lz, lx, p, t0)
     best_e, best_rows = min(results, key=lambda r: r[0])  # the first of equals
     per_attempt = tuple(e for e, _ in results)
     if best_e < identity_energy:
         return AnnealResult(BitMatrix(n, n, best_rows), best_e, identity_energy, per_attempt)
-    return AnnealResult(identity, identity_energy, identity_energy, per_attempt)
+    return AnnealResult(BitMatrix.identity(n), identity_energy, identity_energy, per_attempt)

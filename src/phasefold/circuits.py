@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterator
 
 TWO_PI = 2.0 * math.pi
@@ -58,17 +59,20 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        spec = GATE_KINDS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity, has_angle = GATE_KINDS[self.kind]
-        if len(self.qubits) != arity:
+        arity, has_angle = spec
+        qubits = self.qubits
+        if len(qubits) != arity:
             raise ValueError(f"{self.kind} takes {arity} qubit(s)")
-        if len(set(self.qubits)) != len(self.qubits):
+        if arity == 2 and qubits[0] == qubits[1]:  # every arity is 1 or 2
             raise ValueError(f"{self.kind} qubits must be distinct")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("negative qubit index")
+        for q in qubits:
+            if q < 0:
+                raise ValueError("negative qubit index")
         if has_angle:
-            if self.angle is None or not math.isfinite(self.angle):
+            if self.angle is None or not isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
@@ -118,15 +122,18 @@ class GateCircuit:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("circuits need at least one qubit")
+        n = self.n_qubits
         for g in self.gates:
-            if any(q >= self.n_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for {self.n_qubits} qubits")
+            for q in g.qubits:
+                if q >= n:
+                    raise ValueError(f"gate {g} out of range for {n} qubits")
 
     def __len__(self) -> int:
         return len(self.gates)
 
 
 QUBIT_LIMIT = 256  # largest qubit count a text file may declare
+_PLAIN_NATS = {str(i): i for i in range(QUBIT_LIMIT + 1)}  # "0" to "256", no leading zeros
 
 
 def _nat_below(token: str, bound: int) -> int | None:
@@ -135,12 +142,14 @@ def _nat_below(token: str, bound: int) -> int | None:
     Only plain ASCII decimal digits count: no sign, no '_', no other
     scripts.
     """
-    if not (token.isascii() and token.isdigit()):
-        return None
-    digits = token.lstrip("0") or "0"
-    if len(digits) > len(str(bound)):  # keeps int() off very long digit strings
-        return None
-    value = int(digits)
+    value = _PLAIN_NATS.get(token)
+    if value is None:
+        if not (token.isascii() and token.isdigit()):
+            return None
+        digits = token.lstrip("0") or "0"
+        if len(digits) > len(str(bound)):  # keeps int() off very long digit strings
+            return None
+        value = int(digits)
     return value if value < bound else None
 
 
@@ -154,7 +163,7 @@ def parse_angle(lineno: int, token: str) -> float:
         angle = float(token) if token.isascii() and "_" not in token else math.nan
     except ValueError:
         angle = math.nan
-    if not math.isfinite(angle):
+    if not isfinite(angle):
         raise ParseError(lineno, f"angle must be a finite ASCII decimal, got {token!r}")
     return angle
 
@@ -192,14 +201,15 @@ def lex(text: str) -> Iterator[tuple[int, str, list[str]]]:
 
 def parse_gate_line(lineno: int, head: str, args: list[str], n_qubits: int) -> Gate:
     """The gate of one lexed line of a circuit file."""
-    if head not in GATE_KINDS:
+    spec = GATE_KINDS.get(head)
+    if spec is None:
         raise ParseError(lineno, f"unknown gate {head!r}")
-    arity, has_angle = GATE_KINDS[head]
-    want = arity + (1 if has_angle else 0)
+    arity, has_angle = spec
+    want = arity + has_angle
     if len(args) != want:
         raise ParseError(lineno, f"{head} expects {want} argument(s)")
     angle = parse_angle(lineno, args[0]) if has_angle else None
-    qubits = tuple(_nat_below(a, n_qubits) for a in (args[1:] if has_angle else args))
+    qubits = tuple([_nat_below(a, n_qubits) for a in args[has_angle:]])  # after the angle
     if None in qubits:
         raise ParseError(lineno, f"qubit indices must be plain integers from 0 to {n_qubits - 1}")
     try:
@@ -317,9 +327,11 @@ def cnot_depth(c: GateCircuit) -> int:
     busy = [0] * c.n_qubits
     cnot_layers: set[int] = set()
     for g in c.gates:
-        layer = 1 + max(busy[q] for q in g.qubits)
-        for q in g.qubits:
-            busy[q] = layer
+        if len(g.qubits) == 1:
+            busy[g.qubits[0]] += 1
+            continue
+        a, b = g.qubits  # every gate acts on one or two qubits
+        layer = busy[a] = busy[b] = 1 + max(busy[a], busy[b])
         if g.kind == "cnot":
             cnot_layers.add(layer)
     return len(cnot_layers)

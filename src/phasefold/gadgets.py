@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .circuits import ParseError, lex, parse_angle
-from .gf2 import BitMatrix, BitVec, inverse_transpose, mat_vec
+from .gf2 import BitMatrix, BitVec, _mul_rows, invert
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +41,7 @@ class GadgetEntry:
             raise ValueError(f"basis must be 'Z' or 'X', got {self.basis!r}")
         if not math.isfinite(self.angle):
             raise ValueError("gadget angle must be finite")
-        if self.legs.popcount() == 0:
+        if not self.legs.bits:
             raise ValueError("gadgets need at least one leg")
 
 
@@ -130,12 +130,15 @@ def apply_action(g: GadgetCircuit, c: BitMatrix) -> GadgetCircuit:
     """Act with C on Z legs and (C^T)^-1 on X legs; order and angles kept."""
     if not c.is_square() or c.rows != g.n_qubits:
         raise ValueError("action matrix must be n x n")
-    c_x = inverse_transpose(c)  # raises NotInvertibleError for singular C
+    # New legs XOR the columns of C (Z) or of (C^T)^-1 (X) picked by the old
+    # ones; the columns of (C^T)^-1 are the rows of C^-1.
+    columns = {"Z": c.transpose()._r, "X": invert(c)._r}  # invert raises for singular C
+    n = g.n_qubits
     entries = []
     for e in g.entries:
-        m = c if e.basis == "Z" else c_x
-        entries.append(GadgetEntry(e.basis, e.angle, mat_vec(m, e.legs)))
-    return GadgetCircuit(g.n_qubits, tuple(entries))
+        (legs,) = _mul_rows((e.legs.bits,), columns[e.basis])
+        entries.append(GadgetEntry(e.basis, e.angle, BitVec(n, legs)))
+    return GadgetCircuit(n, tuple(entries))
 
 
 def commutes(a: GadgetEntry, b: GadgetEntry) -> bool:
@@ -144,7 +147,7 @@ def commutes(a: GadgetEntry, b: GadgetEntry) -> bool:
         raise ValueError("gadgets act on different qubit counts")
     if a.basis == b.basis:
         return True
-    return (a.legs & b.legs).popcount() % 2 == 0
+    return not (a.legs.bits & b.legs.bits).bit_count() & 1
 
 
 def fusion_plan(entries: Sequence[GadgetEntry]) -> list[tuple[GadgetEntry, list[int]]]:

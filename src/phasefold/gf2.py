@@ -23,6 +23,9 @@ class NotInvertibleError(ValueError):
     """The matrix has no inverse over GF(2)."""
 
 
+_set = object.__setattr__  # the immutable classes' one way to set a slot
+
+
 def _pack_row(bits: Sequence[int]) -> int:
     word = 0
     for j, b in enumerate(bits):
@@ -43,8 +46,8 @@ class BitVec:
             raise ValueError("BitVec length must be >= 1")
         if not 0 <= bits < (1 << n):
             raise ValueError("bits out of range for length")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
+        _set(self, "n", n)
+        _set(self, "bits", bits)
 
     def __setattr__(self, *_):
         raise AttributeError("BitVec is immutable")
@@ -99,15 +102,16 @@ class BitMatrix:
     def __init__(self, rows: int, cols: int, row_words: Sequence[int]):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        words = tuple(int(w) for w in row_words)
+        words = tuple(map(int, row_words))
         if len(words) != rows:
             raise ValueError("row count mismatch")
         limit = 1 << cols
-        if any(not 0 <= w < limit for w in words):
-            raise ValueError("row word out of range for column count")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_r", words)
+        for w in words:
+            if not 0 <= w < limit:
+                raise ValueError("row word out of range for column count")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "_r", words)
 
     def __setattr__(self, *_):
         raise AttributeError("BitMatrix is immutable")
@@ -148,13 +152,7 @@ class BitMatrix:
         return np.array(self.to_lists(), dtype=np.uint8).reshape(self.rows, self.cols)
 
     def transpose(self) -> "BitMatrix":
-        words = [0] * self.cols
-        for i, w in enumerate(self._r):
-            while w:
-                low = w & -w
-                words[low.bit_length() - 1] |= 1 << i
-                w ^= low
-        return BitMatrix(self.cols, self.rows, words)
+        return BitMatrix(self.cols, self.rows, _transpose_rows(self._r, self.cols))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -180,20 +178,35 @@ class BitMatrix:
         return f"BitMatrix({self.to_lists()!r})"
 
 
+def _transpose_rows(words: Sequence[int], cols: int) -> list[int]:
+    """Row words of the transpose of the matrix with row words ``words``."""
+    out = [0] * cols
+    for i, w in enumerate(words):
+        while w:
+            low = w & -w
+            out[low.bit_length() - 1] |= 1 << i
+            w ^= low
+    return out
+
+
+def _mul_rows(a_words: Sequence[int], b_words: Sequence[int]) -> list[int]:
+    """Row words of a @ b: row i of a selects the rows of b to XOR."""
+    out = []
+    for w in a_words:
+        acc = 0
+        while w:
+            low = w & -w
+            acc ^= b_words[low.bit_length() - 1]
+            w ^= low
+        out.append(acc)
+    return out
+
+
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """GF(2) matrix product; entry (i,j) is the XOR of a(i,k)&b(k,j)."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    brows = b._r
-    words = []
-    for w in a._r:
-        acc = 0
-        while w:
-            low = w & -w
-            acc ^= brows[low.bit_length() - 1]
-            w ^= low
-        words.append(acc)
-    return BitMatrix(a.rows, b.cols, words)
+    return BitMatrix(a.rows, b.cols, _mul_rows(a._r, b._r))
 
 
 def mat_vec(a: BitMatrix, v: BitVec) -> BitVec:
@@ -208,23 +221,26 @@ def mat_vec(a: BitMatrix, v: BitVec) -> BitVec:
 
 def rank(a: BitMatrix) -> int:
     """GF(2) row rank by Gaussian elimination."""
-    work = list(a._r)
-    r = 0
-    for col in range(a.cols):
-        pivot = None
-        mask = 1 << col
-        for i in range(r, a.rows):
-            if work[i] & mask:
-                pivot = i
+    return _rank(a._r)
+
+
+def _rank(words: Sequence[int]) -> int:
+    """Rank of the rows ``words``.
+
+    Each row is reduced by the pivot rows kept so far, keyed by their
+    leading bit, until it is 0 or has a leading bit of its own and
+    becomes a pivot row.
+    """
+    pivots: dict[int, int] = {}
+    for w in words:
+        while w:
+            lead = w.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = w
                 break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, a.rows):
-            if work[i] & mask:
-                work[i] ^= work[r]
-        r += 1
-    return r
+            w ^= pivot
+    return len(pivots)
 
 
 def row_ops(m: BitMatrix) -> list[tuple[int, int]]:
@@ -241,8 +257,12 @@ def row_ops(m: BitMatrix) -> list[tuple[int, int]]:
     """
     if not m.is_square():
         raise ValueError("row reduction to I needs a square matrix")
-    n = m.rows
-    rows = list(m._r)
+    return _row_ops(list(m._r))
+
+
+def _row_ops(rows: list[int]) -> list[tuple[int, int]]:
+    """``row_ops`` of the square matrix with row words ``rows``, which it reduces to I."""
+    n = len(rows)
     ops: list[tuple[int, int]] = []
     for col in range(n):
         mask = 1 << col
@@ -296,13 +316,21 @@ def mat_pow(a: BitMatrix, k: int) -> BitMatrix:
 
 def popcount(a: BitMatrix) -> int:
     """Number of 1 entries."""
-    return sum(w.bit_count() for w in a._r)
+    return sum(map(int.bit_count, a._r))
+
+
+def _random_rows(n_rows: int, n_cols: int, rng: np.random.Generator) -> list[int]:
+    """Row words of a uniformly random n_rows x n_cols binary matrix."""
+    bits = rng.integers(0, 2, size=(n_rows, n_cols), dtype=np.uint8)
+    # Entry (i, j) is bit i * n_cols + j of the little-endian packing.
+    whole = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    mask = (1 << n_cols) - 1
+    return [whole >> (i * n_cols) & mask for i in range(n_rows)]
 
 
 def random_matrix(n_rows: int, n_cols: int, rng: np.random.Generator) -> BitMatrix:
     """Uniformly random binary matrix from the given generator."""
-    bits = rng.integers(0, 2, size=(n_rows, n_cols), dtype=np.uint8)
-    return BitMatrix(n_rows, n_cols, [_pack_row(row) for row in bits.tolist()])
+    return BitMatrix(n_rows, n_cols, _random_rows(n_rows, n_cols, rng))
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -322,6 +350,6 @@ def random_invertible(n: int, seed) -> BitMatrix:
         raise ValueError("n must be >= 1")
     rng = as_rng(seed)
     while True:
-        m = random_matrix(n, n, rng)
-        if rank(m) == n:
-            return m
+        words = _random_rows(n, n, rng)
+        if _rank(words) == n:
+            return BitMatrix(n, n, words)

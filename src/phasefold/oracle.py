@@ -80,10 +80,12 @@ class TooManyQubitsError(ValueError):
     """Circuit exceeds the dense-simulation qubit limit."""
 
 
+def _rz_diagonal(theta: float) -> np.ndarray:
+    return np.array((cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)))
+
+
 def rz_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[cmath.exp(-0.5j * theta), 0], [0, cmath.exp(0.5j * theta)]], dtype=complex
-    )
+    return np.diag(_rz_diagonal(theta))
 
 
 def rx_matrix(theta: float) -> np.ndarray:
@@ -100,17 +102,24 @@ CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
-CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
+_CZ_DIAGONAL = np.array((1, 1, 1, -1), dtype=complex)
+CZ_MATRIX = np.diag(_CZ_DIAGONAL)
+
+
+def _cu1_diagonal(theta: float) -> np.ndarray:
+    return np.array((1, 1, 1, cmath.exp(1j * theta)))
 
 
 def cu1_matrix(theta: float) -> np.ndarray:
-    return np.diag([1, 1, 1, cmath.exp(1j * theta)]).astype(complex)
+    return np.diag(_cu1_diagonal(theta))
+
+
+def _crz_diagonal(theta: float) -> np.ndarray:
+    return np.array((1, 1, cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)))
 
 
 def crz_matrix(theta: float) -> np.ndarray:
-    return np.diag(
-        [1, 1, cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)]
-    ).astype(complex)
+    return np.diag(_crz_diagonal(theta))
 
 
 def crx_matrix(theta: float) -> np.ndarray:
@@ -390,10 +399,10 @@ def _accumulator(n: int):
 
 
 _DIAGONAL = {
-    "rz": rz_matrix,
-    "cz": lambda _: CZ_MATRIX,
-    "cu1": cu1_matrix,
-    "crz": crz_matrix,
+    "rz": _rz_diagonal,
+    "cz": lambda _: _CZ_DIAGONAL,
+    "cu1": _cu1_diagonal,
+    "crz": _crz_diagonal,
 }
 _MIXING = {"rx": rx_matrix, "ry": ry_matrix, "h": lambda _: H_MATRIX}
 
@@ -408,8 +417,7 @@ def unitary_of_circuit(circuit) -> np.ndarray:
         if kind == "cnot":
             acc.permute(_cnot_rows(n, *qubits))
         elif kind in _DIAGONAL:
-            diagonal = np.diagonal(_DIAGONAL[kind](g.angle))
-            acc.scale(diagonal[_local_index(n, qubits)])
+            acc.scale(_DIAGONAL[kind](g.angle)[_local_index(n, qubits)])
         elif kind in _MIXING:
             acc.mix(_MIXING[kind](g.angle), qubits[0])
         elif kind == "crx":

@@ -208,12 +208,12 @@ def _fuse_rotation_run(run: list[tuple[str, float]]) -> list[tuple[str, float]]:
 
 
 def _collapse_run(run: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Reduce a run of single-qubit rotations to at most three."""
+    """Reduce a run of single-qubit rotations ("rz" or "rx", angle) to at most three."""
     run = _fuse_rotation_run(run)
     while len(run) > 3:
         (b0, a1), (_, a2), (_, a3) = run[0], run[1], run[2]
         b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)
-        other = "x" if b0 == "z" else "z"
+        other = "rx" if b0 == "rz" else "rz"
         head = [(other, b1), (b0, b2), (other, b3)]
         run = _fuse_rotation_run(head + run[3:])
     return run
@@ -226,19 +226,20 @@ def euler_peephole(c: GateCircuit) -> GateCircuit:
     through the Euler identity until they fit in three. Works on
     {CNOT, RZ, RX} circuits only.
     """
-    pending: dict[int, list[tuple[str, float]]] = {q: [] for q in range(c.n_qubits)}
+    pending: list[list[ci.Gate]] = [[] for _ in range(c.n_qubits)]
     gates: list[ci.Gate] = []
 
     def flush(q: int) -> None:
-        for basis, angle in _collapse_run(pending[q]):
-            gates.append(ci.rz(angle, q) if basis == "z" else ci.rx(angle, q))
+        run = pending[q]
+        if not run:
+            return
         pending[q] = []
+        for kind, angle in _collapse_run([(g.kind, g.angle) for g in run]):
+            gates.append(ci.rz(angle, q) if kind == "rz" else ci.rx(angle, q))
 
     for g in c.gates:
-        if g.kind == "rz":
-            pending[g.qubits[0]].append(("z", g.angle))
-        elif g.kind == "rx":
-            pending[g.qubits[0]].append(("x", g.angle))
+        if g.kind == "rz" or g.kind == "rx":
+            pending[g.qubits[0]].append(g)
         elif g.kind == "cnot":
             flush(g.qubits[0])
             flush(g.qubits[1])

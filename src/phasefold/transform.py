@@ -191,20 +191,17 @@ def synth_gadget(e: GadgetEntry, shape: str = "tree") -> GateCircuit:
     """
     if shape not in ("ladder", "tree"):
         raise ValueError(f"shape must be 'ladder' or 'tree', got {shape!r}")
-    n = e.legs.n
-    leg_qubits = [q for q in range(n) if e.legs[q]]
+    n, bits = e.legs.n, e.legs.bits
+    leg_qubits = [q for q in range(n) if bits >> q & 1]
     pairs = _fan_in_pairs(leg_qubits, tree=(shape == "tree"))
     angle = ci.wrap_angle(e.angle)  # angles leave the toolkit reduced mod 2*pi
-    gates: list[Gate] = []
     if e.basis == "Z":
-        gates.extend(ci.cnot(s, t) for s, t in pairs)
-        gates.append(ci.rz(angle, leg_qubits[0]))
-        gates.extend(ci.cnot(s, t) for s, t in reversed(pairs))
+        fan_in = [ci.cnot(s, t) for s, t in pairs]
+        rotation = ci.rz(angle, leg_qubits[0])
     else:
-        gates.extend(ci.cnot(t, s) for s, t in pairs)
-        gates.append(ci.rx(angle, leg_qubits[0]))
-        gates.extend(ci.cnot(t, s) for s, t in reversed(pairs))
-    return GateCircuit(n, tuple(gates))
+        fan_in = [ci.cnot(t, s) for s, t in pairs]
+        rotation = ci.rx(angle, leg_qubits[0])
+    return GateCircuit(n, (*fan_in, rotation, *reversed(fan_in)))  # fan-out mirrors fan-in
 
 
 def synth_gadget_circuit(g: GadgetCircuit, shape: str = "tree") -> GateCircuit:

@@ -331,3 +331,40 @@ def test_angle_plain_ascii_and_finite(parser, line, token):
 def test_angle_accepts_plain_float_syntax(token, value):
     assert parse(f"qubits 1\nrz {token} 0\n").gates[0].angle == value
     assert parse_gadgets(f"qubits 1\nzgadget {token} 1\n").entries[0].angle == value
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (constructor call, message fragment): what Gate and GateCircuit reject.
+# Rows that break two rules pin which check comes first.
+REJECTED = [
+    (lambda: ci.Gate("swap", (0, 1)), "unknown gate kind 'swap'"),
+    (lambda: ci.Gate("cnot", (0,)), "cnot takes 2 qubit(s)"),
+    (lambda: ci.Gate("rz", (0, 1), 0.5), "rz takes 1 qubit(s)"),
+    (lambda: ci.Gate("h", ()), "h takes 1 qubit(s)"),
+    (lambda: ci.Gate("cnot", (1, 1)), "cnot qubits must be distinct"),
+    (lambda: ci.Gate("crz", (-1, -1), 0.5), "crz qubits must be distinct"),
+    (lambda: ci.Gate("cnot", (0, -1)), "negative qubit index"),
+    (lambda: ci.Gate("rx", (-2,), 0.5), "negative qubit index"),
+    (lambda: ci.Gate("rz", (-1,)), "negative qubit index"),
+    (lambda: ci.Gate("rz", (0,)), "rz needs a finite angle"),
+    (lambda: ci.Gate("cu1", (0, 1), NAN), "cu1 needs a finite angle"),
+    (lambda: ci.Gate("rx", (0,), -INF), "rx needs a finite angle"),
+    (lambda: ci.Gate("cnot", (0, 1), 0.5), "cnot takes no angle"),
+    (lambda: ci.Gate("h", (0,), 0.0), "h takes no angle"),
+    (lambda: GateCircuit(0, ()), "circuits need at least one qubit"),
+    (lambda: GateCircuit(-3, (ci.h(0),)), "circuits need at least one qubit"),
+    (lambda: GateCircuit(1, (ci.cnot(0, 1),)), "out of range for 1 qubits"),
+    (
+        lambda: GateCircuit(3, (ci.rz(0.1, 2), ci.cnot(4, 0), ci.h(3))),
+        "gate Gate(kind='cnot', qubits=(4, 0), angle=None) out of range for 3 qubits",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, fragment", REJECTED)
+def test_constructor_rejections(make, fragment):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.type is ValueError
+    assert fragment in str(err.value)

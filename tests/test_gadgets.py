@@ -207,3 +207,27 @@ def test_parse_gadgets_errors():
         parse_gadgets("qubits 2\nzgadget 0.5 111\n")  # wrong width
     with pytest.raises(Exception):
         parse_gadgets("qubits 2\nzgadget abc 11\n")
+
+
+# (constructor call, message fragment): what GadgetEntry and GadgetCircuit reject.
+REJECTED = [
+    (lambda: GadgetEntry("Y", 0.1, BitVec(1, 1)), "basis must be 'Z' or 'X', got 'Y'"),
+    (lambda: GadgetEntry("z", 0.1, BitVec(1, 1)), "basis must be 'Z' or 'X', got 'z'"),
+    (lambda: GadgetEntry("Z", float("nan"), BitVec(1, 1)), "gadget angle must be finite"),
+    (lambda: GadgetEntry("X", float("inf"), BitVec(1, 1)), "gadget angle must be finite"),
+    (lambda: GadgetEntry("Z", 0.1, BitVec(3, 0)), "gadgets need at least one leg"),
+    (lambda: GadgetCircuit(0, ()), "gadget circuits need at least one qubit"),
+    (lambda: GadgetCircuit(3, (zgadget(0.1, "11"),)), "leg vector length must match qubit count"),
+    (
+        lambda: GadgetCircuit(2, (zgadget(0.1, "11"), xgadget(0.2, "111"))),
+        "leg vector length must match qubit count",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, fragment", REJECTED)
+def test_constructor_rejections(make, fragment):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.type is ValueError
+    assert fragment in str(err.value)

@@ -1,5 +1,6 @@
 """GF(2) linear algebra: examples, round trips and the triangular-order theorem."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from phasefold.gf2 import (
     mat_vec,
     popcount,
     random_invertible,
+    random_matrix,
     rank,
 )
 
@@ -158,6 +160,28 @@ def test_random_invertible_rank_and_determinism():
     assert rank(a) == 3
 
 
+def test_random_invertible_stream_pinned():
+    # The anneal draws its starts this way, one generator per (seed, attempt):
+    # a faster sampler must keep every draw and every rejection.
+    h = hashlib.sha256()
+    for s in (0, 7, 401, 2**40):
+        for a in (0, 1, 19):
+            for n in range(1, 10):
+                rng = np.random.default_rng(np.random.SeedSequence((s, a)))
+                m = random_invertible(n, rng)
+                h.update(repr((n, m.to_lists())).encode())
+    assert h.hexdigest() == "dd9b63fd80ec98d174e826d5e0a1d70b5a440b8cbed8bf1df00c4d35c2e3d776"
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (1, 1), (4, 8), (5, 9), (3, 70), (9, 9)])
+def test_random_matrix_is_the_drawn_bits(shape):
+    for seed in range(3):
+        m = random_matrix(*shape, np.random.default_rng(seed))
+        bits = np.random.default_rng(seed).integers(0, 2, size=shape, dtype=np.uint8)
+        assert (m.rows, m.cols) == shape
+        assert m.to_lists() == bits.tolist()
+
+
 def test_random_invertible_many_samples():
     rng = np.random.default_rng(99)
     for _ in range(1000):
@@ -231,3 +255,28 @@ def test_matrix_immutability():
     m = BitMatrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3
+
+
+# (constructor call, message fragment): what BitMatrix and BitVec reject.
+REJECTED = [
+    (lambda: BitMatrix(-1, 2, []), "negative dimensions"),
+    (lambda: BitMatrix(1, -1, [0]), "negative dimensions"),
+    (lambda: BitMatrix(2, 2, [1]), "row count mismatch"),
+    (lambda: BitMatrix(0, 3, [0]), "row count mismatch"),
+    (lambda: BitMatrix(2, 2, [1, 4]), "row word out of range for column count"),
+    (lambda: BitMatrix(1, 0, [1]), "row word out of range for column count"),
+    (lambda: BitMatrix(2, 3, [-1, 0]), "row word out of range for column count"),
+    (lambda: BitMatrix(3, 70, [0, 1 << 70, -(1 << 80)]), "row word out of range for column count"),
+    (lambda: BitVec(0, 0), "BitVec length must be >= 1"),
+    (lambda: BitVec(-1, 0), "BitVec length must be >= 1"),
+    (lambda: BitVec(2, 4), "bits out of range for length"),
+    (lambda: BitVec(3, -1), "bits out of range for length"),
+]
+
+
+@pytest.mark.parametrize("make, fragment", REJECTED)
+def test_constructor_rejections(make, fragment):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.type is ValueError
+    assert fragment in str(err.value)

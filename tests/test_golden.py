@@ -1,8 +1,10 @@
 """Golden output pins: byte-exact optimize output on fixed-seed inputs.
 
-Each case hashes ``serialize(out) + report.to_kv()``. A refactor must
-leave every hash unchanged; a change that alters behaviour on purpose
-updates the pins and says why in CHANGES.md.
+Each case hashes ``serialize(out) + report.to_kv()``. Every case but one
+anneals 3 x 300, one chain at a time; ``random_gadget_default_budget``
+takes the default 20 x 5000 budget, so the packed loop is pinned end to
+end. A refactor must leave every hash unchanged; a change that alters
+behaviour on purpose updates the pins and says why in CHANGES.md.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from phasefold import annealing
 from phasefold import circuits as ci
 from phasefold.annealing import AnnealParams
 from phasefold.circuits import GateCircuit, serialize
@@ -56,7 +59,12 @@ CASES = {
     "random_basis_a": lambda: _random_basis(1, 3, 20),
     "random_basis_b": lambda: _random_basis(2, 4, 30),
     "random_basis_c": lambda: _random_basis(3, 5, 40),
+    "random_gadget_default_budget": lambda: synth_gadget_circuit(
+        generate(AnsatzSpec("random_gadget", 6, layers=3, gadgets_per_layer=8, seed=13)),
+        "ladder",
+    ),
 }
+CASE_PARAMS = {"random_gadget_default_budget": AnnealParams(seed=7)}
 
 PINS = {
     "random_gadget_ansatz": "6b739206190dc5d576ee4260b56ced87df3dbfe0341bdcac9276fda5a9a69589",
@@ -65,11 +73,12 @@ PINS = {
     "random_basis_a": "4e0818f4e7382972ed4f67220cb4ab93439f68c2841e0b5c7c095e3832372ae3",
     "random_basis_b": "2a0a81326e733f5117c3eb9b5985380ce4947064b33088c2177154102b2dd4fa",
     "random_basis_c": "64bef79ed067cbe436ebf505cb2127f20ff33454998d0a505fe4a2fde765daf7",
+    "random_gadget_default_budget": "14134af837d4ebfa18546d3a90dc7709ef7f4e52ad96d5021c2cbbeee4244167",
 }
 
 
 def _digest(name: str) -> tuple[str, object]:
-    out, report = optimize(CASES[name](), PARAMS)
+    out, report = optimize(CASES[name](), CASE_PARAMS.get(name, PARAMS))
     text = serialize(out) + report.to_kv()
     return hashlib.sha256(text.encode()).hexdigest(), report
 
@@ -93,3 +102,7 @@ def test_golden_cases_cover_their_shapes():
     assert report.energy_after == report.energy_before
     _, report = _digest("fusion_to_zero")
     assert report.layers_detected == 3
+    _, report = _digest("random_gadget_default_budget")
+    assert AnnealParams().attempts >= annealing.PACK_MIN_ATTEMPTS  # the packed loop ran
+    assert report.layers_detected == 3
+    assert report.energy_after < report.energy_before

@@ -401,3 +401,20 @@ def test_normal_form_text_errors_name_their_line():
         parse_normal_form("qubits 2\nzgadget 0.5 10\ncnot 0 1\nxgadget 0.5 11\n")
     with pytest.raises(ParseError, match="^line 2: "):
         parse_normal_form("qubits 2\nrz 0.5 0\n")
+
+
+# (constructor call, message fragment): what CnotCircuit rejects.
+REJECTED = [
+    (lambda: CnotCircuit(2, ((1, 1),)), "bad cnot (1, 1) on 2 qubits"),
+    (lambda: CnotCircuit(2, ((0, 1), (0, 2))), "bad cnot (0, 2) on 2 qubits"),
+    (lambda: CnotCircuit(3, ((-1, 0),)), "bad cnot (-1, 0) on 3 qubits"),
+    (lambda: CnotCircuit(3, ((3, 0), (0, 0))), "bad cnot (3, 0) on 3 qubits"),
+]
+
+
+@pytest.mark.parametrize("make, fragment", REJECTED)
+def test_constructor_rejections(make, fragment):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert err.type is ValueError
+    assert fragment in str(err.value)

@@ -7,6 +7,7 @@ against a dense unitary oracle.
 """
 
 from .annealing import AnnealParams, AnnealResult, anneal, energy
+from .ansatz import AnsatzSpec, NonMonotonicError, generate, mppp_period
 from .circuits import (
     GateCircuit,
     Gate,
@@ -23,11 +24,9 @@ from .gadgets import (
     GadgetEntry,
     apply_action,
     commutes,
-    fuse_adjacent,
     fusion_plan,
     gadget_circuit,
     leg_matrices,
-    parse_gadgets,
     serialize_gadgets,
     xgadget,
     zgadget,
@@ -39,23 +38,12 @@ from .gf2 import (
     inverse_transpose,
     invert,
     mat_mul,
-    mat_pow,
-    mat_vec,
     popcount,
     random_invertible,
     rank,
 )
 from .oracle import equiv_up_to_phase, unitary_of_circuit, unitary_of_gadgets
-from .pipeline import (
-    AnsatzSpec,
-    NonMonotonicError,
-    OptimizeReport,
-    VerificationError,
-    euler_peephole,
-    generate,
-    mppp_period,
-    optimize,
-)
+from .pipeline import OptimizeReport, VerificationError, euler_peephole, optimize
 from .transform import (
     CnotCircuit,
     LayerInfo,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .annealing import DEFAULT_ATTEMPTS, DEFAULT_ITERATIONS, AnnealParams, anneal
+from .ansatz import AnsatzSpec, generate
 from .circuits import lex, parse, serialize
 from .gf2 import random_matrix
 from .oracle import (
@@ -23,7 +24,7 @@ from .oracle import (
     unitary_of_circuit,
     unitary_of_gadgets,
 )
-from .pipeline import AnsatzSpec, VerificationError, generate, metrics_of, optimize
+from .pipeline import VerificationError, metrics_of, optimize
 from .transform import (
     extract as extract_nf,
     parse_normal_form,
@@ -270,8 +271,16 @@ def _add_anneal_flags(sub) -> None:
     sub.add_argument("--t0", type=float, default=None)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors, so they exit 1; argparse's own 2 means verification failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="phasefold",
         description="Phase-gadget circuit optimizer over GF(2)",
     )

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuits import ParseError, lex, parse_angle
+from .circuits import ParseError, parse_angle
 from .gf2 import BitMatrix, BitVec, _mul_rows, invert
 
 log = logging.getLogger(__name__)
@@ -98,34 +98,6 @@ def leg_matrices(g: GadgetCircuit) -> tuple[BitMatrix, BitMatrix]:
     )
 
 
-def basis_sequence(g: GadgetCircuit) -> tuple[tuple[str, float], ...]:
-    """The interleaving and angle data untouched by the optimizer."""
-    return tuple((e.basis, e.angle) for e in g.entries)
-
-
-def from_leg_matrices(
-    lz: BitMatrix, lx: BitMatrix, sequence: Sequence[tuple[str, float]]
-) -> GadgetCircuit:
-    """Rebuild a gadget circuit from leg matrices and the basis/angle sequence."""
-    if lz.rows != lx.rows:
-        raise ValueError("leg matrices must have matching qubit counts")
-    d_z = sum(1 for b, _ in sequence if b == "Z")
-    d_x = len(sequence) - d_z
-    if (d_z, d_x) != (lz.cols, lx.cols):
-        raise ValueError("sequence does not match leg matrix widths")
-    zi = xi = 0
-    entries = []
-    for basis, angle in sequence:
-        if basis == "Z":
-            legs = lz.col(zi)
-            zi += 1
-        else:
-            legs = lx.col(xi)
-            xi += 1
-        entries.append(GadgetEntry(basis, angle, legs))
-    return GadgetCircuit(lz.rows, tuple(entries))
-
-
 def apply_action(g: GadgetCircuit, c: BitMatrix) -> GadgetCircuit:
     """Act with C on Z legs and (C^T)^-1 on X legs; order and angles kept."""
     if not c.is_square() or c.rows != g.n_qubits:
@@ -182,25 +154,6 @@ def fusion_plan(entries: Sequence[GadgetEntry]) -> list[tuple[GadgetEntry, list[
     return groups
 
 
-def fuse_adjacent(g: GadgetCircuit) -> GadgetCircuit:
-    """Apply the fusion plan, summing angles; entries that vanish mod 2*pi drop.
-
-    A dropped entry can unblock further merges, so the plan repeats
-    until nothing drops. Never increases the entry count.
-    """
-    entries = g.entries
-    while True:
-        plan = fusion_plan(entries)
-        fused = []
-        for e, src in plan:
-            angle = sum(entries[i].angle for i in src)
-            if not is_zero_angle(angle):
-                fused.append(GadgetEntry(e.basis, angle, e.legs))
-        entries = tuple(fused)
-        if len(fused) == len(plan):
-            return GadgetCircuit(g.n_qubits, entries)
-
-
 def parse_gadget_line(
     lineno: int, head: str, args: list[str], n_qubits: int
 ) -> tuple[str, float, BitVec]:
@@ -213,18 +166,6 @@ def parse_gadget_line(
     if len(args[1]) != n_qubits or any(ch not in "01" for ch in args[1]):
         raise ParseError(lineno, f"bitstring must be {n_qubits} characters of 0/1")
     return ("Z" if head == "zgadget" else "X", angle, BitVec.from_string(args[1]))
-
-
-def parse_gadgets(text: str) -> GadgetCircuit:
-    """Parse the gadget text format (qubits / zgadget / xgadget lines)."""
-    n_qubits = 0
-    specs: list[tuple[str, float, BitVec]] = []
-    for lineno, head, args in lex(text):
-        if head == "qubits":
-            n_qubits = int(args[0])
-        else:
-            specs.append(parse_gadget_line(lineno, head, args, n_qubits))
-    return gadget_circuit(n_qubits, specs)
 
 
 def serialize_gadgets(g: GadgetCircuit) -> str:

@@ -68,16 +68,8 @@ class BitVec:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def __and__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits & other.bits)
-
     def popcount(self) -> int:
         return self.bits.bit_count()
-
-    def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
 
     def to_string(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
@@ -148,9 +140,6 @@ class BitMatrix:
     def to_lists(self) -> list[list[int]]:
         return [[(w >> j) & 1 for j in range(self.cols)] for w in self._r]
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.to_lists(), dtype=np.uint8).reshape(self.rows, self.cols)
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.cols, self.rows, _transpose_rows(self._r, self.cols))
 
@@ -159,9 +148,6 @@ class BitMatrix:
 
     def is_identity(self) -> bool:
         return self.is_square() and all(w == (1 << i) for i, w in enumerate(self._r))
-
-    def is_upper_triangular(self) -> bool:
-        return all(not w & ((1 << i) - 1) for i, w in enumerate(self._r))
 
     def __eq__(self, other) -> bool:
         return (
@@ -207,16 +193,6 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     return BitMatrix(a.rows, b.cols, _mul_rows(a._r, b._r))
-
-
-def mat_vec(a: BitMatrix, v: BitVec) -> BitVec:
-    """Product a @ v, with v as a column vector."""
-    if a.cols != v.n:
-        raise ValueError("dimension mismatch")
-    bits = 0
-    for i, w in enumerate(a._r):
-        bits |= ((w & v.bits).bit_count() & 1) << i
-    return BitVec(a.rows, bits)
 
 
 def rank(a: BitMatrix) -> int:
@@ -295,23 +271,6 @@ def invert(a: BitMatrix) -> BitMatrix:
 def inverse_transpose(a: BitMatrix) -> BitMatrix:
     """(a^T)^-1; propagates NotInvertibleError."""
     return invert(a.transpose())
-
-
-def mat_pow(a: BitMatrix, k: int) -> BitMatrix:
-    """a multiplied by itself k times; k = 0 gives the identity."""
-    if not a.is_square():
-        raise ValueError("mat_pow requires a square matrix")
-    if k < 0:
-        raise ValueError("negative exponent")
-    result = BitMatrix.identity(a.rows)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
 
 
 def popcount(a: BitMatrix) -> int:

@@ -17,7 +17,6 @@ from phasefold.circuits import (
     serialize,
     wrap_angle,
 )
-from phasefold.gadgets import parse_gadgets
 from phasefold.oracle import (
     equiv_up_to_phase,
     phase_aligned_max_error,
@@ -269,7 +268,7 @@ BAD_QUBITS_LINES = [
 ]
 
 
-@pytest.mark.parametrize("parser", [parse, parse_gadgets, parse_normal_form])
+@pytest.mark.parametrize("parser", [parse, parse_normal_form])
 @pytest.mark.parametrize("line", BAD_QUBITS_LINES)
 def test_one_qubits_rule_for_every_file_kind(parser, line):
     # One declaration rule: a single ASCII decimal integer >= 1, else a
@@ -278,9 +277,7 @@ def test_one_qubits_rule_for_every_file_kind(parser, line):
         parser(f"{line}\nzgadget 0.5 11\n")
 
 
-@pytest.mark.parametrize(
-    "parser", [parse, parse_gadgets, lambda text: parse_normal_form(text).gadgets]
-)
+@pytest.mark.parametrize("parser", [parse, lambda text: parse_normal_form(text).gadgets])
 def test_qubits_limit_is_inclusive(parser):
     # Parsing alone: nothing of size n^2 is built at the limit.
     assert parser(f"qubits {ci.QUBIT_LIMIT}\n").n_qubits == ci.QUBIT_LIMIT
@@ -298,7 +295,7 @@ def test_qubit_index_plain_ascii_in_range(line, token):
         parse_normal_form(text)
 
 
-@pytest.mark.parametrize("parser", [parse, parse_gadgets, parse_normal_form])
+@pytest.mark.parametrize("parser", [parse, parse_normal_form])
 def test_shared_grammar_comments_case_and_order(parser):
     parser("# header\n\nQUBITS 2  # two\n")
     with pytest.raises(ParseError, match="^line 2: duplicate"):
@@ -315,8 +312,7 @@ def test_shared_grammar_comments_case_and_order(parser):
     [
         (parse, "rz {} 0"),
         (parse, "crx {} 0 1"),
-        (parse_gadgets, "zgadget {} 11"),
-        (parse_gadgets, "xgadget {} 11"),
+        (parse_normal_form, "zgadget {} 11"),
         (parse_normal_form, "xgadget {} 11"),
     ],
 )
@@ -330,7 +326,7 @@ def test_angle_plain_ascii_and_finite(parser, line, token):
 @pytest.mark.parametrize("token, value", [("+1.5", 1.5), ("-.5", -0.5), ("1E-3", 1e-3), ("7", 7.0)])
 def test_angle_accepts_plain_float_syntax(token, value):
     assert parse(f"qubits 1\nrz {token} 0\n").gates[0].angle == value
-    assert parse_gadgets(f"qubits 1\nzgadget {token} 1\n").entries[0].angle == value
+    assert parse_normal_form(f"qubits 1\nzgadget {token} 1\n").gadgets.entries[0].angle == value
 
 
 NAN, INF = float("nan"), float("inf")

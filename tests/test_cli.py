@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from phasefold.cli import main
 from phasefold.circuits import parse
 from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
@@ -296,3 +298,26 @@ def test_verify_non_ascii_qubit_count_exits_1(tmp_path, capsys):
     good = _write(tmp_path, "good.pf", "qubits 1\nzgadget 0.5 1\n")
     assert main(["verify", bad, good]) == 1
     assert "error: line 1: qubits expects one positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--attempts", "abc", "x.pf"],
+        ["frobnicate"],
+        ["bench", "--gadgets", "a,b"],
+    ],
+    ids=["bad-int", "unknown-command", "bad-int-list"],
+)
+def test_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert any(line.startswith("usage:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")

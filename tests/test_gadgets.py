@@ -10,18 +10,17 @@ from phasefold.gadgets import (
     GadgetEntry,
     apply_action,
     commutes,
-    fuse_adjacent,
+    fusion_plan,
     gadget_circuit,
+    is_zero_angle,
     leg_matrices,
-    basis_sequence,
-    from_leg_matrices,
-    parse_gadgets,
     serialize_gadgets,
     xgadget,
     zgadget,
 )
 from phasefold.gf2 import BitMatrix, BitVec, NotInvertibleError, invert, random_invertible
-from phasefold.oracle import equiv_up_to_phase, phase_aligned_max_error, unitary_of_gadgets
+from phasefold.oracle import equiv_up_to_phase, unitary_of_gadgets
+from phasefold.transform import parse_normal_form
 
 FIVE_GADGETS = gadget_circuit(
     3,
@@ -55,12 +54,6 @@ def test_leg_matrices_single_z():
     assert (lx.rows, lx.cols) == (2, 0)
 
 
-def test_from_leg_matrices_roundtrip():
-    lz, lx = leg_matrices(FIVE_GADGETS)
-    rebuilt = from_leg_matrices(lz, lx, basis_sequence(FIVE_GADGETS))
-    assert rebuilt == FIVE_GADGETS
-
-
 def test_apply_action_identity():
     assert apply_action(FIVE_GADGETS, BitMatrix.identity(3)) == FIVE_GADGETS
 
@@ -71,7 +64,9 @@ def test_apply_action_worked_example():
     assert lz == BitMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 0, 0]])
     assert lx == BitMatrix.from_rows([[1, 1], [0, 0], [1, 0]])
     # order, bases, angles untouched
-    assert basis_sequence(acted) == basis_sequence(FIVE_GADGETS)
+    assert [(e.basis, e.angle) for e in acted.entries] == [
+        (e.basis, e.angle) for e in FIVE_GADGETS.entries
+    ]
 
 
 def test_apply_action_roundtrip_random():
@@ -127,41 +122,44 @@ def test_action_preserves_commutation():
         assert commutes(a, b) == commutes(a2, b2)
 
 
+def _apply_plan(g: GadgetCircuit) -> GadgetCircuit:
+    """``g`` with its fusion plan applied: one entry per group, carrying the summed angle."""
+    entries = tuple(
+        GadgetEntry(e.basis, sum(g.entries[i].angle for i in src), e.legs)
+        for e, src in fusion_plan(g.entries)
+    )
+    return GadgetCircuit(g.n_qubits, entries)
+
+
 def test_fuse_merges_equal_gadgets():
     g = gadget_circuit(3, [("Z", 0.3, "110"), ("Z", 0.4, "110")])
-    fused = fuse_adjacent(g)
+    assert fusion_plan(g.entries) == [(g.entries[0], [0, 1])]
+    fused = _apply_plan(g)
     assert len(fused) == 1
     assert math.isclose(fused.entries[0].angle, 0.7)
 
 
 def test_fuse_cancels_to_identity():
-    g = gadget_circuit(3, [("Z", 0.8, "110"), ("Z", -0.8, "110")])
-    assert len(fuse_adjacent(g)) == 0
+    # The group stays in the plan; its summed angle is 0 mod 2*pi, which
+    # optimize skips when it synthesises the unit.
+    g = gadget_circuit(3, [("Z", 0.8, "110"), ("Z", -0.8 + 2 * math.pi, "110")])
+    plan = fusion_plan(g.entries)
+    assert [src for _, src in plan] == [[0, 1]]
+    assert is_zero_angle(_apply_plan(g).entries[0].angle)
 
 
 def test_fuse_blocked_by_odd_overlap():
     g = gadget_circuit(3, [("Z", 0.3, "100"), ("X", 0.5, "110"), ("Z", 0.4, "100")])
-    fused = fuse_adjacent(g)
-    assert fused == g
-    assert phase_aligned_max_error(unitary_of_gadgets(fused), unitary_of_gadgets(g)) < 1e-12
+    assert fusion_plan(g.entries) == [(e, [i]) for i, e in enumerate(g.entries)]
+    assert _apply_plan(g) == g
 
 
 def test_fuse_through_commuting_blocker():
     g = gadget_circuit(3, [("Z", 0.3, "110"), ("X", 0.5, "110"), ("Z", 0.4, "110")])
-    fused = fuse_adjacent(g)
+    assert [src for _, src in fusion_plan(g.entries)] == [[0, 2], [1]]
+    fused = _apply_plan(g)
     assert len(fused) == 2
     assert equiv_up_to_phase(unitary_of_gadgets(fused), unitary_of_gadgets(g))
-
-
-def test_fuse_unblocks_after_cancellation():
-    # The middle X pair cancels, then the outer Z pair can meet and fuse.
-    g = gadget_circuit(
-        2,
-        [("Z", 0.2, "10"), ("X", 0.7, "11"), ("X", -0.7, "11"), ("Z", 0.3, "10")],
-    )
-    fused = fuse_adjacent(g)
-    assert len(fused) == 1
-    assert math.isclose(fused.entries[0].angle, 0.5)
 
 
 def test_fuse_idempotent_and_never_grows():
@@ -173,11 +171,12 @@ def test_fuse_idempotent_and_never_grows():
             basis = "Z" if rng.integers(2) else "X"
             specs.append((basis, float(rng.uniform(-2, 2)), BitVec(n, int(rng.integers(1, 8)))))
         g = gadget_circuit(n, specs)
-        fused = fuse_adjacent(g)
+        plan = fusion_plan(g.entries)
+        assert sorted(i for _, src in plan for i in src) == list(range(len(g)))
+        fused = _apply_plan(g)
         assert len(fused) <= len(g)
-        assert fuse_adjacent(fused) == fused
-        if n <= 4:
-            assert equiv_up_to_phase(unitary_of_gadgets(fused), unitary_of_gadgets(g))
+        assert [src for _, src in fusion_plan(fused.entries)] == [[i] for i in range(len(fused))]
+        assert equiv_up_to_phase(unitary_of_gadgets(fused), unitary_of_gadgets(g))
 
 
 def test_zero_leg_specs_dropped():
@@ -197,16 +196,16 @@ def test_entry_validation():
 
 def test_text_roundtrip():
     text = serialize_gadgets(FIVE_GADGETS)
-    assert parse_gadgets(text) == FIVE_GADGETS
+    assert parse_normal_form(text).gadgets == FIVE_GADGETS
 
 
 def test_parse_gadgets_errors():
     with pytest.raises(Exception):
-        parse_gadgets("zgadget 0.5 11\n")  # missing qubits
+        parse_normal_form("zgadget 0.5 11\n")  # missing qubits
     with pytest.raises(Exception):
-        parse_gadgets("qubits 2\nzgadget 0.5 111\n")  # wrong width
+        parse_normal_form("qubits 2\nzgadget 0.5 111\n")  # wrong width
     with pytest.raises(Exception):
-        parse_gadgets("qubits 2\nzgadget abc 11\n")
+        parse_normal_form("qubits 2\nzgadget abc 11\n")
 
 
 # (constructor call, message fragment): what GadgetEntry and GadgetCircuit reject.

@@ -18,7 +18,8 @@ from phasefold import circuits as ci
 from phasefold.annealing import AnnealParams
 from phasefold.circuits import GateCircuit, serialize
 from phasefold.gadgets import gadget_circuit
-from phasefold.pipeline import AnsatzSpec, generate, optimize
+from phasefold.ansatz import AnsatzSpec, generate
+from phasefold.pipeline import optimize
 from phasefold.transform import synth_gadget_circuit
 
 PARAMS = AnnealParams(iterations=300, attempts=3, seed=7)

@@ -10,15 +10,8 @@ from phasefold.annealing import AnnealParams
 from phasefold.circuits import GateCircuit, cnot_count
 from phasefold.gf2 import BitMatrix
 from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit, unitary_of_gadgets
-from phasefold.pipeline import (
-    AnsatzSpec,
-    NonMonotonicError,
-    euler_peephole,
-    generate,
-    metrics_of,
-    mppp_period,
-    optimize,
-)
+from phasefold.ansatz import AnsatzSpec, NonMonotonicError, generate, mppp_period
+from phasefold.pipeline import euler_peephole, metrics_of, optimize
 from phasefold.transform import (
     CnotCircuit,
     detect_layers,

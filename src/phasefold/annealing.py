@@ -17,7 +17,10 @@ pool is a prefix: more attempts never change earlier ones. Each chain is
 still exactly a Metropolis chain with uniform row-addition proposals;
 only the joint draw couples them. The driver returns the best matrix
 over all attempts and the identity, so the result never loses to doing
-nothing; among attempts the first to reach the best energy wins.
+nothing; among attempts the first to reach the best energy wins. When
+the identity already scores a lower bound that holds for every C
+(``_energy_floor``), no chain can beat it, and it is returned without
+running any: the same result, with no per-attempt energies.
 
 A chain keeps three lists of packed rows: C, C @ L_Z and
 (C^-1)^T @ L_X. A row addition changes one row of each product: row i
@@ -82,6 +85,7 @@ the returned C is invertible and scores its reported energy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +93,7 @@ import numpy as np
 from .gf2 import (
     BitMatrix,
     _mul_rows,
+    _rank,
     _row_ops,
     _transpose_rows,
     inverse_transpose,
@@ -141,6 +146,24 @@ class AnnealResult:
 def energy(c: BitMatrix, lz: BitMatrix, lx: BitMatrix) -> int:
     """popcount(C @ L_Z) + popcount((C^T)^-1 @ L_X)."""
     return popcount(mat_mul(c, lz)) + popcount(mat_mul(inverse_transpose(c), lx))
+
+
+def _energy_floor(lz: BitMatrix, lx: BitMatrix) -> int:
+    """A lower bound on ``energy`` over every C in GL(n,2).
+
+    C @ L_Z and (C^T)^-1 @ L_X are each an invertible matrix times L, so
+    each maps nonzero columns to nonzero ones, one leg at least, and
+    distinct columns to distinct ones. Unit columns are independent, so
+    at most rank(L) of L's distinct nonzero columns can map to weight 1;
+    each of the others costs at least one more leg per copy, and the
+    cheapest are the least repeated.
+    """
+    floor = 0
+    for m in (lz, lx):
+        counts = Counter(w for w in _transpose_rows(m._r, m.cols) if w)
+        repeats = sorted(counts.values())
+        floor += sum(repeats) + sum(repeats[: len(repeats) - _rank(list(counts))])
+    return floor
 
 
 Start = tuple[list[int], list[int], list[int]]  # rows of C, C @ L_Z, (C^-1)^T @ L_X
@@ -316,13 +339,14 @@ def anneal(lz: BitMatrix, lx: BitMatrix, p: AnnealParams | None = None) -> Annea
         raise ValueError("need at least one qubit row")
     if p is None:
         p = AnnealParams()
-    t0 = p.t0 if p.t0 is not None else default_t0(lz, lx)
 
     identity_energy = popcount(lz) + popcount(lx)
-    # Nothing to search: every C scores 0, or GL(1,2) = {I}.
-    if n == 1 or lz.cols + lx.cols == 0:
+    # Nothing to search: no C scores below the floor, and the identity
+    # meets it. It always does for n = 1 (GL(1,2) = {I}) and with no legs.
+    if identity_energy == _energy_floor(lz, lx):
         return AnnealResult(BitMatrix.identity(n), identity_energy, identity_energy, ())
 
+    t0 = p.t0 if p.t0 is not None else default_t0(lz, lx)
     results = _chains(lz, lx, p, t0)
     best_e, best_rows = min(results, key=lambda r: r[0])  # the first of equals
     per_attempt = tuple(e for e, _ in results)

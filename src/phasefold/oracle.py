@@ -56,18 +56,35 @@ Against the cap, at n = 9 and 10 (per-gate time / grouped time; D = 2,
 
 A block costs 2^d multiply-adds per matrix entry, so past D = 5 the
 product outgrows the passes it saves; hence D = 5.
+
+Verification is one product. ``unitary_of_circuit(c, out)`` runs c's
+gates and then out's gates in reverse order, each inverted (a gate's
+inverse is the same gate at minus its angle; CNOT, CZ and H are their
+own inverses). It returns W = U_out^dag U_c and holds what one product
+holds, two 2^n x 2^n matrices (32 MB at n = 10); building U_c and U_out
+apart would hold three and compare them through full-size temporaries.
+``equiv_up_to_phase(w)`` accepts when
+||W - e^{i phi} I||_F < ``VERIFY_TOL``, with e^{i phi} the phase of
+tr W. As U_out is unitary, that norm is ||U_c - e^{i phi} U_out||_F, the
+phase is the one the two-matrix check takes from tr(U_out^dag U_c), and
+the Frobenius norm bounds the largest entry: the one-product check
+accepts no pair that the max-entry comparison of two unitaries rejects.
+Both errors are reduced in row blocks of at most ``_BLOCK_ENTRIES``
+entries, so neither allocates a temporary as large as a matrix.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
 
 MAX_QUBITS = 10
-VERIFY_TOL = 1e-9  # max phase-aligned entry error of an equivalence
+VERIFY_TOL = 1e-9  # phase-aligned error: Frobenius of one product, max entry of two
+_BLOCK_ENTRIES = 1 << 16  # entries per row block of an error reduction
 GROUP_DIRECTIONS = 5  # most row-pairing directions one group fuses
 GROUP_MIN_QUBITS = 8  # fewest qubits for which groups beat the per-gate kernel
 
@@ -407,21 +424,32 @@ _DIAGONAL = {
 _MIXING = {"rx": rx_matrix, "ry": ry_matrix, "h": lambda _: H_MATRIX}
 
 
-def unitary_of_circuit(circuit) -> np.ndarray:
-    """Product of gate embeddings in application order (earlier gates act first)."""
+def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
+    """Product of gate embeddings in application order (earlier gates act first).
+
+    With ``undo``, the product goes on through ``undo``'s gates in reverse
+    order, each inverted, and so is U_undo^dag @ U_circuit.
+    """
     n = circuit.n_qubits
     _check_size(n)
+    steps = ((g.kind, g.qubits, g.angle) for g in circuit.gates)
+    if undo is not None:
+        if undo.n_qubits != n:
+            raise ValueError("circuits act on different qubit counts")
+        inverses = (
+            (g.kind, g.qubits, None if g.angle is None else -g.angle) for g in reversed(undo.gates)
+        )
+        steps = itertools.chain(steps, inverses)
     acc = _accumulator(n)
-    for g in circuit.gates:
-        kind, qubits = g.kind, g.qubits
+    for kind, qubits, angle in steps:
         if kind == "cnot":
             acc.permute(_cnot_rows(n, *qubits))
         elif kind in _DIAGONAL:
-            acc.scale(_DIAGONAL[kind](g.angle)[_local_index(n, qubits)])
+            acc.scale(_DIAGONAL[kind](angle)[_local_index(n, qubits)])
         elif kind in _MIXING:
-            acc.mix(_MIXING[kind](g.angle), qubits[0])
+            acc.mix(_MIXING[kind](angle), qubits[0])
         elif kind == "crx":
-            acc.mix(crx_matrix(g.angle)[2:, 2:], qubits[1], control=qubits[0])
+            acc.mix(crx_matrix(angle)[2:, 2:], qubits[1], control=qubits[0])
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
     return acc.flush()
@@ -450,6 +478,12 @@ def unitary_of_gadgets(gadgets) -> np.ndarray:
     return acc.flush()
 
 
+def _row_blocks(shape: tuple[int, ...]):
+    """Row slices of at most ``_BLOCK_ENTRIES`` entries (at least one row) each."""
+    rows = max(1, _BLOCK_ENTRIES // math.prod(shape[1:]))
+    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+
+
 def phase_aligned_max_error(u: np.ndarray, v: np.ndarray) -> float:
     """max |u - e^{i phi} v| with e^{i phi} the phase of tr(v^dag u).
 
@@ -457,16 +491,52 @@ def phase_aligned_max_error(u: np.ndarray, v: np.ndarray) -> float:
     so for an equivalent pair it is the true phase up to rounding, and it
     costs O(4^n) where the full v^dag u product costs O(8^n). For unitaries
     a zero trace gives ||u - e^{i phi} v||_F^2 = 2 * 2^n for every phi: no
-    phase can make such a pair equivalent.
+    phase can make such a pair equivalent. The maximum is taken row block
+    by row block, entry for entry the same arithmetic as on whole matrices.
     """
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
     trace = np.vdot(v, u)
-    if trace == 0:
-        return float(np.max(np.abs(u - v)))
-    return float(np.max(np.abs(u - (trace / abs(trace)) * v)))
+    phase = None if trace == 0 else trace / abs(trace)
+    worst = 0.0
+    for rows in _row_blocks(u.shape):
+        diff = u[rows] - (v[rows] if phase is None else phase * v[rows])
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
 
 
-def equiv_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:
-    """True iff u equals v up to a global phase, within ``VERIFY_TOL`` max-norm."""
+def phase_aligned_identity_error(w: np.ndarray) -> float:
+    """||w - e^{i phi} I||_F with e^{i phi} the phase of tr(w).
+
+    For w = U_b^dag U_a this is ||U_a - e^{i phi} U_b||_F, with the phase
+    of ``phase_aligned_max_error(U_a, U_b)``, and at least that max-entry
+    error. A zero trace gives e^{i phi} = 1, and a unitary w then scores
+    sqrt(2 * 2^n): no phase makes it the identity. Each row block is
+    copied, shifted on the diagonal and summed, as subtracting the
+    diagonal from the whole matrix's squared norm would cancel away the
+    error in rounding.
+    """
+    size = len(w)
+    if w.shape != (size, size):
+        raise ValueError("need a square matrix")
+    trace = np.trace(w)
+    phase = 1 if trace == 0 else trace / abs(trace)
+    total = 0.0
+    for rows in _row_blocks(w.shape):
+        block = w[rows].copy()
+        k = np.arange(len(block))
+        block[k, k + rows.start] -= phase
+        total += np.vdot(block, block).real
+    return math.sqrt(total)
+
+
+def equiv_up_to_phase(u: np.ndarray, v: np.ndarray | None = None) -> bool:
+    """True iff u equals v up to a global phase, within ``VERIFY_TOL``.
+
+    Two matrices are compared by their phase-aligned max-entry error.
+    Without ``v``, u is a product such as ``unitary_of_circuit(c, out)``
+    and is tested against e^{i phi} I in the Frobenius norm.
+    """
+    if v is None:
+        return phase_aligned_identity_error(u) < VERIFY_TOL
     return phase_aligned_max_error(u, v) < VERIFY_TOL

@@ -8,8 +8,10 @@ the repeating unit, and re-synthesises
 
 so the two CNOT blocks are paid once however many layers repeat.
 ``euler_peephole`` then collapses each wire's rotation runs, and the
-output is oracle-verified up to global phase when small enough. The
-benchmark ansatz generators live in ``ansatz``.
+output is oracle-verified up to global phase when small enough: the
+oracle builds the one product U_out^dag U_in and tests it against a
+phase times the identity. The benchmark ansatz generators live in
+``ansatz``.
 """
 
 from __future__ import annotations
@@ -160,7 +162,8 @@ def optimize(
 
     verified = "skipped"
     if verify and n <= MAX_QUBITS:
-        ok = equiv_up_to_phase(unitary_of_circuit(c), unitary_of_circuit(out))
+        # One product, U_out^dag U_c, checked against a global phase times I.
+        ok = equiv_up_to_phase(unitary_of_circuit(c, out))
         verified = "yes" if ok else "no"
     elif verify:
         log.warning("skipping verification: %d qubits exceeds limit %d", n, MAX_QUBITS)

@@ -323,3 +323,47 @@ def test_params_validation():
         AnnealParams(attempts=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         AnnealParams(seed=-1)
+
+
+def test_energy_floor_never_above_the_optimum():
+    # Exhaustive over GL(2,2) and GL(3,2): no C scores below the floor. On
+    # the worked example (optimum 6) the distinct columns of L_Z, and those
+    # of L_X, are independent, so the floor is the 5 nonzero columns.
+    rng = np.random.default_rng(41)
+    pools = {n: list(all_invertible(n)) for n in (2, 3)}
+    met = 0
+    for trial in range(200):
+        n = 2 + trial % 2
+        lz = random_matrix(n, int(rng.integers(0, 6)), rng)
+        lx = random_matrix(n, int(rng.integers(0, 6)), rng)
+        best = min(energy(c, lz, lx) for c in pools[n])
+        floor = annealing._energy_floor(lz, lx)
+        assert floor <= best
+        met += floor == best
+    assert met > 50
+    assert annealing._energy_floor(LZ, LX) == 5
+
+
+def test_anneal_floor_exit_matches_the_chains(monkeypatch):
+    # Where the identity meets the floor, anneal returns it without running
+    # a chain; the chains, forced to run, end on the same result.
+    rng = np.random.default_rng(2020)
+    floor = annealing._energy_floor
+    exits = 0
+    for trial in range(1200):
+        n = int(rng.integers(2, 7))
+        lz = random_matrix(n, int(rng.integers(0, 6)), rng)
+        lx = random_matrix(n, int(rng.integers(0, 6)), rng)
+        p = AnnealParams(iterations=150, attempts=int(rng.integers(1, 10)), seed=trial)
+        fast = anneal(lz, lx, p)
+        monkeypatch.setattr(annealing, "_energy_floor", lambda lz, lx: -1)
+        chains = anneal(lz, lx, p)
+        monkeypatch.setattr(annealing, "_energy_floor", floor)
+        assert chains.best_energy >= floor(lz, lx)
+        assert (fast.best_c, fast.best_energy, fast.initial_energy) == (
+            chains.best_c,
+            chains.best_energy,
+            chains.initial_energy,
+        )
+        exits += fast.per_attempt_energies == ()
+    assert exits > 100

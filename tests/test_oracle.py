@@ -33,6 +33,7 @@ from phasefold.oracle import (
     cu1_matrix,
     equiv_up_to_phase,
     gadget_diagonal,
+    phase_aligned_identity_error,
     phase_aligned_max_error,
     rx_matrix,
     ry_matrix,
@@ -301,6 +302,74 @@ def test_phase_pick_from_trace():
     assert not equiv_up_to_phase(np.kron(z, np.eye(2)), np.eye(4, dtype=complex))
 
 
+def _whole_matrix_max_error(u, v):
+    """The formula ``phase_aligned_max_error`` reduces row block by row block."""
+    trace = np.vdot(v, u)
+    if trace == 0:
+        return float(np.max(np.abs(u - v)))
+    return float(np.max(np.abs(u - (trace / abs(trace)) * v)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 10])
+def test_max_error_in_row_blocks_is_bit_identical(n):
+    # From n = 9 on the rows come in several blocks; random pairs, a pair
+    # equal up to phase and rounding-sized noise, and a zero-trace pair.
+    rng = np.random.default_rng(300 + n)
+    size = 1 << n
+    shape = (size, size)
+    u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    close = cmath.exp(0.3j) * u + 1e-15 * v
+    zero_trace = np.diag(np.where(np.arange(size) % 2, -1.0, 1.0)).astype(complex)
+    identity = np.eye(size, dtype=complex)
+    assert np.vdot(zero_trace, identity) == 0
+    for a, b in ((u, v), (v, u), (u, close), (identity, zero_trace)):
+        assert phase_aligned_max_error(a, b) == _whole_matrix_max_error(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_identity_error_is_the_frobenius_distance(n):
+    # For W = U_d^dag U_c the error is ||U_c - e^{i phi} U_d||_F with the
+    # phase of tr W, so it bounds the two-matrix max-entry error.
+    rng = np.random.default_rng(500 + n)
+    for length in (0, 4, 30):
+        c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(length)))
+        d = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(length)))
+        uc, ud = unitary_of_circuit(c), unitary_of_circuit(d)
+        trace = np.vdot(ud, uc)
+        phase = 1 if trace == 0 else trace / abs(trace)
+        err = phase_aligned_identity_error(unitary_of_circuit(c, d))
+        assert abs(err - np.linalg.norm(uc - phase * ud)) < 1e-9
+        assert err >= phase_aligned_max_error(uc, ud) - 1e-15
+        assert phase_aligned_identity_error(unitary_of_circuit(c, c)) < 1e-12
+    assert phase_aligned_identity_error(cmath.exp(0.7j) * np.eye(1 << n)) < 1e-13
+
+
+def test_identity_error_zero_trace_and_shape():
+    z = np.diag([1.0, -1.0]).astype(complex)
+    for w in (z, np.kron(z, np.eye(2)), np.kron(np.eye(4), z)):
+        assert np.trace(w) == 0
+        assert phase_aligned_identity_error(w) == math.sqrt(2 * len(w))
+        assert not equiv_up_to_phase(w)
+    with pytest.raises(ValueError):
+        phase_aligned_identity_error(np.ones((2, 4), dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_one_product_matches_reference_all_kinds(n, monkeypatch):
+    # unitary_of_circuit(c, d) runs c, then d's inverted gates in reverse:
+    # U_d^dag U_c on every kernel, and the identity for d = c.
+    rng = np.random.default_rng(1000 + n)
+    for length in (0, 3, 25):
+        c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(length)))
+        d = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(length)))
+        want = reference_unitary(d).conj().T @ reference_unitary(c)
+        assert_kernels_match(monkeypatch, lambda: unitary_of_circuit(c, d), want)
+        assert_kernels_match(monkeypatch, lambda: unitary_of_circuit(c, c), np.eye(1 << n))
+    with pytest.raises(ValueError):
+        unitary_of_circuit(GateCircuit(n, ()), GateCircuit(n + 1, ()))
+
+
 def test_qubit_limit():
     with pytest.raises(TooManyQubitsError):
         unitary_of_circuit(GateCircuit(11, ()))
@@ -454,6 +523,24 @@ def test_grouped_kernel_holds_two_matrices():
     tracemalloc.start()
     try:
         unitary_of_circuit(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix_bytes + 8 * coef_bytes, peak / matrix_bytes
+
+
+def test_verification_holds_two_matrices():
+    # optimize's check at MAX_QUBITS, the product U_c^dag U_c and its
+    # error, peaks at what one product holds: the matrix, one spare and
+    # coefficient-sized arrays (a row block of the error is 2^16 entries).
+    n = MAX_QUBITS
+    rng = np.random.default_rng(78)
+    c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
+    matrix_bytes = 16 << (2 * n)
+    coef_bytes = 16 << (n + GROUP_DIRECTIONS)
+    tracemalloc.start()
+    try:
+        assert equiv_up_to_phase(unitary_of_circuit(c, c))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -300,3 +300,36 @@ def test_optimize_raises_when_its_output_fails_the_oracle(monkeypatch):
     with pytest.raises(VerificationError, match="not equivalent"):
         result = optimize(c, FAST)
     assert result is None
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_optimize_never_returns_a_wrong_circuit(n, monkeypatch):
+    # A peephole that moves one rotation by 0.5 makes every output wrong:
+    # optimize raises on the per-gate kernel (n = 3) and the grouped one (n = 9).
+    import phasefold.pipeline as pl
+    from phasefold import oracle
+    from phasefold.pipeline import VerificationError
+
+    assert (n >= oracle.GROUP_MIN_QUBITS) == (n == 9)
+    rng = np.random.default_rng(4000 + n)
+    gates = []
+    for _ in range(8 * n):
+        q = int(rng.integers(n))
+        if rng.integers(3) == 0:
+            gates.append(ci.cnot(q, (q + 1 + int(rng.integers(n - 1))) % n))
+        else:
+            rot = ci.rz if rng.integers(2) else ci.rx
+            gates.append(rot(float(rng.uniform(-3, 3)), q))
+    c = GateCircuit(n, tuple(gates))
+    assert optimize(c, FAST)[1].verified == "yes"
+
+    def shift_one_rotation(c):
+        out = euler_peephole(c)
+        i = next(i for i, g in enumerate(out.gates) if g.kind in ("rz", "rx"))
+        g = out.gates[i]
+        bent = ci.Gate(g.kind, g.qubits, g.angle + 0.5)
+        return GateCircuit(out.n_qubits, out.gates[:i] + (bent,) + out.gates[i + 1 :])
+
+    monkeypatch.setattr(pl, "euler_peephole", shift_one_rotation)
+    with pytest.raises(VerificationError, match="not equivalent"):
+        optimize(c, FAST)

@@ -17,13 +17,7 @@ from .annealing import DEFAULT_ATTEMPTS, DEFAULT_ITERATIONS, AnnealParams, annea
 from .ansatz import AnsatzSpec, generate
 from .circuits import lex, parse, serialize
 from .gf2 import random_matrix
-from .oracle import (
-    VERIFY_TOL,
-    _cnot_rows,
-    phase_aligned_max_error,
-    unitary_of_circuit,
-    unitary_of_gadgets,
-)
+from .oracle import VERIFY_TOL, phase_aligned_error, unitary_of_circuit, unitary_of_gadgets
 from .pipeline import VerificationError, metrics_of, optimize
 from .transform import (
     extract as extract_nf,
@@ -107,15 +101,7 @@ def _load_unitary(path: str):
     text = _read(path)
     if any(head in ("zgadget", "xgadget") for _, head, _ in lex(text)):
         nf = parse_normal_form(text)
-        u = unitary_of_gadgets(nf.gadgets)
-        if nf.tail.cnots:
-            # The tail permutes basis states: one row gather, not a dense product.
-            n = nf.gadgets.n_qubits
-            rows = np.arange(1 << n)
-            for control, target in nf.tail.cnots:
-                rows = rows[_cnot_rows(n, control, target)]
-            u = u[rows]
-        return u
+        return unitary_of_gadgets(nf.gadgets, nf.tail)
     return unitary_of_circuit(parse(text))
 
 
@@ -125,11 +111,11 @@ def cmd_verify(args) -> int:
     if ua.shape != ub.shape:
         print("error: circuits act on different qubit counts", file=sys.stderr)
         return 1
-    err = phase_aligned_max_error(ua, ub)
+    err = phase_aligned_error(ua, ub)
     if err < VERIFY_TOL:
-        print(f"equal max_error={err:.3e}")
+        print(f"equal error={err:.3e}")
         return 0
-    print(f"different max_error={err:.3e}")
+    print(f"different error={err:.3e}")
     return 2
 
 
@@ -259,9 +245,12 @@ def cmd_bench(args) -> int:
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _add_anneal_flags(sub) -> None:

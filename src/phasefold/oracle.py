@@ -62,15 +62,14 @@ gates and then out's gates in reverse order, each inverted (a gate's
 inverse is the same gate at minus its angle; CNOT, CZ and H are their
 own inverses). It returns W = U_out^dag U_c and holds what one product
 holds, two 2^n x 2^n matrices (32 MB at n = 10); building U_c and U_out
-apart would hold three and compare them through full-size temporaries.
-``equiv_up_to_phase(w)`` accepts when
-||W - e^{i phi} I||_F < ``VERIFY_TOL``, with e^{i phi} the phase of
-tr W. As U_out is unitary, that norm is ||U_c - e^{i phi} U_out||_F, the
-phase is the one the two-matrix check takes from tr(U_out^dag U_c), and
-the Frobenius norm bounds the largest entry: the one-product check
-accepts no pair that the max-entry comparison of two unitaries rejects.
-Both errors are reduced in row blocks of at most ``_BLOCK_ENTRIES``
-entries, so neither allocates a temporary as large as a matrix.
+apart would hold three. ``equiv_up_to_phase`` accepts when
+``phase_aligned_error`` = ||u - e^{i phi} v||_F < ``VERIFY_TOL``, with
+e^{i phi} the phase of tr(v^dag u) and v = I for a product. As U_out is
+unitary, ||W - e^{i phi} I||_F = ||U_c - e^{i phi} U_out||_F at the same
+phase, so a product and a pair of unitaries meet one rule. The
+Frobenius norm bounds every entry of the difference. The error is summed
+in row blocks of at most ``_BLOCK_ENTRIES`` entries, so it allocates no
+temporary as large as a matrix.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ import math
 import numpy as np
 
 MAX_QUBITS = 10
-VERIFY_TOL = 1e-9  # phase-aligned error: Frobenius of one product, max entry of two
+VERIFY_TOL = 1e-9  # on the phase-aligned Frobenius error, so also on every entry
 _BLOCK_ENTRIES = 1 << 16  # entries per row block of an error reduction
 GROUP_DIRECTIONS = 5  # most row-pairing directions one group fuses
 GROUP_MIN_QUBITS = 8  # fewest qubits for which groups beat the per-gate kernel
@@ -462,8 +461,11 @@ def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:
     return np.where(parity == 1, cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta))
 
 
-def unitary_of_gadgets(gadgets) -> np.ndarray:
-    """Unitary of a gadget circuit; X entries via Hadamard conjugation on legs."""
+def unitary_of_gadgets(gadgets, tail=None) -> np.ndarray:
+    """Unitary of a gadget circuit; X entries via Hadamard conjugation on legs.
+
+    ``tail``, a ``CnotCircuit`` on the same qubits, acts after the gadgets.
+    """
     n = gadgets.n_qubits
     _check_size(n)
     acc = _accumulator(n)
@@ -475,6 +477,8 @@ def unitary_of_gadgets(gadgets) -> np.ndarray:
         acc.scale(gadget_diagonal(n, entry.angle, entry.legs))
         for q in hadamards:
             acc.mix(H_MATRIX, q)
+    for control, target in () if tail is None else tail.cnots:
+        acc.permute(_cnot_rows(n, control, target))
     return acc.flush()
 
 
@@ -484,59 +488,38 @@ def _row_blocks(shape: tuple[int, ...]):
     return [slice(r, r + rows) for r in range(0, shape[0], rows)]
 
 
-def phase_aligned_max_error(u: np.ndarray, v: np.ndarray) -> float:
-    """max |u - e^{i phi} v| with e^{i phi} the phase of tr(v^dag u).
+def phase_aligned_error(u: np.ndarray, v: np.ndarray | None = None) -> float:
+    """||u - e^{i phi} v||_F with e^{i phi} the phase of tr(v^dag u); v defaults to I.
 
-    The trace phase minimises the Frobenius distance ||u - e^{i phi} v||,
-    so for an equivalent pair it is the true phase up to rounding, and it
-    costs O(4^n) where the full v^dag u product costs O(8^n). For unitaries
-    a zero trace gives ||u - e^{i phi} v||_F^2 = 2 * 2^n for every phi: no
-    phase can make such a pair equivalent. The maximum is taken row block
-    by row block, entry for entry the same arithmetic as on whole matrices.
+    The trace phase minimises this distance, so for an equivalent pair it
+    is the true phase up to rounding, and it costs O(4^n) where the full
+    v^dag u product costs O(8^n). A zero trace gives e^{i phi} = 1, and
+    a unitary pair then scores sqrt(2 * 2^n): no phase makes it equal.
+    The sum runs row block by row block. Against I a block is copied and
+    only its diagonal shifted, as subtracting I from the whole matrix's
+    squared norm would cancel away the error in rounding.
     """
-    if u.shape != v.shape:
+    if v is None:
+        if u.shape != (len(u), len(u)):
+            raise ValueError("need a square matrix")
+        trace = np.trace(u)
+    elif u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    trace = np.vdot(v, u)
-    phase = None if trace == 0 else trace / abs(trace)
-    worst = 0.0
-    for rows in _row_blocks(u.shape):
-        diff = u[rows] - (v[rows] if phase is None else phase * v[rows])
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
-
-
-def phase_aligned_identity_error(w: np.ndarray) -> float:
-    """||w - e^{i phi} I||_F with e^{i phi} the phase of tr(w).
-
-    For w = U_b^dag U_a this is ||U_a - e^{i phi} U_b||_F, with the phase
-    of ``phase_aligned_max_error(U_a, U_b)``, and at least that max-entry
-    error. A zero trace gives e^{i phi} = 1, and a unitary w then scores
-    sqrt(2 * 2^n): no phase makes it the identity. Each row block is
-    copied, shifted on the diagonal and summed, as subtracting the
-    diagonal from the whole matrix's squared norm would cancel away the
-    error in rounding.
-    """
-    size = len(w)
-    if w.shape != (size, size):
-        raise ValueError("need a square matrix")
-    trace = np.trace(w)
+    else:
+        trace = np.vdot(v, u)
     phase = 1 if trace == 0 else trace / abs(trace)
     total = 0.0
-    for rows in _row_blocks(w.shape):
-        block = w[rows].copy()
-        k = np.arange(len(block))
-        block[k, k + rows.start] -= phase
+    for rows in _row_blocks(u.shape):
+        if v is None:
+            block = u[rows].copy()
+            k = np.arange(len(block))
+            block[k, k + rows.start] -= phase
+        else:
+            block = u[rows] - phase * v[rows]
         total += np.vdot(block, block).real
     return math.sqrt(total)
 
 
 def equiv_up_to_phase(u: np.ndarray, v: np.ndarray | None = None) -> bool:
-    """True iff u equals v up to a global phase, within ``VERIFY_TOL``.
-
-    Two matrices are compared by their phase-aligned max-entry error.
-    Without ``v``, u is a product such as ``unitary_of_circuit(c, out)``
-    and is tested against e^{i phi} I in the Frobenius norm.
-    """
-    if v is None:
-        return phase_aligned_identity_error(u) < VERIFY_TOL
-    return phase_aligned_max_error(u, v) < VERIFY_TOL
+    """True iff u equals v (by default I) up to a global phase, within ``VERIFY_TOL``."""
+    return phase_aligned_error(u, v) < VERIFY_TOL

@@ -19,7 +19,7 @@ from phasefold.circuits import (
 )
 from phasefold.oracle import (
     equiv_up_to_phase,
-    phase_aligned_max_error,
+    phase_aligned_error,
     rx_matrix,
     rz_matrix,
     unitary_of_circuit,
@@ -201,7 +201,7 @@ def test_euler_degenerate_cases():
     # |z2| = 0: pure Z rotation comes back with b2 = 0.
     b1, b2, b3 = euler_xzx_to_zxz(0.0, 1.1, 0.0)
     assert b2 == 0.0
-    assert phase_aligned_max_error(_zxz_unitary(b1, b2, b3), rz_matrix(1.1)) < 1e-12
+    assert phase_aligned_error(_zxz_unitary(b1, b2, b3), rz_matrix(1.1)) < 1e-12
     # |z1| = 0: b2 = pi.
     b1, b2, b3 = euler_xzx_to_zxz(math.pi, 0.0, 0.0)
     assert math.isclose(b2, math.pi)

@@ -306,14 +306,20 @@ def test_verify_non_ascii_qubit_count_exits_1(tmp_path, capsys):
         ["optimize", "--attempts", "abc", "x.pf"],
         ["frobnicate"],
         ["bench", "--gadgets", "a,b"],
+        ["bench", "--sweep", "width", "--sweep-values", "1", "--gadgets", ""],
+        ["bench", "--layers", ","],
+        ["bench", "--sweep", "width", "--sweep-values", ""],
     ],
-    ids=["bad-int", "unknown-command", "bad-int-list"],
+    ids=["bad-int", "unknown-command", "bad-int-list", "empty-gadgets", "empty-layers",
+         "empty-sweep-values"],
 )
 def test_usage_error_exits_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
-    assert any(line.startswith("usage:") for line in capsys.readouterr().err.splitlines())
+    err = capsys.readouterr().err
+    assert any(line.startswith("usage:") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_help_exits_0(capsys):

@@ -20,6 +20,7 @@ from phasefold import oracle
 from phasefold.circuits import GateCircuit
 from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit
 from phasefold.gf2 import BitVec
+from phasefold.transform import CnotCircuit
 from phasefold.oracle import (
     CNOT_MATRIX,
     CZ_MATRIX,
@@ -33,8 +34,7 @@ from phasefold.oracle import (
     cu1_matrix,
     equiv_up_to_phase,
     gadget_diagonal,
-    phase_aligned_identity_error,
-    phase_aligned_max_error,
+    phase_aligned_error,
     rx_matrix,
     ry_matrix,
     rz_matrix,
@@ -265,7 +265,7 @@ def test_equiv_distinct_gates():
 def test_phase_aligned_error_value():
     u = np.eye(2, dtype=complex)
     v = cmath.exp(0.7j) * np.eye(2)
-    assert phase_aligned_max_error(u, v) < 1e-12
+    assert phase_aligned_error(u, v) < 1e-12
 
 
 def _random_rotation_circuit(rng, n, count):
@@ -291,7 +291,7 @@ def test_phase_pick_from_trace():
         gates = _random_rotation_circuit(rng, n, 6 * n)
         u = unitary_of_circuit(GateCircuit(n, tuple(gates)))
         phase = cmath.exp(1j * float(rng.uniform(-math.pi, math.pi)))
-        assert phase_aligned_max_error(u, phase * u) < 1e-12
+        assert phase_aligned_error(u, phase * u) < 1e-12
         k = next(k for k, g in enumerate(gates) if g.kind != "cnot")
         bent = gates[:k] + [ci.Gate(gates[k].kind, gates[k].qubits, gates[k].angle + 1e-6)]
         v = unitary_of_circuit(GateCircuit(n, tuple(bent + gates[k + 1 :])))
@@ -302,16 +302,8 @@ def test_phase_pick_from_trace():
     assert not equiv_up_to_phase(np.kron(z, np.eye(2)), np.eye(4, dtype=complex))
 
 
-def _whole_matrix_max_error(u, v):
-    """The formula ``phase_aligned_max_error`` reduces row block by row block."""
-    trace = np.vdot(v, u)
-    if trace == 0:
-        return float(np.max(np.abs(u - v)))
-    return float(np.max(np.abs(u - (trace / abs(trace)) * v)))
-
-
 @pytest.mark.parametrize("n", [1, 3, 8, 9, 10])
-def test_max_error_in_row_blocks_is_bit_identical(n):
+def test_error_in_row_blocks_is_the_whole_matrix_norm(n):
     # From n = 9 on the rows come in several blocks; random pairs, a pair
     # equal up to phase and rounding-sized noise, and a zero-trace pair.
     rng = np.random.default_rng(300 + n)
@@ -324,13 +316,17 @@ def test_max_error_in_row_blocks_is_bit_identical(n):
     identity = np.eye(size, dtype=complex)
     assert np.vdot(zero_trace, identity) == 0
     for a, b in ((u, v), (v, u), (u, close), (identity, zero_trace)):
-        assert phase_aligned_max_error(a, b) == _whole_matrix_max_error(a, b)
+        trace = np.vdot(b, a)
+        phase = 1 if trace == 0 else trace / abs(trace)
+        whole = np.linalg.norm(a - phase * b)
+        assert math.isclose(phase_aligned_error(a, b), whole, rel_tol=1e-12)
+    assert phase_aligned_error(identity, zero_trace) == math.sqrt(2 * size)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_identity_error_is_the_frobenius_distance(n):
     # For W = U_d^dag U_c the error is ||U_c - e^{i phi} U_d||_F with the
-    # phase of tr W, so it bounds the two-matrix max-entry error.
+    # phase of tr W: the two-matrix error, which bounds every entry.
     rng = np.random.default_rng(500 + n)
     for length in (0, 4, 30):
         c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(length)))
@@ -338,21 +334,24 @@ def test_identity_error_is_the_frobenius_distance(n):
         uc, ud = unitary_of_circuit(c), unitary_of_circuit(d)
         trace = np.vdot(ud, uc)
         phase = 1 if trace == 0 else trace / abs(trace)
-        err = phase_aligned_identity_error(unitary_of_circuit(c, d))
+        err = phase_aligned_error(unitary_of_circuit(c, d))
         assert abs(err - np.linalg.norm(uc - phase * ud)) < 1e-9
-        assert err >= phase_aligned_max_error(uc, ud) - 1e-15
-        assert phase_aligned_identity_error(unitary_of_circuit(c, c)) < 1e-12
-    assert phase_aligned_identity_error(cmath.exp(0.7j) * np.eye(1 << n)) < 1e-13
+        assert abs(err - phase_aligned_error(uc, ud)) < 1e-9
+        assert err >= np.max(np.abs(uc - phase * ud)) - 1e-15
+        assert phase_aligned_error(unitary_of_circuit(c, c)) < 1e-12
+    assert phase_aligned_error(cmath.exp(0.7j) * np.eye(1 << n)) < 1e-13
 
 
 def test_identity_error_zero_trace_and_shape():
     z = np.diag([1.0, -1.0]).astype(complex)
     for w in (z, np.kron(z, np.eye(2)), np.kron(np.eye(4), z)):
         assert np.trace(w) == 0
-        assert phase_aligned_identity_error(w) == math.sqrt(2 * len(w))
+        assert phase_aligned_error(w) == math.sqrt(2 * len(w))
         assert not equiv_up_to_phase(w)
     with pytest.raises(ValueError):
-        phase_aligned_identity_error(np.ones((2, 4), dtype=complex))
+        phase_aligned_error(np.ones((2, 4), dtype=complex))
+    with pytest.raises(ValueError):
+        phase_aligned_error(np.eye(2, dtype=complex), np.eye(4, dtype=complex))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -445,6 +444,20 @@ def test_gadget_kernel_matches_reference(n, monkeypatch):
             entries.append(GadgetEntry(basis, float(rng.uniform(-7, 7)), legs))
         g = GadgetCircuit(n, tuple(entries))
         assert_kernels_match(monkeypatch, lambda: unitary_of_gadgets(g), reference_gadget_unitary(g))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gadget_kernel_applies_the_cnot_tail_last(n, monkeypatch):
+    rng = np.random.default_rng(750 + n)
+    entries = []
+    for _ in range(4):
+        legs = BitVec(n, int(rng.integers(1, 1 << n)))
+        entries.append(GadgetEntry("XZ"[int(rng.integers(2))], float(rng.uniform(-7, 7)), legs))
+    g = GadgetCircuit(n, tuple(entries))
+    pairs = [tuple(int(q) for q in rng.choice(n, size=2, replace=False)) for _ in range(2 * n)]
+    tail = CnotCircuit(n, tuple(pairs))
+    reference = reference_unitary(tail.to_gates()) @ reference_gadget_unitary(g)
+    assert_kernels_match(monkeypatch, lambda: unitary_of_gadgets(g, tail), reference)
 
 
 @pytest.mark.parametrize(

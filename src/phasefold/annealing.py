@@ -15,12 +15,16 @@ K Exp(1) variates xi from ``SeedSequence((seed, a))``. Chain a thus
 depends only on the moves, its own start and its own xi, so the attempt
 pool is a prefix: more attempts never change earlier ones. Each chain is
 still exactly a Metropolis chain with uniform row-addition proposals;
-only the joint draw couples them. The driver returns the best matrix
-over all attempts and the identity, so the result never loses to doing
-nothing; among attempts the first to reach the best energy wins. When
+only the joint draw couples them. The driver returns, as ``best_c``,
+the best matrix over all attempts and the identity, so the result never
+loses to doing nothing; among attempts the first to reach the best
+energy is ``best_c``. It also returns every attempt's best C, in attempt
+order, as ``candidates``: the energy is a proxy, and ``optimize``
+chooses among them (and the identity) by the CNOTs of its output. When
 the identity already scores a lower bound that holds for every C
 (``_energy_floor``), no chain can beat it, and it is returned without
-running any: the same result, with no per-attempt energies.
+running any: the same ``best_c``, with no per-attempt energies and no
+candidates.
 
 A chain keeps three lists of packed rows: C, C @ L_Z and
 (C^-1)^T @ L_X. A row addition changes one row of each product: row i
@@ -62,16 +66,19 @@ chain at a time.
 
 Packing costs more per step than one chain and pays off only with
 enough chains; the constant ``PACK_MIN_ATTEMPTS`` picks the loop from
-the attempt count. Measured per ``anneal`` call, in ms on a 2-vCPU Xeon:
-one chain at a time / packed, and in brackets the set-up, the same call
-at K = 1 on the loop the attempt count picks. The instances are the
-units of the first 6 seed-401 ``ansatz_anneal`` (n = 6) and
-``ansatz_verify`` (n = 9) cases and of the first 200 ``gate_level`` ones:
+the attempt count. Measured per ``anneal`` call, in ms on a 2-vCPU Xeon
+(best of 5 passes, on a day when the host ran about half as fast as for
+earlier tables; in the same set of measurements 20 x 5000 took 15-24 ms
+packed at n = 6): one chain at a time / packed, and in brackets the
+set-up, the same call at K = 1 on the loop the attempt count picks. The
+instances are the units of the first 6 seed-401 ``ansatz_anneal``
+(n = 6) and ``ansatz_verify`` (n = 9) cases and of the first 200
+``gate_level`` ones:
 
     attempts            2                 6                 8                 20
-    n = 6, K = 5000     1.66/4.30 (0.13)  4.81/5.47 (0.31)  6.28/5.81 (0.41)  15.8/7.64 (0.95)
-    n = 9, K = 5000     1.89/4.54 (0.17)  5.50/5.81 (0.41)  7.25/6.14 (0.55)  17.8/8.36 (1.27)
-    gate level, K = 250 0.19/0.35 (0.11)  0.49/0.59 (0.27)  0.63/0.72 (0.36)  1.51/1.31 (0.82)
+    n = 6, K = 2000     1.74/4.21 (0.29)  4.95/5.89 (0.72)  6.97/6.32 (0.92)  16.8/9.57 (2.21)
+    n = 9, K = 2000     2.16/4.79 (0.41)  5.87/6.82 (1.04)  8.06/7.63 (1.36)  19.6/11.1 (3.08)
+    gate level, K = 250 0.36/0.63 (0.23)  1.07/1.07 (0.47)  1.04/1.48 (0.75)  3.33/2.55 (1.54)
 
 The set-up is mostly numpy's fixed cost per call: three to four integer
 draws per start (rejection), one generator per attempt and one for the
@@ -80,7 +87,8 @@ moves.
 Tests check both loops against a reference that takes the same draws and
 recomputes ``energy`` from C at every step (identical best energy and
 best C per attempt, some streams with thresholds of exactly 0), and that
-the returned C is invertible and scores its reported energy.
+the returned C and every candidate are invertible and score their
+reported energies.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ from .gf2 import (
     random_invertible,
 )
 
-DEFAULT_ITERATIONS = 5000
+DEFAULT_ITERATIONS = 2000
 DEFAULT_ATTEMPTS = 20
 
 MOVE_KEY = 1 << 32  # second SeedSequence word of the shared move stream
@@ -141,6 +149,7 @@ class AnnealResult:
     best_energy: int
     initial_energy: int
     per_attempt_energies: tuple[int, ...] = field(default_factory=tuple)
+    candidates: tuple[BitMatrix, ...] = field(default_factory=tuple)  # each attempt's best C
 
 
 def energy(c: BitMatrix, lz: BitMatrix, lx: BitMatrix) -> int:
@@ -348,8 +357,11 @@ def anneal(lz: BitMatrix, lx: BitMatrix, p: AnnealParams | None = None) -> Annea
 
     t0 = p.t0 if p.t0 is not None else default_t0(lz, lx)
     results = _chains(lz, lx, p, t0)
-    best_e, best_rows = min(results, key=lambda r: r[0])  # the first of equals
     per_attempt = tuple(e for e, _ in results)
+    candidates = tuple(BitMatrix(n, n, rows) for _, rows in results)
+    best_e = min(per_attempt)
     if best_e < identity_energy:
-        return AnnealResult(BitMatrix(n, n, best_rows), best_e, identity_energy, per_attempt)
-    return AnnealResult(BitMatrix.identity(n), identity_energy, identity_energy, per_attempt)
+        best_c = candidates[per_attempt.index(best_e)]  # the first of equals
+        return AnnealResult(best_c, best_e, identity_energy, per_attempt, candidates)
+    identity = BitMatrix.identity(n)
+    return AnnealResult(identity, identity_energy, identity_energy, per_attempt, candidates)

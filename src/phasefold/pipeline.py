@@ -7,11 +7,20 @@ the repeating unit, and re-synthesises
     prefix gadgets ; C block ; optimised unit per layer ; C^-1 block ; tail
 
 so the two CNOT blocks are paid once however many layers repeat.
-``euler_peephole`` then collapses each wire's rotation runs, and the
-output is oracle-verified up to global phase when small enough: the
-oracle builds the one product U_out^dag U_in and tests it against a
-phase times the identity. The benchmark ansatz generators live in
-``ansatz``.
+
+The anneal minimises the unit's leg count, a proxy for what the output
+pays. ``optimize`` therefore chooses C itself: of the identity and each
+attempt's best C, the one whose output has the fewest CNOTs, counted
+exactly on row words (``_output_cnots``) before anything is
+synthesised; ties go to the identity, then to the earliest attempt.
+Only the winner's blocks and gadgets are synthesised. The prefix and
+the tail do not depend on C, and ``euler_peephole`` moves no CNOT.
+
+After synthesis, ``euler_peephole`` collapses each wire's rotation
+runs, and the output is oracle-verified up to global phase when small
+enough: the oracle builds the one product U_out^dag U_in and tests it
+against a phase times the identity. The benchmark ansatz generators
+live in ``ansatz``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .gadgets import (
     is_zero_angle,
     leg_matrices,
 )
-from .gf2 import BitMatrix, invert
+from .gf2 import BitMatrix, _mul_rows, _row_ops, _transpose_rows, invert
 from .oracle import MAX_QUBITS, VERIFY_TOL, equiv_up_to_phase, unitary_of_circuit
 from .transform import detect_layers, extract, h_z, synth_cnot, synth_gadget
 
@@ -57,7 +66,8 @@ class OptimizeReport:
     before: Metrics
     after: Metrics
     energy_before: int
-    energy_after: int
+    energy_after: int  # the best energy the anneal reached
+    energy_chosen: int  # the energy of the C the output uses
     layers_detected: int
     verified: str  # "yes" | "no" | "skipped"
 
@@ -71,6 +81,7 @@ class OptimizeReport:
             ("after_gate_count", self.after.gate_count),
             ("energy_before", self.energy_before),
             ("energy_after", self.energy_after),
+            ("energy_chosen", self.energy_chosen),
             ("layers_detected", self.layers_detected),
             ("verified", self.verified),
         ]
@@ -87,7 +98,7 @@ class OptimizeReport:
             delta = _percent_change(before, after)
             lines.append(f"{name:<12} {before:>8} {after:>8} {delta:>7}")
         lines.append(
-            f"energy {self.energy_before} -> {self.energy_after}"
+            f"energy {self.energy_before} -> {self.energy_after} (chosen {self.energy_chosen})"
             f" | layers {self.layers_detected} | verified {self.verified}"
         )
         return "\n".join(lines)
@@ -98,6 +109,63 @@ def _percent_change(before: int, after: int) -> str:
         return "-"
     pct = round(100.0 * (before - after) / before)
     return f"{pct}%"
+
+
+def _live_legs(unit: GadgetCircuit, angles: list[list[float]]) -> list[tuple[str, int, int]]:
+    """(basis, legs word, occurrences that emit it) per entry of the fused unit.
+
+    An entry is emitted in each occurrence whose fused angle is not zero;
+    entries emitted in none are left out.
+    """
+    legs = []
+    for k, e in enumerate(unit.entries):
+        live = sum(not is_zero_angle(a[k]) for a in angles)
+        if live:
+            legs.append((e.basis, e.legs.bits, live))
+    return legs
+
+
+def _output_cnots(c_rows: tuple[int, ...], legs: list[tuple[str, int, int]]) -> int:
+    """CNOTs of the two C blocks and every layer, for the C with row words ``c_rows``.
+
+    Exactly what ``optimize`` emits between the prefix and the tail: one
+    CNOT per row operation of C and of C^-1 (``synth_cnot``), and
+    2(|legs| - 1) per emitted gadget (``synth_gadget``, either shape),
+    with legs C*legs (Z) or (C^T)^-1*legs (X) as in ``apply_action``.
+    """
+    n = len(c_rows)
+    ops = _row_ops(list(c_rows))
+    inv = [1 << i for i in range(n)]  # C^-1: the ops replayed on I, as in ``invert``
+    for r, s in ops:
+        inv[r] ^= inv[s]
+    columns = {"Z": _transpose_rows(c_rows, n), "X": inv}
+    gadgets = 0
+    for basis, word, live in legs:
+        (acted,) = _mul_rows((word,), columns[basis])
+        gadgets += live * (acted.bit_count() - 1)
+    return len(ops) + len(_row_ops(inv)) + 2 * gadgets
+
+
+def _choose(
+    result: AnnealResult, unit: GadgetCircuit, angles: list[list[float]]
+) -> tuple[BitMatrix, int]:
+    """(C, its energy): of I and each attempt's best C, the one with fewest output CNOTs.
+
+    Ties go to I, then to the earliest attempt.
+    """
+    best_c, best_e = BitMatrix.identity(unit.n_qubits), result.initial_energy
+    if not result.candidates:
+        return best_c, best_e
+    legs = _live_legs(unit, angles)
+    best_cost = _output_cnots(best_c._r, legs)
+    scored = {best_c._r}
+    for c, e in zip(result.candidates, result.per_attempt_energies):
+        if c._r not in scored:
+            scored.add(c._r)
+            cost = _output_cnots(c._r, legs)
+            if cost < best_cost:
+                best_c, best_e, best_cost = c, e, cost
+    return best_c, best_e
 
 
 def optimize(
@@ -130,7 +198,7 @@ def optimize(
         gates.extend(synth_gadget(e, shape).gates)
 
     result: AnnealResult
-    raw_unit_energy = 0
+    raw_unit_energy = chosen_energy = 0
     if info.unit_length == 0:
         result = AnnealResult(BitMatrix.identity(n), 0, 0, ())
     else:
@@ -138,20 +206,19 @@ def optimize(
         # One fusion plan serves every repetition, keeping the layers uniform.
         plan = fusion_plan(occurrences[0])
         unit = GadgetCircuit(n, tuple(e for e, _ in plan))
+        angles = [[sum(occ[i].angle for i in src) for _, src in plan] for occ in occurrences]
         lz, lx = leg_matrices(unit)
         result = anneal(lz, lx, p)
-        c_best = result.best_c
+        c_best, chosen_energy = _choose(result, unit, angles)
         # Gadgets with legs C*L commute left across a block of action C^-1
         # back to legs L, so the sandwich C^-1-block ; unit' ; C-block
         # reproduces the original unit exactly. For C = I both blocks are empty.
         gates.extend(synth_cnot(invert(c_best)).to_gates().gates)
         acted = apply_action(unit, c_best).entries
-        for occ in occurrences:
-            for e, (_, src) in zip(acted, plan):
-                angle = sum(occ[i].angle for i in src)
-                if is_zero_angle(angle):
-                    continue
-                gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
+        for occ_angles in angles:
+            for e, angle in zip(acted, occ_angles):
+                if not is_zero_angle(angle):
+                    gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
         gates.extend(synth_cnot(c_best).to_gates().gates)
 
     # The tail is a pure CNOT circuit, so its unitary is the basis permutation
@@ -175,6 +242,7 @@ def optimize(
         after=metrics_of(out),
         energy_before=raw_unit_energy,
         energy_after=result.best_energy,
+        energy_chosen=chosen_energy,
         layers_detected=info.repeats,
         verified=verified,
     )

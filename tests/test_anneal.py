@@ -155,7 +155,36 @@ def test_attempt_pool_is_a_prefix_across_loops():
         small = anneal(lz, lx, AnnealParams(iterations=400, attempts=few, seed=n))
         large = anneal(lz, lx, AnnealParams(iterations=400, attempts=20, seed=n))
         assert large.per_attempt_energies[:few] == small.per_attempt_energies
+        assert large.candidates[:few] == small.candidates
         assert large.best_energy <= small.best_energy
+
+
+def test_candidates_are_each_attempts_best_c(monkeypatch):
+    # On both loops: one candidate per attempt, in attempt order, each
+    # invertible and scoring its attempt's energy; best_c is the first
+    # candidate of the lowest energy, or I when no attempt beats I.
+    rng = np.random.default_rng(13)
+    left_identity = 0
+    for n, d, attempts in ((3, 4, 5), (4, 6, 2), (5, 8, 8), (6, 10, 20), (9, 12, 9)):
+        lz, lx = random_matrix(n, d, rng), random_matrix(n, d, rng)
+        p = AnnealParams(iterations=300, attempts=attempts, seed=n)
+        results = []
+        for threshold in LOOPS.values():
+            monkeypatch.setattr(annealing, "PACK_MIN_ATTEMPTS", threshold)
+            results.append(anneal(lz, lx, p))
+        res = results[0]
+        assert results[1] == res
+        assert len(res.candidates) == len(res.per_attempt_energies) == attempts
+        for c, e in zip(res.candidates, res.per_attempt_energies):
+            assert rank(c) == n
+            assert energy(c, lz, lx) == e
+        if res.best_energy < res.initial_energy:
+            left_identity += 1
+            first = res.per_attempt_energies.index(res.best_energy)
+            assert res.best_c is res.candidates[first]
+        else:
+            assert res.best_c == BitMatrix.identity(n)
+    assert left_identity >= 3
 
 
 def test_move_stream_is_no_attempt_stream():
@@ -257,6 +286,7 @@ def test_anneal_monotone_in_attempts():
     few = anneal(LZ, LX, AnnealParams(iterations=300, attempts=2, seed=7))
     many = anneal(LZ, LX, AnnealParams(iterations=300, attempts=6, seed=7))
     assert many.per_attempt_energies[:2] == few.per_attempt_energies
+    assert many.candidates[:2] == few.candidates
     assert many.best_energy <= few.best_energy
 
 
@@ -365,5 +395,7 @@ def test_anneal_floor_exit_matches_the_chains(monkeypatch):
             chains.best_energy,
             chains.initial_energy,
         )
-        exits += fast.per_attempt_energies == ()
+        if fast.per_attempt_energies == ():
+            exits += 1
+            assert fast.candidates == ()
     assert exits > 100

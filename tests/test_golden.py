@@ -2,8 +2,9 @@
 
 Each case hashes ``serialize(out) + report.to_kv()``. Every case but one
 anneals 3 x 300, one chain at a time; ``random_gadget_default_budget``
-takes the default 20 x 5000 budget, so the packed loop is pinned end to
-end. A refactor must leave every hash unchanged; a change that alters
+takes the default budget (``annealing.DEFAULT_ATTEMPTS`` x
+``DEFAULT_ITERATIONS``), so the packed loop and the choice of C among
+its 20 candidates are pinned end to end. A refactor must leave every hash unchanged; a change that alters
 behaviour on purpose updates the pins and says why in CHANGES.md.
 """
 
@@ -68,13 +69,13 @@ CASES = {
 CASE_PARAMS = {"random_gadget_default_budget": AnnealParams(seed=7)}
 
 PINS = {
-    "random_gadget_ansatz": "6b739206190dc5d576ee4260b56ced87df3dbfe0341bdcac9276fda5a9a69589",
-    "staircase_rx": "fe4734538155648b70bcff9e5b16addca9db049e8b2aa5de1ae26db7eeef8844",
-    "fusion_to_zero": "df83d8ce3b6e2e522e3c708107fa87116b594d5507da4a9e11384a351169c3a7",
-    "random_basis_a": "4e0818f4e7382972ed4f67220cb4ab93439f68c2841e0b5c7c095e3832372ae3",
-    "random_basis_b": "2a0a81326e733f5117c3eb9b5985380ce4947064b33088c2177154102b2dd4fa",
-    "random_basis_c": "64bef79ed067cbe436ebf505cb2127f20ff33454998d0a505fe4a2fde765daf7",
-    "random_gadget_default_budget": "14134af837d4ebfa18546d3a90dc7709ef7f4e52ad96d5021c2cbbeee4244167",
+    "random_gadget_ansatz": "fd6cb8a0e9a053346b47071b00230db3352c4d3e88cdeb77c86d2559a5a76f09",
+    "staircase_rx": "316eeef1beccd7583e53a6f8b84761b6c40b8f5678167890628cb6a3817ceed5",
+    "fusion_to_zero": "60aff4e0b72691ab94b33683a730d6d76a0826da96cafcac91b8c7373c15ed62",
+    "random_basis_a": "153556a8aebe7fac46ede756bc5028562aad730adb43c3be336b48e4deaa05b7",
+    "random_basis_b": "afeb4179987d1e0359847ed4055cb31e28373ed529204393c1ebf66219ebe685",
+    "random_basis_c": "5c94278672ef82aac3ce5e8630047838b7642552cb8192afb347421262665daa",
+    "random_gadget_default_budget": "46757a6738638856474c66e8f0cb8476bf6e9b785b46393931a23ae4ce10be8f",
 }
 
 
@@ -94,9 +95,9 @@ def test_golden_output(name):
 def test_golden_cases_cover_their_shapes():
     _, report = _digest("random_gadget_ansatz")
     assert report.layers_detected >= 2
-    # Fusion cannot lower the leg count of this unit, so a lower energy
-    # means the annealer left the identity and both C blocks are emitted.
-    assert report.energy_after < report.energy_before
+    # Fusion cannot lower the leg count of this unit, so a lower chosen
+    # energy means the output left the identity and both C blocks are emitted.
+    assert report.energy_chosen < report.energy_before
     # Here the anneal keeps C = I, the case whose C blocks are empty.
     _, report = _digest("staircase_rx")
     assert report.layers_detected == 2
@@ -106,4 +107,4 @@ def test_golden_cases_cover_their_shapes():
     _, report = _digest("random_gadget_default_budget")
     assert AnnealParams().attempts >= annealing.PACK_MIN_ATTEMPTS  # the packed loop ran
     assert report.layers_detected == 3
-    assert report.energy_after < report.energy_before
+    assert report.energy_chosen < report.energy_before

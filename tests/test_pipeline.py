@@ -333,3 +333,102 @@ def test_optimize_never_returns_a_wrong_circuit(n, monkeypatch):
     monkeypatch.setattr(pl, "euler_peephole", shift_one_rotation)
     with pytest.raises(VerificationError, match="not equivalent"):
         optimize(c, FAST)
+
+
+def _random_basis_circuit(seed: int, n: int, n_gates: int) -> GateCircuit:
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(n_gates):
+        k = int(rng.integers(3))
+        if k == 0:
+            a, b = rng.permutation(n)[:2]
+            gates.append(ci.cnot(int(a), int(b)))
+        else:
+            rot = ci.rz if k == 1 else ci.rx
+            gates.append(rot(float(rng.uniform(-math.pi, math.pi)), int(rng.integers(n))))
+    return GateCircuit(n, tuple(gates))
+
+
+def _fused_angle_zero_once() -> GateCircuit:
+    # Each layer is Z(t) 1100 ; X(0.7) 1111 ; Z(s) 1100; the Z gadgets fuse,
+    # and s = -t in layer 1 only, so one occurrence drops the fused gadget.
+    from phasefold.gadgets import gadget_circuit
+
+    specs = []
+    for t, s in ((0.4, 0.2), (0.9, -0.9), (1.3, 0.5)):
+        specs += [("Z", t, "1100"), ("X", 0.7, "1111"), ("Z", s, "1100")]
+    return synth_gadget_circuit(gadget_circuit(4, specs), "ladder")
+
+
+CHOICE_CASES = {
+    "ansatz_n6": lambda: synth_gadget_circuit(
+        generate(AnsatzSpec("random_gadget", 6, layers=3, gadgets_per_layer=8, seed=21)), "ladder"
+    ),
+    "ansatz_n5_tree": lambda: synth_gadget_circuit(
+        generate(AnsatzSpec("random_gadget", 5, layers=2, gadgets_per_layer=6, seed=22)), "tree"
+    ),
+    "staircase_rx": lambda: generate(AnsatzSpec("staircase", 4, layers=4, seed=23, with_rx=True)),
+    "brickwall_rx": lambda: generate(AnsatzSpec("brickwall", 5, layers=3, seed=24, with_rx=True)),
+    "gate_level_a": lambda: _random_basis_circuit(25, 3, 20),
+    "gate_level_b": lambda: _random_basis_circuit(26, 5, 40),
+    "gate_level_c": lambda: _random_basis_circuit(27, 6, 60),
+    "fused_angle_zero_once": _fused_angle_zero_once,
+}
+
+
+def _optimize_choosing(monkeypatch, c, p, pick):
+    """optimize with C picked by ``pick(result)``; returns (output, (result, unit, angles))."""
+    import phasefold.pipeline as pl
+
+    seen = []
+
+    def choose(result, unit, angles):
+        seen.append((result, unit, angles))
+        return pick(result), 0
+
+    with monkeypatch.context() as m:
+        m.setattr(pl, "_choose", choose)
+        out, report = optimize(c, p)
+    assert report.verified == "yes"
+    return out, seen[0]
+
+
+@pytest.mark.parametrize("name", sorted(CHOICE_CASES))
+def test_output_cnots_is_the_synthesised_count(name, monkeypatch):
+    # For I and every candidate, the exact cost equals the CNOTs of the
+    # output optimize builds with that C, less the prefix and the tail.
+    import phasefold.pipeline as pl
+    from phasefold.transform import synth_cnot, synth_gadget
+
+    c = CHOICE_CASES[name]()
+    p = AnnealParams(iterations=300, attempts=6, seed=5)
+    nf = extract(ci.lower_to_basis(c))
+    info = detect_layers(nf.gadgets)
+    fixed = len(synth_cnot(h_z(nf.tail))) + sum(
+        cnot_count(synth_gadget(e)) for e in nf.gadgets.entries[: info.offset]
+    )
+    identity = BitMatrix.identity(c.n_qubits)
+    _, (result, unit, angles) = _optimize_choosing(monkeypatch, c, p, lambda r: identity)
+    legs = pl._live_legs(unit, angles)
+    pool = (identity,) + result.candidates
+    costs = [pl._output_cnots(m._r, legs) for m in pool]
+    for m, cost in zip(pool, costs):
+        out, _ = _optimize_choosing(monkeypatch, c, p, lambda r: m)
+        assert cnot_count(out) - fixed == cost
+    # optimize itself takes the first of the cheapest.
+    out, report = optimize(c, p)
+    assert cnot_count(out) - fixed == min(costs)
+    chosen = pool[costs.index(min(costs))]
+    assert out == _optimize_choosing(monkeypatch, c, p, lambda r: chosen)[0]
+    if name == "fused_angle_zero_once":
+        assert sorted(live for _, _, live in legs) == [2, 3]
+    if name.startswith("ansatz"):
+        assert len(set(costs)) > 1  # the choice matters here
+
+
+def test_choice_reports_the_chosen_energy():
+    c = CHOICE_CASES["ansatz_n6"]()
+    _, report = optimize(c, AnnealParams(iterations=300, attempts=6, seed=5))
+    assert report.energy_after <= report.energy_chosen
+    assert f"energy_chosen={report.energy_chosen}" in report.to_kv().splitlines()
+    assert f"(chosen {report.energy_chosen})" in report.to_text()

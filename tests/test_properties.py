@@ -1,4 +1,4 @@
-"""Property tests of optimize's one-product check, ``equiv_up_to_phase(U_d^dag U_c)``.
+"""Property tests of optimize's one-product check and of its choice of C.
 
 Circuits draw every gate kind on up to 6 qubits. The check must accept a
 circuit against itself and against its lowered, peepholed rewrite, reject
@@ -6,9 +6,15 @@ it against a copy with one angle moved by at least 1e-3, and on every
 pair score at least the largest phase-aligned entry error, so it is at
 least as strict as an entry-wise comparison. Its error must also equal
 the two-matrix error of ``verify``: both apply one rule.
+
+On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
+with no more CNOTs than the one built with C = I or with the anneal's
+lowest-energy ``best_c``; the output passes the oracle and is the same
+on every run with the same seed.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -19,13 +25,17 @@ from phasefold.oracle import (
     phase_aligned_error,
     unitary_of_circuit,
 )
-from phasefold.pipeline import euler_peephole
+from phasefold import pipeline
+from phasefold.annealing import AnnealParams
+from phasefold.circuits import cnot_count
+from phasefold.gf2 import BitMatrix
+from phasefold.pipeline import euler_peephole, optimize
 
 
 @st.composite
-def circuits(draw, min_qubits=1, max_qubits=6, max_gates=30):
+def circuits(draw, min_qubits=1, max_qubits=6, max_gates=30, kinds=tuple(ci.GATE_KINDS)):
     n = draw(st.integers(min_qubits, max_qubits))
-    kinds = sorted(k for k, (arity, _) in ci.GATE_KINDS.items() if arity <= n)
+    kinds = sorted(k for k in kinds if ci.GATE_KINDS[k][0] <= n)
     gates = []
     for _ in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from(kinds))
@@ -72,3 +82,17 @@ def test_two_matrices_and_one_product_score_alike(c, data):
     for d in (other, euler_peephole(ci.lower_to_basis(c))):
         two = phase_aligned_error(unitary_of_circuit(c), unitary_of_circuit(d))
         assert abs(two - phase_aligned_error(unitary_of_circuit(c, d))) < 1e-9
+
+
+@given(circuits(kinds=("cnot", "rz", "rx")), st.integers(0, 2**32 - 1))
+def test_chosen_c_costs_no_more_than_identity_or_best_c(c, seed):
+    p = AnnealParams(iterations=60, attempts=3, seed=seed)
+    out, report = optimize(c, p)  # raises VerificationError on an oracle failure
+    assert report.verified == "yes"
+    assert optimize(c, p)[0] == out
+    identity = BitMatrix.identity(c.n_qubits)
+    for pick in (lambda r: identity, lambda r: r.best_c):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pipeline, "_choose", lambda r, unit, angles, pick=pick: (pick(r), 0))
+            forced, _ = optimize(c, p)
+        assert cnot_count(out) <= cnot_count(forced)

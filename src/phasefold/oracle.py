@@ -11,7 +11,8 @@ Conventions, fixed once and asserted by tests:
 
 Products are dense 2^n x 2^n matrices; callers must keep n <= MAX_QUBITS.
 CNOTs are row permutations and RZ, CZ, CRZ, CU1 and gadget phases are
-diagonals, so each composes into a pending part at O(2^n). Only the
+diagonals, so each composes into a pending part at O(2^n); a run of
+consecutive CNOTs composes first, into one permutation. Only the
 row-mixing gates (RX, RY, H, CRX, and the Hadamards of an X gadget) need
 the matrix. Two kernels handle them:
 
@@ -21,55 +22,69 @@ the matrix. Two kernels handle them:
   passes per mixing gate;
 * grouped (``_Grouped``, from ``GROUP_MIN_QUBITS`` qubits on): a mixing
   gate pairs rows along a direction of GF(2)^n and only combines the
-  rows of a 2^n x 2^d coefficient array, O(2^n * 2^d), where d counts
-  the group's directions so far. A group is applied with two O(4^n)
-  passes, one gather and one batched product by 2^d x 2^d blocks, when
-  a gate would add a direction past D = ``GROUP_DIRECTIONS``, and at the
-  end.
+  rows of a 2^n x 2^d coefficient array, where d counts the group's
+  directions so far. A gate along a direction already in the group
+  costs one row gather of the array and three passes over it (scale the
+  gathered partners, scale the rows, by one scalar for RX and RY, and
+  add); a new direction builds the doubled array from two row gathers
+  and, when the reduced direction needs it, one column gather. A group
+  is applied, coset by coset in place, with one batched product by
+  2^d x 2^d blocks, when a gate would add a direction past
+  D = ``GROUP_DIRECTIONS``, and at the end.
 
-One more gather and row scaling return the rows in natural order.
+Time per verification product, ``product_error(c, out)`` (ms, best of 3,
+summed over six seeded instances per row; 2-vCPU Xeon, numpy 2.4 with
+OpenBLAS), of the per-gate kernel and of groups of at most D directions.
+The instances are random-gadget ansaetze (10 gadgets, 2, 5 or 10
+layers, ladder synthesis), random {CNOT, RZ, RX} circuits of 10-120
+gates, and staircase or brickwall layers (4-16) with RZ and RX on every
+qubit, each against its optimised output (4 x 500 anneal):
 
-Time per unitary (ms, best of 9; 2-vCPU Xeon, numpy 2.4 with OpenBLAS)
-of the per-gate kernel and of groups of at most 5 directions, on seeded
-ladder-synthesised gadget ansaetze (inputs and optimised outputs),
-random {CNOT, RZ, RX} circuits of 10-120 gates, and staircase/brickwall
-layers with RZ and RX on every qubit:
+    n   shape     per-gate   D=2    D=3    D=4    D=5    D=6    D=7
+    6   ansatz        14.6   48.5   28.7   18.3   15.4   14.6   12.5
+    6   random         8.1   20.9   13.8   11.9    9.6    7.5    7.3
+    6   layered       21.9   86.7   54.9   38.9   41.6   26.6   27.0
+    7   ansatz        29.9   88.1   45.4   37.9   22.9   19.1   18.7
+    7   random        21.4   50.6   27.5   22.0   20.5   21.0   19.6
+    7   layered       60.6    216    115   79.5   81.6   88.2   71.4
+    8   ansatz         143    199    119   79.4   51.6   33.5   32.3
+    8   random        79.1   98.9   59.6   43.9   40.1   41.9   42.1
+    8   layered        265    442    234    197    185    199    251
+    9   ansatz         596    490    249    211    112   78.9   68.5
+    9   random         371    280    142    118    108    107    135
+    9   layered       1113   1219    639    566    516    597    804
+    10  ansatz        2081   1221    810    584    278    205    126
+    10  random        1187    744    424    334    301    330    407
+    10  layered       4501   3849   2462   1984   1875   2330   3060
 
-    n   ansatz          random          layered
-    5    1.03 ->  1.65   0.47 ->  0.78   0.62 ->   1.16
-    6    1.14 ->  1.63   0.80 ->  1.28   1.67 ->   4.42
-    7    3.41 ->  3.04   1.74 ->  1.75   4.25 ->   6.26
-    8   16.7  ->  9.91   9.32 ->  5.38  19.6  ->  15.2
-    9   40.8  ->  8.90  20.2  ->  5.50  62.5  ->  38.4
-   10    139  ->  17.9   102  ->  28.7   279  ->   139
+Groups win every shape from n = 8 on, and lose the layered one at 7,
+hence ``GROUP_MIN_QUBITS``. A block costs 2^d multiply-adds per matrix
+entry, so tensor-product groups (the layered shape) are best at D = 5
+and pay 7-24% more at D = 6. An ansatz product mostly stays inside one
+group of at most six directions, which then never builds a matrix (see
+below): D = 6 takes 26-35% off D = 5 on the ansatz shape, and random
+circuits move by at most 10%. Hence D = 6.
 
-Groups win every column from n = 8 on, hence ``GROUP_MIN_QUBITS``.
-Against the cap, at n = 9 and 10 (per-gate time / grouped time; D = 2,
-3, 4, 5, 6, 7):
-
-    n = 9 ansatz    1.94  2.50  4.00  4.92  4.65  4.56
-    n = 9 random    1.53  2.19  2.53  2.83  2.64  2.28
-    n = 9 layered   1.19  1.59  1.56  1.85  1.66  1.30
-    n = 10 ansatz   2.16  2.65  7.85  9.28  8.02  8.41
-    n = 10 random   1.83  2.50  3.25  3.64  3.24  2.69
-    n = 10 layered  1.26  1.84  2.21  1.90  1.84  1.38
-
-A block costs 2^d multiply-adds per matrix entry, so past D = 5 the
-product outgrows the passes it saves; hence D = 5.
-
-Verification is one product. ``unitary_of_circuit(c, out)`` runs c's
-gates and then out's gates in reverse order, each inverted (a gate's
-inverse is the same gate at minus its angle; CNOT, CZ and H are their
-own inverses). It returns W = U_out^dag U_c and holds what one product
-holds, two 2^n x 2^n matrices (32 MB at n = 10); building U_c and U_out
-apart would hold three. ``equiv_up_to_phase`` accepts when
-``phase_aligned_error`` = ||u - e^{i phi} v||_F < ``VERIFY_TOL``, with
-e^{i phi} the phase of tr(v^dag u) and v = I for a product. As U_out is
-unitary, ||W - e^{i phi} I||_F = ||U_c - e^{i phi} U_out||_F at the same
-phase, so a product and a pair of unitaries meet one rule. The
-Frobenius norm bounds every entry of the difference. The error is summed
-in row blocks of at most ``_BLOCK_ENTRIES`` entries, so it allocates no
-temporary as large as a matrix.
+Verification is one product, U_out^dag U_c: ``unitary_of_circuit(c, out)``
+and ``product_error(c, out)`` run c's gates and then out's gates in
+reverse order, each inverted (a gate's inverse is the same gate at minus
+its angle; CNOT, CZ and H are their own inverses). ``equiv_up_to_phase``
+accepts when ``phase_aligned_error`` = ||u - e^{i phi} v||_F <
+``VERIFY_TOL``, with e^{i phi} the phase of tr(v^dag u) and v = I for a
+product. As U_out is unitary, ||W - e^{i phi} I||_F = ||U_c - e^{i phi}
+U_out||_F at the same phase, so a product and a pair of unitaries meet
+one rule, and the Frobenius norm bounds every entry of the difference.
+``product_error`` computes that error without building W. While the
+grouped kernel has applied no group, row i of W holds 2^d known entries
+and nothing else: the trace, the phase and the difference are formed
+from those entries alone, and each row with no diagonal entry adds
+|e^{i phi}|^2 = 1. Otherwise the last group is applied in place and the
+rows are read, block by block, straight into the error. So the check
+holds at most one 2^n x 2^n matrix (16 MB at n = 10), and none when the
+product stays in one group; ``unitary_of_circuit`` returns W in natural
+row order and holds two. Every error is summed in row blocks of at most
+``_BLOCK_ENTRIES`` entries, with every entry of the difference formed
+before it is squared.
 """
 
 from __future__ import annotations
@@ -84,7 +99,7 @@ import numpy as np
 MAX_QUBITS = 10
 VERIFY_TOL = 1e-9  # on the phase-aligned Frobenius error, so also on every entry
 _BLOCK_ENTRIES = 1 << 16  # entries per row block of an error reduction
-GROUP_DIRECTIONS = 5  # most row-pairing directions one group fuses
+GROUP_DIRECTIONS = 6  # most row-pairing directions one group fuses
 GROUP_MIN_QUBITS = 8  # fewest qubits for which groups beat the per-gate kernel
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -235,6 +250,9 @@ class _Pending:
         pairs = np.moveaxis(rows, target - (control < target), -2)
         pairs[...] = gate @ pairs
 
+    def error(self) -> float:
+        return phase_aligned_error(self.flush())
+
 
 @functools.lru_cache(maxsize=None)
 def _pair_rows(n: int, target: int) -> np.ndarray:
@@ -244,74 +262,86 @@ def _pair_rows(n: int, target: int) -> np.ndarray:
     return rows
 
 
-@functools.lru_cache(maxsize=None)
-def _xor_table(d: int) -> np.ndarray:
-    """Entry (a, b) is a ^ b, for a, b < 2^d."""
-    k = np.arange(1 << d)
-    table = k[:, None] ^ k[None, :]
-    table.setflags(write=False)
-    return table
-
-
 def _xor_span(vectors: list[int]) -> np.ndarray:
     """Entry m is the XOR of ``vectors[j]`` over the set bits j of m."""
-    span = np.zeros(1, dtype=np.intp)
-    for v in vectors:
-        span = np.concatenate((span, span ^ v))
+    span = np.zeros(1 << len(vectors), dtype=np.intp)
+    for j, v in enumerate(vectors):
+        np.bitwise_xor(span[: 1 << j], v, out=span[1 << j : 2 << j])
     return span
 
 
-def _completed_basis(vectors: list[int], n: int) -> list[int]:
-    """Independent ``vectors`` followed by unit vectors that make them a basis of GF(2)^n."""
-    reduced: list[int] = []
-    for v in vectors:
-        for r in reduced:  # largest first, so each r clears its own leading bit
-            v = min(v, v ^ r)
-        reduced.append(v)
-        reduced.sort(reverse=True)
-    leading = {r.bit_length() - 1 for r in reduced}
-    return vectors + [1 << k for k in range(n) if k not in leading]
+def _cnot_run_rows(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Rows of a run of CNOTs in application order, as one permutation."""
+    rows = _cnot_rows(n, *pairs[0])
+    for control, target in pairs[1:]:
+        rows = rows[_cnot_rows(n, control, target)]
+    return rows
+
+
+def _reduce(x, pivots):
+    """(r, k) with x = r ^ s_k and r zero at every pivot bit; x an int or an int array.
+
+    ``pivots`` holds (bit, vector, k) with vector = s_k, in decreasing bit
+    order; each vector's highest set bit is its own pivot bit, so the
+    reduction clears the pivot bits from the top down. r is zero exactly
+    when x is in the span.
+    """
+    k = x & 0
+    for bit, vector, index in pivots:
+        hit = (x >> bit) & 1
+        x = x ^ hit * vector
+        k = k ^ hit * index
+    return x, k
 
 
 class _Grouped:
-    """A 2^n x 2^n unitary kept as row i = ``ph[i] * sum_k coef[rows[i], k] * u[F(i) ^ s_k]``.
+    """A 2^n x 2^n unitary kept as row i = ``ph[i] * sum_k coef[rows[i], k] * u[R(F(i)) ^ s_k]``.
 
     ``F`` (``frame``) is a GF(2)-linear map of row indices, and ``s_k`` is
-    the XOR of the group's ``directions`` over the set bits of k. CNOTs
-    compose into ``frame``, ``ph`` and ``rows``, diagonals into ``ph``,
-    each in O(2^n). A 2x2 gate on qubit q pairs row i with row i ^ e_q,
-    which reads ``u`` at the extra offset ``w = F(e_q)``. A ``w`` outside
-    the span of the directions becomes a new direction and doubles the
-    width of ``coef``; one inside it shifts the columns of ``coef`` by XOR.
-    Either way the gate combines ``coef`` rows in O(2^n * 2^d) and leaves
-    ``u`` alone.
+    the XOR of the group's ``directions`` over the set bits of k. ``R``
+    reduces an index by the directions (``_reduce``), so R(x) names x's
+    coset of their span and column k of a row always means the same row
+    of ``u`` in it. CNOTs compose into ``frame``, ``ph`` and ``rows``,
+    diagonals into ``ph``, each in O(2^n). A 2x2 gate on qubit q pairs
+    row i with row i ^ e_q, which reads ``u`` at the extra offset
+    ``w = F(e_q)``. A ``w`` inside the span leaves both rows in one coset,
+    so the gate adds each row's partner, scaled, column for column. One
+    outside it becomes a new direction: ``coef`` doubles in width, each
+    row taking its own and its partner's entries as the two halves, in
+    the order the merged coset's reduction puts them. Either way the
+    gate combines ``coef`` rows in O(2^n * 2^d) and leaves ``u`` alone;
+    ``coef`` stays in storage order (``rows``), so it is gathered once,
+    for the partners, and only the gate's 2^n-entry factors are permuted.
 
     Before a direction past ``GROUP_DIRECTIONS``, and at the end, the group
-    is applied: one gather of ``u`` into cosets of the span, one batched
-    product by the (2^(n-d), 2^d, 2^d) blocks taken from ``coef``, and the
-    layout of the result becomes the new ``frame``. ``u`` stays ``None``
-    (the identity) until the first group writes its blocks into a zero
-    matrix, so a product holds no more than ``u`` and ``spare``.
+    is applied: coset by coset, the rows of ``u`` a coset reads are
+    multiplied by its 2^d x 2^d block of ``coef`` rows and written back in
+    place, so ``frame`` is unchanged. ``u`` stays ``None`` (the identity)
+    until the first group writes its blocks into a zero matrix, so the
+    accumulator holds at most one 2^n x 2^n matrix.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.u: np.ndarray | None = None  # the identity until a group is applied
-        self.spare: np.ndarray | None = None
         self.frame = np.arange(1 << n)
         self.ph: np.ndarray | None = None
+        self._open()
+
+    def _open(self) -> None:
+        """Start an empty group: one column of ones, coef rows in logical order."""
         self.rows: np.ndarray | None = None
-        self.coef: np.ndarray | None = None  # None: one column of ones
+        self.coef = np.ones((1 << self.n, 1), dtype=complex)
+        self.coset = self.frame.copy()  # R(F(i)) of the row stored at each coef row
         self.directions: list[int] = []
-        self.span = {0: 0}  # row offset s_k -> k
+        self.pivots: list[tuple[int, int, int]] = []  # (bit, s_k, k), see ``_reduce``
 
     def permute(self, rows: np.ndarray) -> None:
         """Left-multiply by the permutation that moves row ``rows[i]`` to row i."""
         self.frame = self.frame[rows]
         if self.ph is not None:
             self.ph = self.ph[rows]
-        if self.coef is not None:
-            self.rows = rows if self.rows is None else self.rows[rows]
+        self.rows = rows if self.rows is None else self.rows[rows]
 
     def scale(self, diagonal: np.ndarray) -> None:
         """Left-multiply by a diagonal matrix."""
@@ -320,94 +350,124 @@ class _Grouped:
     def mix(self, gate: np.ndarray, target: int, control: int | None = None) -> None:
         """Left-multiply by a 2x2 gate on ``target``, on the rows where ``control`` is 1."""
         w = int(self.frame[1 << (self.n - 1 - target)])
-        shift = self.span.get(w)
-        if shift is None and len(self.directions) == GROUP_DIRECTIONS:
-            self._apply_group()
-            w = int(self.frame[1 << (self.n - 1 - target)])
+        reduced, j = _reduce(w, self.pivots)
+        if reduced and len(self.directions) == GROUP_DIRECTIONS:
+            self._apply_group()  # leaves ``frame``, so ``w`` opens the next group
+            reduced, j = w, 0
         if control is None:
             local = _local_index(self.n, (target,))
-            diag = np.array([gate[0, 0], gate[1, 1]])
-            off = np.array([gate[0, 1], gate[1, 0]])
+            diag, off = (gate[0, 0], gate[1, 1]), (gate[0, 1], gate[1, 0])
         else:
             local = _local_index(self.n, (control, target))
-            diag = np.array([1, 1, gate[0, 0], gate[1, 1]])
-            off = np.array([0, 0, gate[0, 1], gate[1, 0]])
-        a, o = diag[local], off[local]
+            diag, off = (1, 1, gate[0, 0], gate[1, 1]), (0, 0, gate[0, 1], gate[1, 0])
+        # Row i becomes a[i] * (row i) + o[i] * (row i ^ e_q); ph stays the row factor.
+        partner = _pair_rows(self.n, target)
+        a = diag[0] if diag.count(diag[0]) == len(diag) else np.array(diag)[local]
+        o = np.array(off)[local]
         if self.ph is not None:
-            a, o = a * self.ph, o * self.ph[_pair_rows(self.n, target)]
-        if self.coef is None:  # one column of ones
-            self.coef = np.stack((a, o), axis=1)
-        else:
-            # Row i becomes a * (row i) + o * (row i ^ e_q, columns shifted by XOR),
-            # on a view whose axes are (qubits before q, q, qubits after q, column bits).
-            d = len(self.directions)
-            pairs = (1 << target, 2, -1)
-            here = self.coef if self.rows is None else self.coef[self.rows]
-            here = here.reshape(pairs + (2,) * d)
-            bits = () if shift is None else tuple(2 + d - j for j in range(d) if shift >> j & 1)
-            there = np.flip(here, (1,) + bits)
-            a, o = a.reshape(pairs + (1,) * d), o.reshape(pairs + (1,) * d)
-            if shift is None:  # the new direction is the highest column bit
-                coef = np.empty(here.shape[:3] + (2,) + here.shape[3:], dtype=complex)
-                np.multiply(a, here, out=coef[:, :, :, 0])
-                np.multiply(o, there, out=coef[:, :, :, 1])
-            else:
-                coef = a * here
-                coef += o * there
-            self.coef = coef.reshape(1 << self.n, -1)
-        if shift is None:
-            self.span.update({s ^ w: k + len(self.span) for s, k in self.span.items()})
-            self.directions.append(w)
-        self.rows = self.ph = None
+            o = o * (self.ph[partner] / self.ph)
+        if self.rows is not None:  # to storage order: coef row rows[i] holds row i
+            logical = np.empty_like(self.rows)
+            logical[self.rows] = np.arange(len(logical))
+            o, partner = o[logical], self.rows[partner[logical]]
+            if np.ndim(a):
+                a = a[logical]
+        if not reduced:
+            there = self.coef.take(partner, axis=0)
+            there *= o[:, None]
+            self.coef *= a if np.ndim(a) == 0 else a[:, None]
+            self.coef += there
+            return
+        # The partner's coset is this row's XOR ``reduced`` = w ^ s_j, and the two
+        # merge. Below the new direction go the entries of whichever of the two
+        # has the new pivot bit clear, above those of the other, their columns
+        # shifted by j; both rows then name the coset by the lower one.
+        bit = reduced.bit_length() - 1
+        high = (self.coset & 1 << bit) != 0
+        own = np.arange(len(partner))
+        width = self.coef.shape[1]
+        coef = np.empty((len(partner), 2 * width), dtype=complex)
+        lower = self.coef.take(np.where(high, partner, own), axis=0)
+        np.multiply(lower, np.where(high, o, a)[:, None], out=coef[:, :width])
+        upper = self.coef.take(np.where(high, own, partner), axis=0)
+        if j:
+            upper = upper.take(np.arange(width) ^ j, axis=1)
+        np.multiply(upper, np.where(high, a, o)[:, None], out=coef[:, width:])
+        self.coef = coef
+        self.coset[high] ^= reduced
+        self.pivots.append((bit, reduced, j | 1 << len(self.directions)))
+        self.pivots.sort(reverse=True)
+        self.directions.append(w)
 
     def _apply_group(self) -> None:
         size = 1 << self.n
-        d = len(self.directions)
-        width = 1 << d
+        width = self.coef.shape[1]
         inverse = np.empty_like(self.frame)
         inverse[self.frame] = np.arange(size)
-        # lam maps the layout m = (c, a), a < 2^d, to rows, with F(lam[c, a]) =
-        # F(lam[c, 0]) ^ s_a. So row lam[c, a] of the product is
-        #   sum_b coef[lam[c, a], a ^ b] * u[F(lam[c, b])]:
-        # block c gathers coset c of the span and multiplies it by blocks[c].
-        lam = _xor_span(_completed_basis([int(inverse[w]) for w in self.directions], self.n))
-        src = lam if self.rows is None else self.rows[lam]
-        blocks = self.coef[src.reshape(-1, width, 1), _xor_table(d)]
+        # lam maps the layout m = (c, a), a < 2^d, to rows: F(lam[c, a]) is s_a
+        # XOR a sum of unit vectors off the pivot bits, so R(F(lam[c, a])) is
+        # F(lam[c, 0]) and row lam[c, a] of the product is
+        #   sum_b coef[rows[lam[c, a]], b] * u[F(lam[c, b])]:
+        # coset c reads rows gather[c] of u and writes its new rows over them.
+        pivot_bits = {bit for bit, _, _ in self.pivots}
+        units = [1 << b for b in range(self.n) if b not in pivot_bits]
+        lam = _xor_span([int(inverse[v]) for v in self.directions + units])
+        blocks = self.coef.take(lam if self.rows is None else self.rows[lam], axis=0)
         if self.ph is not None:
-            blocks *= self.ph[lam].reshape(-1, width, 1)
-        gather = self.frame[lam]
+            blocks *= self.ph[lam, None]
+        blocks = blocks.reshape(-1, width, width)
+        gather = self.frame[lam].reshape(-1, width)
         if self.u is None:
             self.u = np.zeros((size, size), dtype=complex)
-            self.u[np.arange(size).reshape(-1, width, 1), gather.reshape(-1, 1, width)] = blocks
+            self.u[gather[:, :, None], gather[:, None, :]] = blocks
         else:
-            if self.spare is None:
-                self.spare = np.empty_like(self.u)
-            np.take(self.u, gather, axis=0, out=self.spare, mode="clip")
-            shape = (-1, width, size)
-            np.matmul(blocks, self.spare.reshape(shape), out=self.u.reshape(shape))
-        self.frame = np.empty_like(lam)
-        self.frame[lam] = np.arange(size)
-        self.ph = self.rows = self.coef = None
-        self.directions = []
-        self.span = {0: 0}
+            step = max(1, (1 << GROUP_DIRECTIONS) // width)  # cosets per coefficient-sized batch
+            for c in range(0, len(gather), step):
+                read = gather[c : c + step].ravel()
+                old = self.u.take(read, axis=0).reshape(-1, width, size)
+                self.u[read] = np.matmul(blocks[c : c + step], old).reshape(-1, size)
+        self.ph = None
+        self._open()
 
     def flush(self) -> np.ndarray:
-        """The product so far, rows in natural order."""
-        if self.directions:
-            self._apply_group()
+        """The product, rows in natural order, in a new matrix (``u`` is a second one)."""
+        size = 1 << self.n
+        if self.u is None and not self.directions:  # no gate mixed rows
+            u = np.zeros((size, size), dtype=complex)
+            u[np.arange(size), self.frame] = 1 if self.ph is None else self.ph
+            return u
+        # Every applied group opens the next, so one is open here; applying it
+        # takes up ``ph``.
+        self._apply_group()
+        return self.u.take(self.frame, axis=0)
+
+    def error(self) -> float:
+        """``phase_aligned_error`` of the product; the accumulator is spent after.
+
+        While no group has been applied, row i holds ``ph[i] * coef[rows[i], k]``
+        at column R(F(i)) ^ s_k and nothing else, so the error is read from
+        those 2^n x 2^d entries: row i's diagonal entry is its column k with
+        i = R(i) ^ s_k, if R(i) = R(F(i)). Otherwise the open group is applied
+        and row i of the product, row F(i) of ``u``, is read block by block:
+        no second matrix.
+        """
         size = 1 << self.n
         if self.u is None:
-            self.u = np.zeros((size, size), dtype=complex)
-            self.u[np.arange(size), self.frame] = 1 if self.ph is None else self.ph
-        else:
-            # Indices are always in range; mode="raise" would buffer ``out``.
-            gathered = np.take(self.u, self.frame, axis=0, out=self.spare, mode="clip")
-            self.u, self.spare = gathered, self.u
+            entries = self.coef if self.rows is None else self.coef.take(self.rows, axis=0)
             if self.ph is not None:
-                self.u *= self.ph[:, None]
-        self.frame = np.arange(size)
-        self.ph = None
-        return self.u
+                entries *= self.ph[:, None]
+            coset, column = _reduce(np.arange(size), self.pivots)
+            frame_coset = self.coset if self.rows is None else self.coset[self.rows]
+            rows = np.flatnonzero(coset == frame_coset)
+            cols = column[rows]
+            parts = [(entries, rows, cols)]
+            return _aligned_error(entries[rows, cols].sum(), parts, size - len(rows))
+        self._apply_group()  # as in ``flush``, a group is open and takes up ``ph``
+        parts = (
+            (self.u.take(self.frame[r], axis=0), *_block_diagonal(r))
+            for r in _row_blocks((size, size))
+        )
+        return _aligned_error(self.u[self.frame, np.arange(size)].sum(), parts)
 
 
 def _accumulator(n: int):
@@ -423,12 +483,8 @@ _DIAGONAL = {
 _MIXING = {"rx": rx_matrix, "ry": ry_matrix, "h": lambda _: H_MATRIX}
 
 
-def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
-    """Product of gate embeddings in application order (earlier gates act first).
-
-    With ``undo``, the product goes on through ``undo``'s gates in reverse
-    order, each inverted, and so is U_undo^dag @ U_circuit.
-    """
+def _accumulate(circuit, undo=None):
+    """The accumulator after ``circuit``'s gates, then ``undo``'s in reverse order, each inverted."""
     n = circuit.n_qubits
     _check_size(n)
     steps = ((g.kind, g.qubits, g.angle) for g in circuit.gates)
@@ -440,10 +496,15 @@ def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
         )
         steps = itertools.chain(steps, inverses)
     acc = _accumulator(n)
+    run: list[tuple[int, int]] = []  # consecutive CNOTs, applied as one permutation
     for kind, qubits, angle in steps:
         if kind == "cnot":
-            acc.permute(_cnot_rows(n, *qubits))
-        elif kind in _DIAGONAL:
+            run.append(qubits)
+            continue
+        if run:
+            acc.permute(_cnot_run_rows(n, run))
+            run = []
+        if kind in _DIAGONAL:
             acc.scale(_DIAGONAL[kind](angle)[_local_index(n, qubits)])
         elif kind in _MIXING:
             acc.mix(_MIXING[kind](angle), qubits[0])
@@ -451,7 +512,27 @@ def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
             acc.mix(crx_matrix(angle)[2:, 2:], qubits[1], control=qubits[0])
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
-    return acc.flush()
+    if run:
+        acc.permute(_cnot_run_rows(n, run))
+    return acc
+
+
+def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
+    """Product of gate embeddings in application order (earlier gates act first).
+
+    With ``undo``, the product goes on through ``undo``'s gates in reverse
+    order, each inverted, and so is U_undo^dag @ U_circuit.
+    """
+    return _accumulate(circuit, undo).flush()
+
+
+def product_error(circuit, undo) -> float:
+    """``phase_aligned_error(unitary_of_circuit(circuit, undo))``, at most one matrix built.
+
+    That is ||U_undo^dag U_circuit - e^{i phi} I||_F with e^{i phi} the
+    phase of the product's trace; see ``_Grouped.error`` for how it is read.
+    """
+    return _accumulate(circuit, undo).error()
 
 
 def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:
@@ -477,15 +558,39 @@ def unitary_of_gadgets(gadgets, tail=None) -> np.ndarray:
         acc.scale(gadget_diagonal(n, entry.angle, entry.legs))
         for q in hadamards:
             acc.mix(H_MATRIX, q)
-    for control, target in () if tail is None else tail.cnots:
-        acc.permute(_cnot_rows(n, control, target))
+    if tail is not None and tail.cnots:
+        acc.permute(_cnot_run_rows(n, tail.cnots))
     return acc.flush()
 
 
 def _row_blocks(shape: tuple[int, ...]):
     """Row slices of at most ``_BLOCK_ENTRIES`` entries (at least one row) each."""
     rows = max(1, _BLOCK_ENTRIES // math.prod(shape[1:]))
-    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+    return [slice(r, min(r + rows, shape[0])) for r in range(0, shape[0], rows)]
+
+
+def _block_diagonal(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of the identity's entries inside the row block ``rows``."""
+    k = np.arange(rows.stop - rows.start)
+    return k, k + rows.start
+
+
+def _aligned_error(trace, parts, missing: int = 0) -> float:
+    """sqrt(missing + sum over ``parts`` of ||block - e^{i phi} E||_F^2), phi the phase of ``trace``.
+
+    Each part is (block, rows, cols) and E is one at (rows[j], cols[j]):
+    the identity's entries that fall in that block. ``missing`` counts the
+    identity's entries outside every part, each adding |e^{i phi}|^2 = 1.
+    Blocks are overwritten. Every entry of the difference is formed before
+    it is squared, as subtracting the identity from a squared norm would
+    cancel away the error in rounding.
+    """
+    phase = 1 if trace == 0 else trace / abs(trace)
+    total = float(missing)
+    for block, rows, cols in parts:
+        block[rows, cols] -= phase
+        total += np.vdot(block, block).real
+    return math.sqrt(total)
 
 
 def phase_aligned_error(u: np.ndarray, v: np.ndarray | None = None) -> float:
@@ -495,27 +600,21 @@ def phase_aligned_error(u: np.ndarray, v: np.ndarray | None = None) -> float:
     is the true phase up to rounding, and it costs O(4^n) where the full
     v^dag u product costs O(8^n). A zero trace gives e^{i phi} = 1, and
     a unitary pair then scores sqrt(2 * 2^n): no phase makes it equal.
-    The sum runs row block by row block. Against I a block is copied and
-    only its diagonal shifted, as subtracting I from the whole matrix's
-    squared norm would cancel away the error in rounding.
+    The sum runs row block by row block; against I a block is copied and
+    only its diagonal shifted.
     """
     if v is None:
         if u.shape != (len(u), len(u)):
             raise ValueError("need a square matrix")
-        trace = np.trace(u)
-    elif u.shape != v.shape:
+        parts = ((u[r].copy(), *_block_diagonal(r)) for r in _row_blocks(u.shape))
+        return _aligned_error(np.trace(u), parts)
+    if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    else:
-        trace = np.vdot(v, u)
+    trace = np.vdot(v, u)
     phase = 1 if trace == 0 else trace / abs(trace)
     total = 0.0
     for rows in _row_blocks(u.shape):
-        if v is None:
-            block = u[rows].copy()
-            k = np.arange(len(block))
-            block[k, k + rows.start] -= phase
-        else:
-            block = u[rows] - phase * v[rows]
+        block = u[rows] - phase * v[rows]
         total += np.vdot(block, block).real
     return math.sqrt(total)
 

@@ -2,8 +2,9 @@
 
 The fused kernels of ``unitary_of_circuit`` and ``unitary_of_gadgets`` are
 checked against ``reference_unitary``, a plain Kronecker/tensordot
-embedding of every gate's matrix. Both kernels, the per-gate one and the
-grouped one, are forced at any qubit count by patching
+embedding of every gate's matrix, and ``product_error`` against the
+phase-aligned error of the reference product. Both kernels, the per-gate
+one and the grouped one, are forced at any qubit count by patching
 ``GROUP_MIN_QUBITS``, and the grouped one at several group caps by
 patching ``GROUP_DIRECTIONS``.
 """
@@ -35,6 +36,7 @@ from phasefold.oracle import (
     equiv_up_to_phase,
     gadget_diagonal,
     phase_aligned_error,
+    product_error,
     rx_matrix,
     ry_matrix,
     rz_matrix,
@@ -121,6 +123,12 @@ def assert_kernels_match(monkeypatch, build, reference):
 def assert_circuit_kernels_match(monkeypatch, circuit):
     reference = reference_unitary(circuit)
     assert_kernels_match(monkeypatch, lambda: unitary_of_circuit(circuit), reference)
+
+
+def assert_errors_match(monkeypatch, c, d):
+    """``product_error(c, d)`` is the reference product's error on every kernel."""
+    want = phase_aligned_error(reference_unitary(d).conj().T @ reference_unitary(c))
+    assert_kernels_match(monkeypatch, lambda: product_error(c, d), want)
 
 
 def single(n, gate):
@@ -483,17 +491,63 @@ def test_kernel_repeats_and_dependent_directions(gates, monkeypatch):
     assert_circuit_kernels_match(monkeypatch, GateCircuit(4, gates))
 
 
-def _group_sizes(monkeypatch, circuit):
-    """Directions per applied group while ``circuit``'s unitary is built."""
-    sizes = []
+@pytest.mark.parametrize(
+    "gates, error",
+    [
+        ((), 0.0),
+        ((ci.cnot(0, 1),), 4.0),  # rows 10 and 11 swap: 1 off the diagonal, 1 missing on it
+        ((ci.rz(math.pi, 1),), 8.0),  # trace 0, so the phase is 1: 2 * 2^n
+        ((ci.cz(0, 1), ci.cnot(1, 0), ci.crz(0.5, 0, 1), ci.cnot(0, 1), ci.cu1(-0.3, 1, 0)), None),
+    ],
+    ids=["empty", "one-cnot", "zero-trace", "mixed"],
+)
+def test_error_of_a_product_that_never_mixes(gates, error, monkeypatch):
+    # Permutations and diagonals only: the group keeps its one column of ones.
+    c = GateCircuit(2, gates)
+    assert_errors_match(monkeypatch, c, GateCircuit(2, ()))
+    assert_errors_match(monkeypatch, c, c)
+    if error is not None:
+        assert math.isclose(product_error(c, GateCircuit(2, ())) ** 2, error, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "gates",
+    [
+        (ci.cnot(0, 1), ci.cnot(1, 2), ci.cnot(2, 0), ci.rx(0.4, 0), ci.cnot(3, 1), ci.cnot(0, 3)),
+        (ci.rx(0.4, 1), ci.cnot(0, 1), ci.cnot(1, 2), ci.cnot(1, 2), ci.cnot(0, 1), ci.rx(-0.7, 1)),
+        (ci.h(2), ci.cnot(0, 1), ci.cnot(1, 0), ci.cnot(0, 1), ci.cnot(0, 1), ci.cnot(1, 0),
+         ci.cnot(0, 1), ci.ry(0.9, 0), ci.cnot(2, 3), ci.cnot(3, 0)),
+        (ci.rz(0.3, 0), ci.cnot(0, 1), ci.cnot(2, 3), ci.rx(0.5, 3), ci.cnot(2, 3), ci.cnot(0, 1),
+         ci.crx(0.6, 1, 2), ci.cnot(1, 2), ci.cnot(2, 0), ci.cnot(0, 1), ci.cnot(1, 2)),
+    ],
+    ids=["crossing-runs", "run-cancels-itself", "swaps-cancel", "runs-between-mixes"],
+)
+def test_kernel_cnot_runs(gates, monkeypatch):
+    # Consecutive CNOTs act as one permutation: runs that cross qubits, and
+    # runs that are the identity, before, between and after mixing gates.
+    c = GateCircuit(4, gates)
+    assert_circuit_kernels_match(monkeypatch, c)
+    assert_errors_match(monkeypatch, c, c)
+    assert_errors_match(monkeypatch, c, GateCircuit(4, gates[::-1]))
+
+
+def _count_groups(monkeypatch) -> list:
+    """From now on, each applied group appends one entry to the returned list."""
+    applied = []
     apply_group = oracle._Grouped._apply_group
 
     def spy(acc):
-        sizes.append(len(acc.directions))
+        applied.append(len(acc.directions))
         apply_group(acc)
 
+    monkeypatch.setattr(oracle._Grouped, "_apply_group", spy)
+    return applied
+
+
+def _group_sizes(monkeypatch, circuit):
+    """Directions per applied group while ``circuit``'s unitary is built."""
     with monkeypatch.context() as m:
-        m.setattr(oracle._Grouped, "_apply_group", spy)
+        sizes = _count_groups(m)
         assert_matches_reference(circuit)
     return sizes
 
@@ -524,37 +578,63 @@ def test_kernel_either_side_of_crossover(n):
     assert np.max(np.abs(unitary_of_gadgets(g) - reference_gadget_unitary(g))) < KERNEL_TOL
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def test_grouped_kernel_holds_two_matrices():
-    # Peak allocation of one product at MAX_QUBITS with several groups: the
-    # matrix, one spare of the same size, and a few arrays as large as the
-    # 2^n x 2^GROUP_DIRECTIONS coefficients.
+    # Peak allocation of one unitary at MAX_QUBITS with several groups: the
+    # matrix, the copy returned in natural row order, and a few arrays as
+    # large as the 2^n x 2^GROUP_DIRECTIONS coefficients (4 x 1 MB at D = 6).
     n = MAX_QUBITS
     rng = np.random.default_rng(77)
     circuit = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
     matrix_bytes = 16 << (2 * n)
     coef_bytes = 16 << (n + GROUP_DIRECTIONS)
-    tracemalloc.start()
-    try:
-        unitary_of_circuit(circuit)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * matrix_bytes + 8 * coef_bytes, peak / matrix_bytes
+    peak = _peak_bytes(lambda: unitary_of_circuit(circuit))
+    assert peak < 2 * matrix_bytes + 4 * coef_bytes, peak / matrix_bytes
 
 
-def test_verification_holds_two_matrices():
-    # optimize's check at MAX_QUBITS, the product U_c^dag U_c and its
-    # error, peaks at what one product holds: the matrix, one spare and
-    # coefficient-sized arrays (a row block of the error is 2^16 entries).
+def test_verification_holds_one_matrix(monkeypatch):
+    # optimize's check at MAX_QUBITS, the error of the product U_c^dag U_c
+    # over several groups, peaks at one matrix and coefficient-sized arrays:
+    # groups are applied coset by coset in place, and the rows are read into
+    # the error block by block (a block is 2^16 entries).
     n = MAX_QUBITS
     rng = np.random.default_rng(78)
     c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
     matrix_bytes = 16 << (2 * n)
     coef_bytes = 16 << (n + GROUP_DIRECTIONS)
-    tracemalloc.start()
-    try:
-        assert equiv_up_to_phase(unitary_of_circuit(c, c))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * matrix_bytes + 8 * coef_bytes, peak / matrix_bytes
+    applied = _count_groups(monkeypatch)
+    errors = []
+    peak = _peak_bytes(lambda: errors.append(product_error(c, c)))
+    assert errors[0] < oracle.VERIFY_TOL
+    assert len(applied) > 1
+    assert peak < matrix_bytes + 8 * coef_bytes, peak / matrix_bytes
+
+
+def test_one_group_product_builds_no_matrix(monkeypatch):
+    # Mixing gates on five qubits and CNOTs among the other five: the product
+    # stays in one group, and its error is read from the coefficients alone,
+    # well below one matrix.
+    n = MAX_QUBITS
+    rng = np.random.default_rng(79)
+    gates = []
+    for _ in range(40):
+        gates.append(ci.rx(float(rng.uniform(-3, 3)), int(rng.integers(5))))
+        gates.append(ci.rz(float(rng.uniform(-3, 3)), int(rng.integers(n))))
+        gates.append(ci.cnot(*(int(q) for q in rng.choice(range(5, n), size=2, replace=False))))
+    c = GateCircuit(n, tuple(gates))
+    bent = GateCircuit(n, (ci.rx(1e-3, 0),) + c.gates)
+    matrix_bytes = 16 << (2 * n)
+    applied = _count_groups(monkeypatch)
+    assert _peak_bytes(lambda: product_error(c, c)) < matrix_bytes // 4
+    assert product_error(c, c) < oracle.VERIFY_TOL
+    assert product_error(c, bent) > oracle.VERIFY_TOL
+    assert applied == []

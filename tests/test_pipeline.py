@@ -335,6 +335,43 @@ def test_optimize_never_returns_a_wrong_circuit(n, monkeypatch):
         optimize(c, FAST)
 
 
+def test_optimize_raises_at_nine_qubits_when_no_group_is_applied(monkeypatch):
+    # RX on qubits 0-3 and CNOTs among 4-8: the product U_out^dag U_c stays
+    # in one group, so the check reads its error without building a matrix,
+    # and a wrong output is still an error.
+    import phasefold.pipeline as pl
+    from phasefold import oracle
+    from phasefold.pipeline import VerificationError
+
+    n = 9
+    rng = np.random.default_rng(4100)
+    gates = []
+    for _ in range(30):
+        gates.append(ci.rx(float(rng.uniform(-3, 3)), int(rng.integers(4))))
+        gates.append(ci.rz(float(rng.uniform(-3, 3)), int(rng.integers(n))))
+        gates.append(ci.cnot(*(int(q) for q in rng.choice(range(4, n), size=2, replace=False))))
+    c = GateCircuit(n, tuple(gates))
+    applied = []
+    apply_group = oracle._Grouped._apply_group
+    monkeypatch.setattr(
+        oracle._Grouped, "_apply_group", lambda acc: applied.append(acc) or apply_group(acc)
+    )
+    assert optimize(c, FAST)[1].verified == "yes"
+    assert applied == []
+
+    def shift_one_rotation(c):
+        out = euler_peephole(c)
+        i = next(i for i, g in enumerate(out.gates) if g.kind == "rx")
+        g = out.gates[i]
+        bent = ci.Gate(g.kind, g.qubits, g.angle + 0.5)
+        return GateCircuit(out.n_qubits, out.gates[:i] + (bent,) + out.gates[i + 1 :])
+
+    monkeypatch.setattr(pl, "euler_peephole", shift_one_rotation)
+    with pytest.raises(VerificationError, match="not equivalent"):
+        optimize(c, FAST)
+    assert applied == []
+
+
 def _random_basis_circuit(seed: int, n: int, n_gates: int) -> GateCircuit:
     rng = np.random.default_rng(seed)
     gates = []

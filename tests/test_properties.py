@@ -5,7 +5,9 @@ circuit against itself and against its lowered, peepholed rewrite, reject
 it against a copy with one angle moved by at least 1e-3, and on every
 pair score at least the largest phase-aligned entry error, so it is at
 least as strict as an entry-wise comparison. Its error must also equal
-the two-matrix error of ``verify``: both apply one rule.
+the two-matrix error of ``verify``: both apply one rule. On up to 9
+qubits, ``product_error`` reads the same error from the product on every
+kernel, whether or not a group is ever applied.
 
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
@@ -19,10 +21,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from phasefold import circuits as ci
+from phasefold import oracle
 from phasefold.circuits import GateCircuit
 from phasefold.oracle import (
     equiv_up_to_phase,
     phase_aligned_error,
+    product_error,
     unitary_of_circuit,
 )
 from phasefold import pipeline
@@ -82,6 +86,29 @@ def test_two_matrices_and_one_product_score_alike(c, data):
     for d in (other, euler_peephole(ci.lower_to_basis(c))):
         two = phase_aligned_error(unitary_of_circuit(c), unitary_of_circuit(d))
         assert abs(two - phase_aligned_error(unitary_of_circuit(c, d))) < 1e-9
+
+
+MIXED_KINDS = ("cnot", "rz", "rx", "ry", "h", "crx", "cz")
+
+
+@given(circuits(max_qubits=9, max_gates=24, kinds=MIXED_KINDS), st.data())
+def test_product_error_is_the_dense_error(c, data):
+    # Equal and one-angle-bent pairs; groups capped at 1, 2 and the default
+    # number of directions, so that products stay open or get applied.
+    pairs = [c]
+    angled = [k for k, g in enumerate(c.gates) if g.angle is not None]
+    if angled:
+        k = data.draw(st.sampled_from(angled))
+        g = c.gates[k]
+        bent = ci.Gate(g.kind, g.qubits, g.angle + data.draw(st.floats(1e-3, 1.0)))
+        pairs.append(GateCircuit(c.n_qubits, c.gates[:k] + (bent,) + c.gates[k + 1 :]))
+    for d in pairs:
+        want = phase_aligned_error(unitary_of_circuit(c, d))
+        for directions in (1, 2, oracle.GROUP_DIRECTIONS):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(oracle, "GROUP_MIN_QUBITS", 1)
+                m.setattr(oracle, "GROUP_DIRECTIONS", directions)
+                assert abs(product_error(c, d) - want) < 1e-12, directions
 
 
 @given(circuits(kinds=("cnot", "rz", "rx")), st.integers(0, 2**32 - 1))

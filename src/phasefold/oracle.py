@@ -68,7 +68,9 @@ circuits move by at most 10%. Hence D = 6.
 Verification is one product, U_out^dag U_c: ``unitary_of_circuit(c, out)``
 and ``product_error(c, out)`` run c's gates and then out's gates in
 reverse order, each inverted (a gate's inverse is the same gate at minus
-its angle; CNOT, CZ and H are their own inverses). ``equiv_up_to_phase``
+its angle; CNOT, CZ and H are their own inverses), and a gadget normal
+form on either side steps through the same loop (``_steps``); both
+``optimize`` and ``phasefold verify`` check this way. ``equiv_up_to_phase``
 accepts when ``phase_aligned_error`` = ||u - e^{i phi} v||_F <
 ``VERIFY_TOL``, with e^{i phi} the phase of tr(v^dag u) and v = I for a
 product. As U_out is unitary, ||W - e^{i phi} I||_F = ||U_c - e^{i phi}
@@ -93,6 +95,7 @@ import cmath
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -431,11 +434,6 @@ class _Grouped:
 
     def flush(self) -> np.ndarray:
         """The product, rows in natural order, in a new matrix (``u`` is a second one)."""
-        size = 1 << self.n
-        if self.u is None and not self.directions:  # no gate mixed rows
-            u = np.zeros((size, size), dtype=complex)
-            u[np.arange(size), self.frame] = 1 if self.ph is None else self.ph
-            return u
         # Every applied group opens the next, so one is open here; applying it
         # takes up ``ph``.
         self._apply_group()
@@ -483,17 +481,35 @@ _DIAGONAL = {
 _MIXING = {"rx": rx_matrix, "ry": ry_matrix, "h": lambda _: H_MATRIX}
 
 
+def _steps(circuit) -> tuple[int, list]:
+    """(qubit count, (kind, qubits, angle) steps) of a ``GateCircuit`` or a normal form.
+
+    A normal form's gadgets are "parity" steps on their legs (a ``BitVec``),
+    between H on each leg for an X gadget, then come its tail's CNOTs (none
+    for ``tail=None``); no ``synth_gadget``, so the oracle stays independent
+    of the synthesis it checks.
+    """
+    if hasattr(circuit, "gates"):
+        return circuit.n_qubits, [(g.kind, g.qubits, g.angle) for g in circuit.gates]
+    n = circuit.gadgets.n_qubits
+    steps = []
+    for e in circuit.gadgets.entries:
+        hadamards = [("h", (q,), None) for q in range(n) if e.legs[q]] if e.basis == "X" else []
+        steps += hadamards + [("parity", e.legs, e.angle)] + hadamards
+    if circuit.tail is not None:
+        steps += [("cnot", pair, None) for pair in circuit.tail.cnots]
+    return n, steps
+
+
 def _accumulate(circuit, undo=None):
-    """The accumulator after ``circuit``'s gates, then ``undo``'s in reverse order, each inverted."""
-    n = circuit.n_qubits
+    """The accumulator after ``circuit``'s steps, then ``undo``'s in reverse order, each inverted."""
+    n, steps = _steps(circuit)
     _check_size(n)
-    steps = ((g.kind, g.qubits, g.angle) for g in circuit.gates)
     if undo is not None:
-        if undo.n_qubits != n:
+        undo_n, undo_steps = _steps(undo)
+        if undo_n != n:
             raise ValueError("circuits act on different qubit counts")
-        inverses = (
-            (g.kind, g.qubits, None if g.angle is None else -g.angle) for g in reversed(undo.gates)
-        )
+        inverses = ((k, q, None if a is None else -a) for k, q, a in reversed(undo_steps))
         steps = itertools.chain(steps, inverses)
     acc = _accumulator(n)
     run: list[tuple[int, int]] = []  # consecutive CNOTs, applied as one permutation
@@ -510,6 +526,8 @@ def _accumulate(circuit, undo=None):
             acc.mix(_MIXING[kind](angle), qubits[0])
         elif kind == "crx":
             acc.mix(crx_matrix(angle)[2:, 2:], qubits[1], control=qubits[0])
+        elif kind == "parity":
+            acc.scale(gadget_diagonal(n, angle, qubits))
         else:
             raise ValueError(f"unknown gate kind {kind!r}")
     if run:
@@ -531,6 +549,7 @@ def product_error(circuit, undo) -> float:
 
     That is ||U_undo^dag U_circuit - e^{i phi} I||_F with e^{i phi} the
     phase of the product's trace; see ``_Grouped.error`` for how it is read.
+    Either side may be a ``GateCircuit`` or a normal form.
     """
     return _accumulate(circuit, undo).error()
 
@@ -547,20 +566,7 @@ def unitary_of_gadgets(gadgets, tail=None) -> np.ndarray:
 
     ``tail``, a ``CnotCircuit`` on the same qubits, acts after the gadgets.
     """
-    n = gadgets.n_qubits
-    _check_size(n)
-    acc = _accumulator(n)
-    for entry in gadgets.entries:
-        leg_qubits = [q for q in range(n) if entry.legs[q]]
-        hadamards = leg_qubits if entry.basis == "X" else []
-        for q in hadamards:
-            acc.mix(H_MATRIX, q)
-        acc.scale(gadget_diagonal(n, entry.angle, entry.legs))
-        for q in hadamards:
-            acc.mix(H_MATRIX, q)
-    if tail is not None and tail.cnots:
-        acc.permute(_cnot_run_rows(n, tail.cnots))
-    return acc.flush()
+    return _accumulate(types.SimpleNamespace(gadgets=gadgets, tail=tail)).flush()
 
 
 def _row_blocks(shape: tuple[int, ...]):

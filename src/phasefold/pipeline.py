@@ -200,29 +200,25 @@ def optimize(
     for e in prefix:
         gates.extend(synth_gadget(e, shape).gates)
 
-    result: AnnealResult
-    raw_unit_energy = chosen_energy = 0
-    if info.unit_length == 0:
-        result = AnnealResult(BitMatrix.identity(n), 0, 0, ())
-    else:
-        raw_unit_energy = sum(e.legs.popcount() for e in occurrences[0])
-        # One fusion plan serves every repetition, keeping the layers uniform.
-        plan = fusion_plan(occurrences[0])
-        unit = GadgetCircuit(n, tuple(e for e, _ in plan))
-        angles = [[sum(occ[i].angle for i in src) for _, src in plan] for occ in occurrences]
-        lz, lx = leg_matrices(unit)
-        result = anneal(lz, lx, p)
-        c_best, chosen_energy = _choose(result, unit, angles)
-        # Gadgets with legs C*L commute left across a block of action C^-1
-        # back to legs L, so the sandwich C^-1-block ; unit' ; C-block
-        # reproduces the original unit exactly. For C = I both blocks are empty.
-        gates.extend(synth_cnot(invert(c_best)).to_gates().gates)
-        acted = apply_action(unit, c_best).entries
-        for occ_angles in angles:
-            for e, angle in zip(acted, occ_angles):
-                if not is_zero_angle(angle):
-                    gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
-        gates.extend(synth_cnot(c_best).to_gates().gates)
+    # With no gadgets the anneal stops at its floor: C = I and every energy is 0.
+    raw_unit_energy = sum(e.legs.popcount() for e in occurrences[0])
+    # One fusion plan serves every repetition, keeping the layers uniform.
+    plan = fusion_plan(occurrences[0])
+    unit = GadgetCircuit(n, tuple(e for e, _ in plan))
+    angles = [[sum(occ[i].angle for i in src) for _, src in plan] for occ in occurrences]
+    lz, lx = leg_matrices(unit)
+    result = anneal(lz, lx, p)
+    c_best, chosen_energy = _choose(result, unit, angles)
+    # Gadgets with legs C*L commute left across a block of action C^-1
+    # back to legs L, so the sandwich C^-1-block ; unit' ; C-block
+    # reproduces the original unit exactly. For C = I both blocks are empty.
+    gates.extend(synth_cnot(invert(c_best)).to_gates().gates)
+    acted = apply_action(unit, c_best).entries
+    for occ_angles in angles:
+        for e, angle in zip(acted, occ_angles):
+            if not is_zero_angle(angle):
+                gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
+    gates.extend(synth_cnot(c_best).to_gates().gates)
 
     # The tail is a pure CNOT circuit, so its unitary is the basis permutation
     # fixed by h_z; re-synthesising it keeps the exact unitary and lets a

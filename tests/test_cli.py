@@ -1,12 +1,14 @@
 """CLI surface: exit codes, file round trips, determinism of reports."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from phasefold.cli import main
 from phasefold.circuits import parse
-from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
+from phasefold.oracle import MAX_QUBITS, equiv_up_to_phase, unitary_of_circuit
 
 
 EXAMPLE = """\
@@ -172,6 +174,44 @@ def test_verify_dimension_mismatch(tmp_path, capsys):
     a = _write(tmp_path, "a.pf", "qubits 1\nrz 0.5 0\n")
     b = _write(tmp_path, "b.pf", "qubits 2\nrz 0.5 0\n")
     assert main(["verify", a, b]) == 1
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_verify_at_max_qubits_holds_under_two_matrices(tmp_path, capsys):
+    # verify runs optimize's one product, gadget file on either side: the
+    # product is applied in place and read into the error block by block,
+    # so the peak stays below two 2^n x 2^n matrices.
+    n = MAX_QUBITS
+    rng = np.random.default_rng(2020)
+    lines = [f"qubits {n}"]
+    for _ in range(60):
+        kind = ("cnot", "rz", "rx")[int(rng.integers(3))]
+        if kind == "cnot":
+            control, target = rng.choice(n, size=2, replace=False)
+            lines.append(f"cnot {control} {target}")
+        else:
+            lines.append(f"{kind} {rng.uniform(-3, 3):.6f} {rng.integers(n)}")
+    src = _write(tmp_path, "in.pf", "\n".join(lines) + "\n")
+    nf, out = str(tmp_path / "in.nf"), str(tmp_path / "out.pf")
+    assert main(["extract", src, "-o", nf]) == 0
+    assert main(["optimize", src, "-o", out, "--attempts", "1", "--iterations", "100"]) == 0
+    capsys.readouterr()
+    matrix_bytes = 16 << (2 * n)
+    for a, b in ((nf, out), (out, nf)):
+        codes = []
+        peak = _peak_bytes(lambda: codes.append(main(["verify", a, b])))
+        assert codes == [0]
+        assert peak < 2 * matrix_bytes, peak / matrix_bytes
+    assert capsys.readouterr().out.count("equal") == 2
 
 
 def test_bench_zero_layer_rejected(capsys):

@@ -21,7 +21,7 @@ from phasefold import oracle
 from phasefold.circuits import GateCircuit
 from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit
 from phasefold.gf2 import BitVec
-from phasefold.transform import CnotCircuit
+from phasefold.transform import CnotCircuit, NormalForm, synth_gadget_circuit
 from phasefold.oracle import (
     CNOT_MATRIX,
     CZ_MATRIX,
@@ -519,16 +519,51 @@ def test_error_of_a_product_that_never_mixes(gates, error, monkeypatch):
          ci.cnot(0, 1), ci.ry(0.9, 0), ci.cnot(2, 3), ci.cnot(3, 0)),
         (ci.rz(0.3, 0), ci.cnot(0, 1), ci.cnot(2, 3), ci.rx(0.5, 3), ci.cnot(2, 3), ci.cnot(0, 1),
          ci.crx(0.6, 1, 2), ci.cnot(1, 2), ci.cnot(2, 0), ci.cnot(0, 1), ci.cnot(1, 2)),
+        (ci.cnot(0, 1), ci.rz(0.3, 1), ci.cnot(1, 2), ci.cnot(3, 0), ci.rz(-0.6, 0), ci.cnot(2, 3)),
     ],
-    ids=["crossing-runs", "run-cancels-itself", "swaps-cancel", "runs-between-mixes"],
+    ids=["crossing-runs", "run-cancels-itself", "swaps-cancel", "runs-between-mixes",
+         "never-mixes"],
 )
 def test_kernel_cnot_runs(gates, monkeypatch):
     # Consecutive CNOTs act as one permutation: runs that cross qubits, and
-    # runs that are the identity, before, between and after mixing gates.
+    # runs that are the identity, before, between and after mixing gates,
+    # or with no mixing gate at all, where a group is applied with no
+    # direction.
     c = GateCircuit(4, gates)
     assert_circuit_kernels_match(monkeypatch, c)
     assert_errors_match(monkeypatch, c, c)
     assert_errors_match(monkeypatch, c, GateCircuit(4, gates[::-1]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_normal_form_on_either_side_matches_reference(n, monkeypatch):
+    # A normal form, X and Z gadgets then a CNOT tail, steps through the
+    # same loop as a circuit: with it on either side of ``product_error``,
+    # against a circuit or another normal form, the error is the reference
+    # product's, for an equal pair and for one with an angle bent by 1e-3.
+    rng = np.random.default_rng(820 + n)
+    entries = [
+        GadgetEntry("XZ"[k % 2], float(rng.uniform(-7, 7)), BitVec(n, int(rng.integers(1, 1 << n))))
+        for k in range(6)
+    ]
+    pairs = [tuple(int(q) for q in rng.choice(n, size=2, replace=False)) for _ in range(n - 1)] * 2
+    tail = CnotCircuit(n, tuple(pairs))
+    nf = NormalForm(GadgetCircuit(n, tuple(entries)), tail)
+    bent_entry = GadgetEntry(entries[2].basis, entries[2].angle + 1e-3, entries[2].legs)
+    bent = NormalForm(GadgetCircuit(n, tuple(entries[:2] + [bent_entry] + entries[3:])), tail)
+    circuit = GateCircuit(n, synth_gadget_circuit(nf.gadgets).gates + tail.to_gates().gates)
+
+    def reference(side):
+        if isinstance(side, GateCircuit):
+            return reference_unitary(side)
+        return reference_unitary(side.tail.to_gates()) @ reference_gadget_unitary(side.gadgets)
+
+    for a, b, equal in [(nf, circuit, True), (nf, nf, True), (bent, circuit, False),
+                        (nf, bent, False)]:
+        for c, d in ((a, b), (b, a)):
+            want = phase_aligned_error(reference(d).conj().T @ reference(c))
+            assert (want < oracle.VERIFY_TOL) == equal, want
+            assert_kernels_match(monkeypatch, lambda: product_error(c, d), want)
 
 
 def _count_groups(monkeypatch) -> list:

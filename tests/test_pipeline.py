@@ -7,7 +7,7 @@ import pytest
 
 from phasefold import circuits as ci
 from phasefold.annealing import AnnealParams
-from phasefold.circuits import GateCircuit, cnot_count
+from phasefold.circuits import GateCircuit, cnot_count, serialize
 from phasefold.gf2 import BitMatrix
 from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit, unitary_of_gadgets
 from phasefold.ansatz import AnsatzSpec, NonMonotonicError, generate, mppp_period
@@ -113,6 +113,31 @@ def test_optimize_pure_cnot_circuit():
     out, report = optimize(c, FAST)
     assert report.verified == "yes"
     assert cnot_count(out) <= 9
+
+
+@pytest.mark.parametrize(
+    "gates, text, after",
+    [
+        ((ci.cnot(0, 1), ci.cnot(1, 2), ci.cnot(0, 1), ci.cnot(2, 0)),
+         "qubits 3\ncnot 0 1\ncnot 1 0\ncnot 2 0\ncnot 1 2\ncnot 0 1\ncnot 2 1\n",
+         (4, 4, 4, 6, 6, 6)),
+        ((), "qubits 3\n", (0, 0, 0, 0, 0, 0)),
+    ],
+    ids=["pure-cnot", "empty"],
+)
+def test_optimize_without_gadgets_is_pinned(gates, text, after):
+    # No gadgets: the empty unit goes through the same path as any other,
+    # the anneal stops at its floor, C = I, and only the re-synthesised
+    # tail is emitted.
+    out, report = optimize(GateCircuit(3, gates), FAST)
+    assert serialize(out) == text
+    names = ("before_cnot_count", "before_cnot_depth", "before_gate_count",
+             "after_cnot_count", "after_cnot_depth", "after_gate_count")
+    pairs = list(zip(names, after)) + [
+        ("energy_before", 0), ("energy_after", 0), ("energy_chosen", 0),
+        ("layers_detected", 1), ("verified", "yes"),
+    ]
+    assert report.to_kv() == "\n".join(f"{k}={v}" for k, v in pairs)
 
 
 def test_optimize_report_formats():

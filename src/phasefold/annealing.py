@@ -94,7 +94,7 @@ reported energies.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,8 +148,8 @@ class AnnealResult:
     best_c: BitMatrix
     best_energy: int
     initial_energy: int
-    per_attempt_energies: tuple[int, ...] = field(default_factory=tuple)
-    candidates: tuple[BitMatrix, ...] = field(default_factory=tuple)  # each attempt's best C
+    per_attempt_energies: tuple[int, ...] = ()
+    candidates: tuple[BitMatrix, ...] = ()  # each attempt's best C
 
 
 def energy(c: BitMatrix, lz: BitMatrix, lx: BitMatrix) -> int:

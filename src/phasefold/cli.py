@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,27 +26,6 @@ from .transform import (
     synth_gadget_circuit,
 )
 from . import circuits as ci
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    n_qubits: int
-    gadgets_per_layer: list[int]
-    layers: list[int]
-    samples_per_cell: int
-    anneal: AnnealParams
-    seed: int
-    shape: str = "tree"
-
-    def __post_init__(self):
-        if not self.gadgets_per_layer or not self.layers:
-            raise ValueError("gadget and layer sweeps must be non-empty")
-        if any(g < 1 for g in self.gadgets_per_layer) or any(l < 1 for l in self.layers):
-            raise ValueError("sweep values must be >= 1")
-        if self.samples_per_cell < 1:
-            raise ValueError("samples_per_cell must be >= 1")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
 
 
 def _read(path: str) -> str:
@@ -113,22 +92,23 @@ def cmd_verify(args) -> int:
     return 2
 
 
-def _bench_cells(cfg: BenchConfig):
+def _bench_cells(args):
     """Per-cell results: {(gadgets, layers): [(before, after metrics), ...]}."""
+    anneal_params = _anneal_params(args)
     results: dict[tuple[int, int], list[tuple]] = {}
-    for g in cfg.gadgets_per_layer:
-        for layers in cfg.layers:
+    for g in args.gadgets:
+        for layers in args.layers:
             cell = []
-            for s in range(cfg.samples_per_cell):
+            for s in range(args.samples):
                 cell_seed = int(
-                    np.random.SeedSequence((cfg.seed, g, layers, s)).generate_state(1)[0]
+                    np.random.SeedSequence((args.seed, g, layers, s)).generate_state(1)[0]
                 )
                 ansatz = generate(
-                    AnsatzSpec("random_gadget", cfg.n_qubits, layers, g, seed=cell_seed)
+                    AnsatzSpec("random_gadget", args.qubits, layers, g, seed=cell_seed)
                 )
                 before = synth_gadget_circuit(ansatz, "ladder")
-                params = replace(cfg.anneal, seed=cell_seed)
-                out, _ = optimize(before, params, shape=cfg.shape, verify=False)
+                params = replace(anneal_params, seed=cell_seed)
+                out, _ = optimize(before, params, shape=args.shape, verify=False)
                 cell.append((metrics_of(before), metrics_of(out)))
             results[(g, layers)] = cell
     return results
@@ -141,17 +121,17 @@ def _delta(before: float, after: float) -> str:
     return f"{pct}%" if pct >= 0 else "worse"
 
 
-def _bench_table(cfg: BenchConfig, results) -> str:
+def _bench_table(args, results) -> str:
     lines = []
     for metric, attr in (("CNOT depth", "cnot_depth"), ("CNOT count", "cnot_count")):
         lines.append(f"== {metric} ==")
         header = f"{'gadgets':>8} |"
-        for layers in cfg.layers:
+        for layers in args.layers:
             header += f" {layers:>3} layer(s): before after delta |"
         lines.append(header)
-        for g in cfg.gadgets_per_layer:
+        for g in args.gadgets:
             row = f"{g:>8} |"
-            for layers in cfg.layers:
+            for layers in args.layers:
                 cell = results[(g, layers)]
                 before = round(sum(getattr(b, attr) for b, _ in cell) / len(cell))
                 after = round(sum(getattr(a, attr) for _, a in cell) / len(cell))
@@ -161,13 +141,13 @@ def _bench_table(cfg: BenchConfig, results) -> str:
     return "\n".join(lines)
 
 
-def _bench_csv(cfg: BenchConfig, results) -> str:
+def _bench_csv(args, results) -> str:
     lines = ["kind,n,gadgets,layers,sample,metric,before,after"]
     for (g, layers), cell in results.items():
         for s, (before, after) in enumerate(cell):
             for metric, attr in (("cnot_count", "cnot_count"), ("cnot_depth", "cnot_depth")):
                 lines.append(
-                    f"random_gadget,{cfg.n_qubits},{g},{layers},{s},"
+                    f"random_gadget,{args.qubits},{g},{layers},{s},"
                     f"{metric},{getattr(before, attr)},{getattr(after, attr)}"
                 )
     return "\n".join(lines) + "\n"
@@ -181,16 +161,12 @@ def _sweep_csv(args) -> str:
     values = args.sweep_values
     lines = ["axis,value,sample,energy_before,energy_after"]
     for value in values:
-        attempts, iterations = args.attempts, args.iterations
-        width, height = args.gadgets[0], args.qubits
-        if args.sweep == "attempts":
-            attempts = value
-        elif args.sweep == "iterations":
-            iterations = value
-        elif args.sweep == "width":
-            width = value
-        else:
-            height = value
+        # The swept axis comes last, so its value overrides the flag's.
+        setting = {"attempts": args.attempts, "iterations": args.iterations,
+                   "width": args.gadgets[0], "height": args.qubits, args.sweep: value}
+        params = AnnealParams(
+            t0=args.t0, iterations=setting["iterations"], attempts=setting["attempts"]
+        )
         # A budget sweep anneals the same instances at every value; a shape
         # sweep needs instances of each value's shape.
         key = (value,) if args.sweep in ("width", "height") else ()
@@ -198,13 +174,9 @@ def _sweep_csv(args) -> str:
             rng = np.random.default_rng(
                 np.random.SeedSequence((args.seed, SWEEP_AXES.index(args.sweep), *key, s))
             )
-            lz = random_matrix(height, width, rng)
-            lx = random_matrix(height, width, rng)
-            res = anneal(
-                lz,
-                lx,
-                AnnealParams(t0=args.t0, iterations=iterations, attempts=attempts, seed=s),
-            )
+            lz = random_matrix(setting["height"], setting["width"], rng)
+            lx = random_matrix(setting["height"], setting["width"], rng)
+            res = anneal(lz, lx, replace(params, seed=s))
             lines.append(
                 f"{args.sweep},{value},{s},{res.initial_energy},{res.best_energy}"
             )
@@ -212,24 +184,18 @@ def _sweep_csv(args) -> str:
 
 
 def cmd_bench(args) -> int:
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return 1
     if args.sweep is not None:
         if not args.sweep_values:
             print("error: --sweep needs --sweep-values", file=sys.stderr)
             return 1
         _write(args.csv, _sweep_csv(args))
         return 0
-    cfg = BenchConfig(
-        n_qubits=args.qubits,
-        gadgets_per_layer=args.gadgets,
-        layers=args.layers,
-        samples_per_cell=args.samples,
-        anneal=_anneal_params(args),
-        seed=args.seed,
-        shape=args.shape,
-    )
-    results = _bench_cells(cfg)
-    sys.stdout.write(_bench_table(cfg, results))
-    csv = _bench_csv(cfg, results)
+    results = _bench_cells(args)
+    sys.stdout.write(_bench_table(args, results))
+    csv = _bench_csv(args, results)
     if args.csv is not None:
         _write(args.csv, csv)
     else:

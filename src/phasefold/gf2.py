@@ -3,7 +3,9 @@
 Rows are bit-packed into Python integers (bit ``j`` of a row word is
 column ``j``), so row operations are single XORs and weight counting is
 ``int.bit_count``. The semantic contract is the plain {0,1} grid exposed
-by :meth:`BitMatrix.to_lists`.
+by :meth:`BitMatrix.to_lists`. ``BitVec`` and ``BitMatrix`` are frozen,
+slotted dataclasses like the package's other value types: fields compare
+and hash as a tuple, and ``__post_init__`` checks their ranges.
 
 Invertibility is always decided by Gaussian elimination over GF(2)
 (``rank``, ``row_ops``), never by a determinant computed over the
@@ -14,6 +16,7 @@ elimination that inverts a matrix and synthesises its CNOT circuit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +24,6 @@ import numpy as np
 
 class NotInvertibleError(ValueError):
     """The matrix has no inverse over GF(2)."""
-
-
-_set = object.__setattr__  # the immutable classes' one way to set a slot
 
 
 def _pack_row(bits: Sequence[int]) -> int:
@@ -36,21 +36,18 @@ def _pack_row(bits: Sequence[int]) -> int:
     return word
 
 
+@dataclass(frozen=True, slots=True)
 class BitVec:
     """Binary vector; bit ``i`` is coordinate ``i`` (qubit ``i`` for gadget legs)."""
 
-    __slots__ = ("n", "bits")
+    n: int
+    bits: int
 
-    def __init__(self, n: int, bits: int):
-        if n < 1:
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("BitVec length must be >= 1")
-        if not 0 <= bits < (1 << n):
+        if not 0 <= self.bits < (1 << self.n):
             raise ValueError("bits out of range for length")
-        _set(self, "n", n)
-        _set(self, "bits", bits)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BitVec is immutable")
 
     @classmethod
     def from_string(cls, s: str) -> "BitVec":
@@ -74,39 +71,29 @@ class BitVec:
     def to_string(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVec) and self.n == other.n and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
     def __repr__(self) -> str:
         return f"BitVec({self.to_string()!r})"
 
 
+@dataclass(frozen=True, slots=True)
 class BitMatrix:
     """Immutable binary matrix with rows packed into integers."""
 
-    __slots__ = ("rows", "cols", "_r")
+    rows: int
+    cols: int
+    _r: tuple[int, ...]  # any sequence of row words, stored as a tuple
 
-    def __init__(self, rows: int, cols: int, row_words: Sequence[int]):
-        if rows < 0 or cols < 0:
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
-        words = tuple(map(int, row_words))
-        if len(words) != rows:
+        words = tuple(map(int, self._r))
+        if len(words) != self.rows:
             raise ValueError("row count mismatch")
-        limit = 1 << cols
+        limit = 1 << self.cols
         for w in words:
             if not 0 <= w < limit:
                 raise ValueError("row word out of range for column count")
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "_r", words)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BitMatrix is immutable")
+        object.__setattr__(self, "_r", words)
 
     @classmethod
     def from_rows(cls, grid: Sequence[Sequence[int]], cols: int | None = None) -> "BitMatrix":
@@ -148,17 +135,6 @@ class BitMatrix:
 
     def is_identity(self) -> bool:
         return self.is_square() and all(w == (1 << i) for i, w in enumerate(self._r))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._r == other._r
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._r))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.to_lists()!r})"

@@ -62,6 +62,10 @@ def test_parse_bad_inputs():
         parse("qubits 2\ncnot 1 1\n")
     with pytest.raises(ParseError):
         parse("qubits 0\n")
+    with pytest.raises(ParseError, match="^line 2: rz expects 2 argument"):
+        parse("qubits 2\nrz 0.5\n")
+    with pytest.raises(ParseError, match="^line 2: cnot expects 2 argument"):
+        parse("qubits 2\ncnot 0\n")
 
 
 def test_roundtrip_all_kinds():

@@ -244,9 +244,10 @@ def test_bench_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_bench_sweep_mode(tmp_path, capsys):
+@pytest.mark.parametrize("axis", ["attempts", "iterations", "width", "height"])
+def test_bench_sweep_mode(axis, capsys):
     code = main(
-        ["bench", "--sweep", "attempts", "--sweep-values", "1,2",
+        ["bench", "--sweep", axis, "--sweep-values", "1,2",
          "--qubits", "3", "--gadgets", "4", "--samples", "2",
          "--iterations", "80", "--seed", "2"]
     )
@@ -254,11 +255,25 @@ def test_bench_sweep_mode(tmp_path, capsys):
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     assert lines[0] == "axis,value,sample,energy_before,energy_after"
-    assert len(lines) == 1 + 2 * 2
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        [axis, value, sample] for value in "12" for sample in "01"
+    ]
+    # Identity energy counts the legs of two height x width matrices.
+    height, width = 3, 4
     for line in lines[1:]:
-        axis, value, sample, before, after = line.split(",")
-        assert axis == "attempts"
-        assert int(after) <= int(before)
+        _, value, _, before, after = line.split(",")
+        h = int(value) if axis == "height" else height
+        w = int(value) if axis == "width" else width
+        assert int(after) <= int(before) <= 2 * h * w
+
+
+@pytest.mark.parametrize("sweep", [[], ["--sweep", "width", "--sweep-values", "1"]],
+                         ids=["table", "sweep"])
+def test_bench_samples_below_one_exit_1(sweep, capsys):
+    assert main(["bench", "--samples", "0", *sweep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples must be >= 1\n"
 
 
 def test_bench_budget_sweep_shares_instances(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from phasefold.circuits import ParseError
 from phasefold.gadgets import (
     GadgetCircuit,
     GadgetEntry,
@@ -200,12 +201,15 @@ def test_text_roundtrip():
 
 
 def test_parse_gadgets_errors():
-    with pytest.raises(Exception):
-        parse_normal_form("zgadget 0.5 11\n")  # missing qubits
-    with pytest.raises(Exception):
-        parse_normal_form("qubits 2\nzgadget 0.5 111\n")  # wrong width
-    with pytest.raises(Exception):
-        parse_normal_form("qubits 2\nzgadget abc 11\n")
+    for text, line in (
+        ("zgadget 0.5 11\n", 1),  # missing qubits
+        ("qubits 2\nzgadget 0.5 111\n", 2),  # wrong width
+        ("qubits 2\nzgadget abc 11\n", 2),
+        ("qubits 2\nzgadget 0.5\n", 2),  # no bitstring
+        ("qubits 2\nzgadget 0.5 11\ncnot 0\n", 3),  # a tail CNOT with one qubit
+    ):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_normal_form(text)
 
 
 # (constructor call, message fragment): what GadgetEntry and GadgetCircuit reject.

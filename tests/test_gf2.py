@@ -235,6 +235,20 @@ def test_bitvec_basics():
         BitVec.from_string("102")
 
 
+def test_value_semantics():
+    # Equality and hashing are those of the field tuple; any sequence of
+    # row words is stored as a tuple, so lists and tuples build equal matrices.
+    m = BitMatrix(2, 2, [1, 2])
+    assert m == BitMatrix(2, 2, (1, 2)) and m._r == (1, 2)
+    assert m != BitMatrix(2, 2, (2, 1)) and m != BitMatrix.identity(3)
+    assert BitVec(3, 5) == BitVec.from_string("101") and BitVec(3, 5) != BitVec(4, 5)
+    assert hash(BitVec(3, 5)) == hash((3, 5))
+    assert hash(m) == hash((2, 2, (1, 2)))
+    assert len({m, BitMatrix.identity(2), BitVec(2, 1)}) == 2
+    assert repr(BitVec(3, 5)) == "BitVec('101')"
+    assert repr(m) == "BitMatrix([[1, 0], [0, 1]])"
+
+
 def test_matrix_immutability():
     m = BitMatrix.identity(2)
     with pytest.raises(AttributeError):

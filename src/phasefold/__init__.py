@@ -42,7 +42,7 @@ from .gf2 import (
     random_invertible,
     rank,
 )
-from .oracle import equiv_up_to_phase, unitary_of_circuit, unitary_of_gadgets
+from .oracle import equiv_up_to_phase, unitary_of_circuit
 from .pipeline import OptimizeReport, VerificationError, euler_peephole, optimize
 from .transform import (
     CnotCircuit,

@@ -95,22 +95,26 @@ def cmd_verify(args) -> int:
 def _bench_cells(args):
     """Per-cell results: {(gadgets, layers): [(before, after metrics), ...]}."""
     anneal_params = _anneal_params(args)
+    # Every cell's specs are built, and so checked, before the first optimize.
+    specs = {
+        (g, layers): [
+            AnsatzSpec(
+                "random_gadget", args.qubits, layers, g,
+                seed=int(np.random.SeedSequence((args.seed, g, layers, s)).generate_state(1)[0]),
+            )
+            for s in range(args.samples)
+        ]
+        for g in args.gadgets
+        for layers in args.layers
+    }
     results: dict[tuple[int, int], list[tuple]] = {}
-    for g in args.gadgets:
-        for layers in args.layers:
-            cell = []
-            for s in range(args.samples):
-                cell_seed = int(
-                    np.random.SeedSequence((args.seed, g, layers, s)).generate_state(1)[0]
-                )
-                ansatz = generate(
-                    AnsatzSpec("random_gadget", args.qubits, layers, g, seed=cell_seed)
-                )
-                before = synth_gadget_circuit(ansatz, "ladder")
-                params = replace(anneal_params, seed=cell_seed)
-                out, _ = optimize(before, params, shape=args.shape, verify=False)
-                cell.append((metrics_of(before), metrics_of(out)))
-            results[(g, layers)] = cell
+    for cell, cell_specs in specs.items():
+        results[cell] = []
+        for spec in cell_specs:
+            before = synth_gadget_circuit(generate(spec), "ladder")
+            params = replace(anneal_params, seed=spec.seed)
+            out, _ = optimize(before, params, shape=args.shape, verify=False)
+            results[cell].append((metrics_of(before), metrics_of(out)))
     return results
 
 

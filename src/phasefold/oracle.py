@@ -10,11 +10,12 @@ Conventions, fixed once and asserted by tests:
   conjugates of Z gadgets on their legs.
 
 Products are dense 2^n x 2^n matrices; callers must keep n <= MAX_QUBITS.
-CNOTs are row permutations and RZ, CZ, CRZ, CU1 and gadget phases are
-diagonals, so each composes into a pending part at O(2^n); a run of
-consecutive CNOTs composes first, into one permutation. Only the
-row-mixing gates (RX, RY, H, CRX, and the Hadamards of an X gadget) need
-the matrix. Two kernels handle them:
+Every circuit kind becomes one vocabulary of steps (``_steps``), a CRX
+being H, CRZ, H on its target. CNOTs are row permutations and RZ, CZ,
+CRZ, CU1 and gadget phases are diagonals, so each composes into a
+pending part at O(2^n); a run of consecutive CNOTs composes first, into
+one permutation. Only the row-mixing steps, each a 2x2 gate on one qubit
+(RX, RY, H), need the matrix. Two kernels handle them:
 
 * per gate (``_Pending``, below ``GROUP_MIN_QUBITS`` qubits): the pending
   permutation and phases are flushed into the matrix with one gather and
@@ -67,13 +68,12 @@ circuits move by at most 10%. Hence D = 6.
 
 Verification is one product, U_out^dag U_c: ``unitary_of_circuit(c, out)``
 and ``product_error(c, out)`` run c's gates and then out's gates in
-reverse order, each inverted (a gate's inverse is the same gate at minus
-its angle; CNOT, CZ and H are their own inverses), and a gadget normal
-form on either side steps through the same loop (``_steps``); both
-``optimize`` and ``phasefold verify`` check this way. ``equiv_up_to_phase``
-accepts when ``phase_aligned_error`` = ||u - e^{i phi} v||_F <
-``VERIFY_TOL``, with e^{i phi} the phase of tr(v^dag u) and v = I for a
-product. As U_out is unitary, ||W - e^{i phi} I||_F = ||U_c - e^{i phi}
+reverse order, each inverted (a step's inverse is the same step at minus
+its angle; CNOT, CZ and H are their own inverses), whatever kind of
+circuit either side is; both ``optimize`` and ``phasefold verify`` check
+this way. ``equiv_up_to_phase`` accepts when ``phase_aligned_error`` =
+||u - e^{i phi} v||_F < ``VERIFY_TOL``, with e^{i phi} the phase of
+tr(v^dag u) and v = I for a product. As U_out is unitary, ||W - e^{i phi} I||_F = ||U_c - e^{i phi}
 U_out||_F at the same phase, so a product and a pair of unitaries meet
 one rule, and the Frobenius norm bounds every entry of the difference.
 ``product_error`` computes that error without building W. While the
@@ -95,7 +95,6 @@ import cmath
 import functools
 import itertools
 import math
-import types
 
 import numpy as np
 
@@ -241,17 +240,11 @@ class _Pending:
             self.ph = None
         return self.u
 
-    def mix(self, gate: np.ndarray, target: int, control: int | None = None) -> None:
-        """Left-multiply by a 2x2 gate on ``target``, on the rows where ``control`` is 1."""
-        u = self.flush()
-        if control is None:
-            pairs = u.reshape(1 << target, 2, -1)
-            np.matmul(gate, pairs, out=self.spare.reshape(pairs.shape))
-            self.u, self.spare = self.spare, self.u
-            return
-        rows = u.reshape((2,) * self.n + (-1,))[(slice(None),) * control + (1,)]
-        pairs = np.moveaxis(rows, target - (control < target), -2)
-        pairs[...] = gate @ pairs
+    def mix(self, gate: np.ndarray, target: int) -> None:
+        """Left-multiply by a 2x2 gate on ``target``."""
+        pairs = self.flush().reshape(1 << target, 2, -1)
+        np.matmul(gate, pairs, out=self.spare.reshape(pairs.shape))
+        self.u, self.spare = self.spare, self.u
 
     def error(self) -> float:
         return phase_aligned_error(self.flush())
@@ -350,23 +343,18 @@ class _Grouped:
         """Left-multiply by a diagonal matrix."""
         self.ph = diagonal if self.ph is None else self.ph * diagonal
 
-    def mix(self, gate: np.ndarray, target: int, control: int | None = None) -> None:
-        """Left-multiply by a 2x2 gate on ``target``, on the rows where ``control`` is 1."""
+    def mix(self, gate: np.ndarray, target: int) -> None:
+        """Left-multiply by a 2x2 gate on ``target``."""
         w = int(self.frame[1 << (self.n - 1 - target)])
         reduced, j = _reduce(w, self.pivots)
         if reduced and len(self.directions) == GROUP_DIRECTIONS:
             self._apply_group()  # leaves ``frame``, so ``w`` opens the next group
             reduced, j = w, 0
-        if control is None:
-            local = _local_index(self.n, (target,))
-            diag, off = (gate[0, 0], gate[1, 1]), (gate[0, 1], gate[1, 0])
-        else:
-            local = _local_index(self.n, (control, target))
-            diag, off = (1, 1, gate[0, 0], gate[1, 1]), (0, 0, gate[0, 1], gate[1, 0])
         # Row i becomes a[i] * (row i) + o[i] * (row i ^ e_q); ph stays the row factor.
+        local = _local_index(self.n, (target,))
         partner = _pair_rows(self.n, target)
-        a = diag[0] if diag.count(diag[0]) == len(diag) else np.array(diag)[local]
-        o = np.array(off)[local]
+        a = gate[0, 0] if gate[0, 0] == gate[1, 1] else gate.diagonal()[local]
+        o = gate[(0, 1), (1, 0)][local]
         if self.ph is not None:
             o = o * (self.ph[partner] / self.ph)
         if self.rows is not None:  # to storage order: coef row rows[i] holds row i
@@ -482,22 +470,30 @@ _MIXING = {"rx": rx_matrix, "ry": ry_matrix, "h": lambda _: H_MATRIX}
 
 
 def _steps(circuit) -> tuple[int, list]:
-    """(qubit count, (kind, qubits, angle) steps) of a ``GateCircuit`` or a normal form.
+    """(qubit count, (kind, qubits, angle) steps) of a gate circuit, gadget circuit or normal form.
 
-    A normal form's gadgets are "parity" steps on their legs (a ``BitVec``),
-    between H on each leg for an X gadget, then come its tail's CNOTs (none
-    for ``tail=None``); no ``synth_gadget``, so the oracle stays independent
-    of the synthesis it checks.
+    A CRX is H, CRZ, H on its target, the same matrix. A gadget is a
+    "parity" step on its legs (a ``BitVec``), between H on each leg for an
+    X gadget; a normal form's tail CNOTs follow. No ``synth_gadget``, so
+    the oracle stays independent of the synthesis it checks.
     """
     if hasattr(circuit, "gates"):
-        return circuit.n_qubits, [(g.kind, g.qubits, g.angle) for g in circuit.gates]
-    n = circuit.gadgets.n_qubits
+        steps = []
+        for g in circuit.gates:
+            if g.kind == "crx":
+                h = ("h", g.qubits[1:], None)
+                steps += [h, ("crz", g.qubits, g.angle), h]
+            else:
+                steps.append((g.kind, g.qubits, g.angle))
+        return circuit.n_qubits, steps
+    if hasattr(circuit, "tail"):
+        n, steps = _steps(circuit.gadgets)
+        return n, steps + [("cnot", pair, None) for pair in circuit.tail.cnots]
+    n = circuit.n_qubits
     steps = []
-    for e in circuit.gadgets.entries:
+    for e in circuit.entries:
         hadamards = [("h", (q,), None) for q in range(n) if e.legs[q]] if e.basis == "X" else []
         steps += hadamards + [("parity", e.legs, e.angle)] + hadamards
-    if circuit.tail is not None:
-        steps += [("cnot", pair, None) for pair in circuit.tail.cnots]
     return n, steps
 
 
@@ -512,34 +508,29 @@ def _accumulate(circuit, undo=None):
         inverses = ((k, q, None if a is None else -a) for k, q, a in reversed(undo_steps))
         steps = itertools.chain(steps, inverses)
     acc = _accumulator(n)
-    run: list[tuple[int, int]] = []  # consecutive CNOTs, applied as one permutation
-    for kind, qubits, angle in steps:
-        if kind == "cnot":
-            run.append(qubits)
+    for kind, run in itertools.groupby(steps, key=lambda step: step[0]):
+        if kind == "cnot":  # consecutive CNOTs, even across the two circuits: one permutation
+            acc.permute(_cnot_run_rows(n, [qubits for _, qubits, _ in run]))
             continue
-        if run:
-            acc.permute(_cnot_run_rows(n, run))
-            run = []
-        if kind in _DIAGONAL:
-            acc.scale(_DIAGONAL[kind](angle)[_local_index(n, qubits)])
-        elif kind in _MIXING:
-            acc.mix(_MIXING[kind](angle), qubits[0])
-        elif kind == "crx":
-            acc.mix(crx_matrix(angle)[2:, 2:], qubits[1], control=qubits[0])
-        elif kind == "parity":
-            acc.scale(gadget_diagonal(n, angle, qubits))
-        else:
-            raise ValueError(f"unknown gate kind {kind!r}")
-    if run:
-        acc.permute(_cnot_run_rows(n, run))
+        for _, qubits, angle in run:
+            if kind in _DIAGONAL:
+                acc.scale(_DIAGONAL[kind](angle)[_local_index(n, qubits)])
+            elif kind in _MIXING:
+                acc.mix(_MIXING[kind](angle), qubits[0])
+            elif kind == "parity":
+                acc.scale(gadget_diagonal(n, angle, qubits))
+            else:
+                raise ValueError(f"unknown gate kind {kind!r}")
     return acc
 
 
 def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
     """Product of gate embeddings in application order (earlier gates act first).
 
-    With ``undo``, the product goes on through ``undo``'s gates in reverse
-    order, each inverted, and so is U_undo^dag @ U_circuit.
+    Either side may be a ``GateCircuit``, a ``GadgetCircuit`` or a
+    ``NormalForm`` (see ``_steps``). With ``undo``, the product goes on
+    through ``undo``'s steps in reverse order, each inverted, and so is
+    U_undo^dag @ U_circuit.
     """
     return _accumulate(circuit, undo).flush()
 
@@ -549,7 +540,7 @@ def product_error(circuit, undo) -> float:
 
     That is ||U_undo^dag U_circuit - e^{i phi} I||_F with e^{i phi} the
     phase of the product's trace; see ``_Grouped.error`` for how it is read.
-    Either side may be a ``GateCircuit`` or a normal form.
+    Either side may be any circuit kind ``unitary_of_circuit`` takes.
     """
     return _accumulate(circuit, undo).error()
 
@@ -559,14 +550,6 @@ def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:
     leg_qubits = [q for q in range(n) if legs[q]]
     parity = np.bitwise_xor.reduce(_bits(n)[leg_qubits], axis=0, initial=0)
     return np.where(parity == 1, cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta))
-
-
-def unitary_of_gadgets(gadgets, tail=None) -> np.ndarray:
-    """Unitary of a gadget circuit; X entries via Hadamard conjugation on legs.
-
-    ``tail``, a ``CnotCircuit`` on the same qubits, acts after the gadgets.
-    """
-    return _accumulate(types.SimpleNamespace(gadgets=gadgets, tail=tail)).flush()
 
 
 def _row_blocks(shape: tuple[int, ...]):

@@ -198,7 +198,8 @@ def optimize(
 
     gates: list[ci.Gate] = []
     for e in prefix:
-        gates.extend(synth_gadget(e, shape).gates)
+        if not is_zero_angle(e.angle):
+            gates.extend(synth_gadget(e, shape).gates)
 
     # With no gadgets the anneal stops at its floor: C = I and every energy is 0.
     raw_unit_energy = sum(e.legs.popcount() for e in occurrences[0])

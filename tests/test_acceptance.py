@@ -27,7 +27,6 @@ from phasefold.oracle import (
     rx_matrix,
     rz_matrix,
     unitary_of_circuit,
-    unitary_of_gadgets,
 )
 from phasefold.ansatz import AnsatzSpec, generate, mppp_period
 from phasefold.pipeline import VERIFY_TOL, metrics_of, optimize
@@ -132,8 +131,8 @@ def test_criterion_4_commutation_theorem():
             float(rng.uniform(0.4, 2.7)),
             BitVec(n, int(rng.integers(1, 1 << n))),
         )
-        ua = unitary_of_gadgets(GadgetCircuit(n, (a,)))
-        ub = unitary_of_gadgets(GadgetCircuit(n, (b,)))
+        ua = unitary_of_circuit(GadgetCircuit(n, (a,)))
+        ub = unitary_of_circuit(GadgetCircuit(n, (b,)))
         norm = float(np.max(np.abs(ua @ ub - ub @ ua)))
         if commutes(a, b):
             assert norm < 1e-9

@@ -1,7 +1,6 @@
 """CLI surface: exit codes, file round trips, determinism of reports."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,17 +175,7 @@ def test_verify_dimension_mismatch(tmp_path, capsys):
     assert main(["verify", a, b]) == 1
 
 
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_verify_at_max_qubits_holds_under_two_matrices(tmp_path, capsys):
+def test_verify_at_max_qubits_holds_under_two_matrices(tmp_path, capsys, peak_bytes):
     # verify runs optimize's one product, gadget file on either side: the
     # product is applied in place and read into the error block by block,
     # so the peak stays below two 2^n x 2^n matrices.
@@ -208,7 +197,7 @@ def test_verify_at_max_qubits_holds_under_two_matrices(tmp_path, capsys):
     matrix_bytes = 16 << (2 * n)
     for a, b in ((nf, out), (out, nf)):
         codes = []
-        peak = _peak_bytes(lambda: codes.append(main(["verify", a, b])))
+        peak = peak_bytes(lambda: codes.append(main(["verify", a, b])))
         assert codes == [0]
         assert peak < 2 * matrix_bytes, peak / matrix_bytes
     assert capsys.readouterr().out.count("equal") == 2
@@ -216,6 +205,28 @@ def test_verify_at_max_qubits_holds_under_two_matrices(tmp_path, capsys):
 
 def test_bench_zero_layer_rejected(capsys):
     assert main(["bench", "--layers", "0", "--samples", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--gadgets", "10,0"], "random_gadget needs gadgets_per_layer >= 1"),
+        (["--layers", "2,0"], "dimensions must be positive"),
+    ],
+    ids=["gadgets", "layers"],
+)
+def test_bench_bad_cell_rejected_before_any_optimize(flags, message, monkeypatch, capsys):
+    # A bad value late in a list fails before the earlier cells do any work.
+    import phasefold.cli as cli
+
+    def no_optimize(*args, **kwargs):
+        raise AssertionError("optimize ran before the bad cell was rejected")
+
+    monkeypatch.setattr(cli, "optimize", no_optimize)
+    assert main(["bench", "--qubits", "3", "--samples", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_bench_small_run(tmp_path, capsys):

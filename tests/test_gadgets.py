@@ -20,7 +20,7 @@ from phasefold.gadgets import (
     zgadget,
 )
 from phasefold.gf2 import BitMatrix, BitVec, NotInvertibleError, invert, random_invertible
-from phasefold.oracle import equiv_up_to_phase, unitary_of_gadgets
+from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
 from phasefold.transform import parse_normal_form
 
 FIVE_GADGETS = gadget_circuit(
@@ -91,8 +91,8 @@ def test_commutes_examples():
 
 def _commutator_norm(a: GadgetEntry, b: GadgetEntry) -> float:
     n = a.legs.n
-    ua = unitary_of_gadgets(GadgetCircuit(n, (a,)))
-    ub = unitary_of_gadgets(GadgetCircuit(n, (b,)))
+    ua = unitary_of_circuit(GadgetCircuit(n, (a,)))
+    ub = unitary_of_circuit(GadgetCircuit(n, (b,)))
     return float(np.max(np.abs(ua @ ub - ub @ ua)))
 
 
@@ -160,7 +160,7 @@ def test_fuse_through_commuting_blocker():
     assert [src for _, src in fusion_plan(g.entries)] == [[0, 2], [1]]
     fused = _apply_plan(g)
     assert len(fused) == 2
-    assert equiv_up_to_phase(unitary_of_gadgets(fused), unitary_of_gadgets(g))
+    assert equiv_up_to_phase(unitary_of_circuit(fused), unitary_of_circuit(g))
 
 
 def test_fuse_idempotent_and_never_grows():
@@ -177,7 +177,7 @@ def test_fuse_idempotent_and_never_grows():
         fused = _apply_plan(g)
         assert len(fused) <= len(g)
         assert [src for _, src in fusion_plan(fused.entries)] == [[i] for i in range(len(fused))]
-        assert equiv_up_to_phase(unitary_of_gadgets(fused), unitary_of_gadgets(g))
+        assert equiv_up_to_phase(unitary_of_circuit(fused), unitary_of_circuit(g))
 
 
 def test_zero_leg_specs_dropped():

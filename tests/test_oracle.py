@@ -1,9 +1,10 @@
 """Oracle conventions: gate matrices, bit ordering, gadget diagonals, phase alignment.
 
-The fused kernels of ``unitary_of_circuit`` and ``unitary_of_gadgets`` are
-checked against ``reference_unitary``, a plain Kronecker/tensordot
-embedding of every gate's matrix, and ``product_error`` against the
-phase-aligned error of the reference product. Both kernels, the per-gate
+The fused kernels of ``unitary_of_circuit`` are checked against
+``reference_unitary``, a plain Kronecker/tensordot embedding of every
+gate's matrix, on gate circuits, and against ``reference_gadget_unitary``
+on gadget circuits and normal forms; ``product_error`` is checked against
+the phase-aligned error of the reference product. Both kernels, the per-gate
 one and the grouped one, are forced at any qubit count by patching
 ``GROUP_MIN_QUBITS``, and the grouped one at several group caps by
 patching ``GROUP_DIRECTIONS``.
@@ -11,7 +12,6 @@ patching ``GROUP_DIRECTIONS``.
 
 import cmath
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +41,6 @@ from phasefold.oracle import (
     ry_matrix,
     rz_matrix,
     unitary_of_circuit,
-    unitary_of_gadgets,
 )
 
 KERNEL_TOL = 1e-12
@@ -199,7 +198,7 @@ def test_two_qubit_embedding_any_order():
 def test_gadget_diagonal_pattern():
     theta = 0.8
     g = gadget_circuit(3, [("Z", theta, "101")])
-    u = unitary_of_gadgets(g)
+    u = unitary_of_circuit(g)
     scale = cmath.exp(-1j * theta / 2)
     odd = cmath.exp(1j * theta)
     # parity of qubits {0, 2} per index (qubit 0 = MSB): 0,1,0,1,1,0,1,0
@@ -223,23 +222,23 @@ def test_gadget_all_legs_diagonal_matches_display():
 
 def test_gadget_zero_angle_is_identity():
     g = gadget_circuit(2, [("Z", 0.0, "11"), ("X", 0.0, "10")])
-    assert np.allclose(unitary_of_gadgets(g), np.eye(4))
+    assert np.allclose(unitary_of_circuit(g), np.eye(4))
 
 
 def test_x_gadget_is_hadamard_conjugate():
     theta = 1.9
     g = gadget_circuit(2, [("X", theta, "11")])
-    u = unitary_of_gadgets(g)
+    u = unitary_of_circuit(g)
     hh = unitary_of_circuit(GateCircuit(2, (ci.h(0), ci.h(1))))
-    d = unitary_of_gadgets(gadget_circuit(2, [("Z", theta, "11")]))
+    d = unitary_of_circuit(gadget_circuit(2, [("Z", theta, "11")]))
     assert np.allclose(u, hh @ d @ hh)
 
 
 def test_single_leg_gadgets_are_rotations():
     theta = 0.33
-    gz = unitary_of_gadgets(gadget_circuit(1, [("Z", theta, "1")]))
+    gz = unitary_of_circuit(gadget_circuit(1, [("Z", theta, "1")]))
     assert np.allclose(gz, unitary_of_circuit(single(1, ci.rz(theta, 0))))
-    gx = unitary_of_gadgets(gadget_circuit(1, [("X", theta, "1")]))
+    gx = unitary_of_circuit(gadget_circuit(1, [("X", theta, "1")]))
     assert np.allclose(gx, unitary_of_circuit(single(1, ci.rx(theta, 0))))
 
 
@@ -451,7 +450,7 @@ def test_gadget_kernel_matches_reference(n, monkeypatch):
             basis = "XZ"[int(rng.integers(2))]
             entries.append(GadgetEntry(basis, float(rng.uniform(-7, 7)), legs))
         g = GadgetCircuit(n, tuple(entries))
-        assert_kernels_match(monkeypatch, lambda: unitary_of_gadgets(g), reference_gadget_unitary(g))
+        assert_kernels_match(monkeypatch, lambda: unitary_of_circuit(g), reference_gadget_unitary(g))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -465,7 +464,7 @@ def test_gadget_kernel_applies_the_cnot_tail_last(n, monkeypatch):
     pairs = [tuple(int(q) for q in rng.choice(n, size=2, replace=False)) for _ in range(2 * n)]
     tail = CnotCircuit(n, tuple(pairs))
     reference = reference_unitary(tail.to_gates()) @ reference_gadget_unitary(g)
-    assert_kernels_match(monkeypatch, lambda: unitary_of_gadgets(g, tail), reference)
+    assert_kernels_match(monkeypatch, lambda: unitary_of_circuit(NormalForm(g, tail)), reference)
 
 
 @pytest.mark.parametrize(
@@ -610,20 +609,10 @@ def test_kernel_either_side_of_crossover(n):
     assert_matches_reference(GateCircuit(n, tuple(random_gate(rng, n) for _ in range(30))))
     entries = [GadgetEntry("X", 0.4, BitVec(n, (1 << n) - 2)), GadgetEntry("Z", 0.9, BitVec(n, 5))]
     g = GadgetCircuit(n, tuple(entries))
-    assert np.max(np.abs(unitary_of_gadgets(g) - reference_gadget_unitary(g))) < KERNEL_TOL
+    assert np.max(np.abs(unitary_of_circuit(g) - reference_gadget_unitary(g))) < KERNEL_TOL
 
 
-def _peak_bytes(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak
-
-
-def test_grouped_kernel_holds_two_matrices():
+def test_grouped_kernel_holds_two_matrices(peak_bytes):
     # Peak allocation of one unitary at MAX_QUBITS with several groups: the
     # matrix, the copy returned in natural row order, and a few arrays as
     # large as the 2^n x 2^GROUP_DIRECTIONS coefficients (4 x 1 MB at D = 6).
@@ -632,11 +621,11 @@ def test_grouped_kernel_holds_two_matrices():
     circuit = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
     matrix_bytes = 16 << (2 * n)
     coef_bytes = 16 << (n + GROUP_DIRECTIONS)
-    peak = _peak_bytes(lambda: unitary_of_circuit(circuit))
+    peak = peak_bytes(lambda: unitary_of_circuit(circuit))
     assert peak < 2 * matrix_bytes + 4 * coef_bytes, peak / matrix_bytes
 
 
-def test_verification_holds_one_matrix(monkeypatch):
+def test_verification_holds_one_matrix(monkeypatch, peak_bytes):
     # optimize's check at MAX_QUBITS, the error of the product U_c^dag U_c
     # over several groups, peaks at one matrix and coefficient-sized arrays:
     # groups are applied coset by coset in place, and the rows are read into
@@ -648,13 +637,13 @@ def test_verification_holds_one_matrix(monkeypatch):
     coef_bytes = 16 << (n + GROUP_DIRECTIONS)
     applied = _count_groups(monkeypatch)
     errors = []
-    peak = _peak_bytes(lambda: errors.append(product_error(c, c)))
+    peak = peak_bytes(lambda: errors.append(product_error(c, c)))
     assert errors[0] < oracle.VERIFY_TOL
     assert len(applied) > 1
     assert peak < matrix_bytes + 8 * coef_bytes, peak / matrix_bytes
 
 
-def test_one_group_product_builds_no_matrix(monkeypatch):
+def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
     # Mixing gates on five qubits and CNOTs among the other five: the product
     # stays in one group, and its error is read from the coefficients alone,
     # well below one matrix.
@@ -669,7 +658,7 @@ def test_one_group_product_builds_no_matrix(monkeypatch):
     bent = GateCircuit(n, (ci.rx(1e-3, 0),) + c.gates)
     matrix_bytes = 16 << (2 * n)
     applied = _count_groups(monkeypatch)
-    assert _peak_bytes(lambda: product_error(c, c)) < matrix_bytes // 4
+    assert peak_bytes(lambda: product_error(c, c)) < matrix_bytes // 4
     assert product_error(c, c) < oracle.VERIFY_TOL
     assert product_error(c, bent) > oracle.VERIFY_TOL
     assert applied == []

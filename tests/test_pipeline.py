@@ -9,7 +9,7 @@ from phasefold import circuits as ci
 from phasefold.annealing import AnnealParams
 from phasefold.circuits import GateCircuit, cnot_count, serialize
 from phasefold.gf2 import BitMatrix
-from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit, unitary_of_gadgets
+from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
 from phasefold.ansatz import AnsatzSpec, NonMonotonicError, generate, mppp_period
 from phasefold.pipeline import euler_peephole, metrics_of, optimize
 from phasefold.transform import (
@@ -47,7 +47,7 @@ def test_optimize_worked_example():
     assert report.verified == "yes"
     assert report.energy_before == 10
     assert report.energy_after <= 6  # printed example solution scores 6
-    assert equiv_up_to_phase(unitary_of_circuit(out), unitary_of_gadgets(g))
+    assert equiv_up_to_phase(unitary_of_circuit(out), unitary_of_circuit(g))
 
 
 def test_optimize_preserves_semantics_random():
@@ -422,6 +422,16 @@ def _fused_angle_zero_once() -> GateCircuit:
     return synth_gadget_circuit(gadget_circuit(4, specs), "ladder")
 
 
+def _zero_angle_prefix() -> GateCircuit:
+    # Z(0) 110 comes before two repeats of X 011 ; Z 110, so it is the
+    # non-repeating prefix (offset 1) and emits no CNOTs.
+    from phasefold.gadgets import gadget_circuit
+
+    specs = [("Z", 0.0, "110"), ("X", 0.3, "011"), ("Z", 0.5, "110"), ("X", 0.7, "011"),
+             ("Z", 0.9, "110")]
+    return synth_gadget_circuit(gadget_circuit(3, specs), "ladder")
+
+
 CHOICE_CASES = {
     "ansatz_n6": lambda: synth_gadget_circuit(
         generate(AnsatzSpec("random_gadget", 6, layers=3, gadgets_per_layer=8, seed=21)), "ladder"
@@ -435,6 +445,7 @@ CHOICE_CASES = {
     "gate_level_b": lambda: _random_basis_circuit(26, 5, 40),
     "gate_level_c": lambda: _random_basis_circuit(27, 6, 60),
     "fused_angle_zero_once": _fused_angle_zero_once,
+    "zero_angle_prefix": _zero_angle_prefix,
 }
 
 
@@ -459,15 +470,18 @@ def _optimize_choosing(monkeypatch, c, p, pick):
 def test_output_cnots_is_the_synthesised_count(name, monkeypatch):
     # For I and every candidate, the exact cost equals the CNOTs of the
     # output optimize builds with that C, less the prefix and the tail.
+    # Like a layer's, a zero-angle prefix gadget emits nothing.
     import phasefold.pipeline as pl
+    from phasefold.gadgets import is_zero_angle
     from phasefold.transform import synth_cnot, synth_gadget
 
     c = CHOICE_CASES[name]()
     p = AnnealParams(iterations=300, attempts=6, seed=5)
     nf = extract(ci.lower_to_basis(c))
     info = detect_layers(nf.gadgets)
+    prefix = nf.gadgets.entries[: info.offset]
     fixed = len(synth_cnot(h_z(nf.tail))) + sum(
-        cnot_count(synth_gadget(e)) for e in nf.gadgets.entries[: info.offset]
+        cnot_count(synth_gadget(e)) for e in prefix if not is_zero_angle(e.angle)
     )
     identity = BitMatrix.identity(c.n_qubits)
     _, (result, unit, angles) = _optimize_choosing(monkeypatch, c, p, lambda r: identity)
@@ -484,6 +498,10 @@ def test_output_cnots_is_the_synthesised_count(name, monkeypatch):
     assert out == _optimize_choosing(monkeypatch, c, p, lambda r: chosen)[0]
     if name == "fused_angle_zero_once":
         assert sorted(live for _, _, live in legs) == [2, 3]
+    if name == "zero_angle_prefix":
+        assert [e.angle for e in prefix] == [0.0]
+        assert cnot_count(out) == 5
+        assert out.gates[:2] != (ci.cnot(1, 0), ci.cnot(1, 0))
     if name.startswith("ansatz"):
         assert len(set(costs)) > 1  # the choice matters here
 

@@ -20,7 +20,7 @@ from phasefold.gf2 import (
     random_invertible,
     rank,
 )
-from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit, unitary_of_gadgets
+from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
 from phasefold.transform import (
     CnotCircuit,
     LayerInfo,
@@ -147,7 +147,7 @@ def test_extract_soundness_random():
         c = random_basis_circuit(rng, n, 40)
         nf = extract(c)
         u = unitary_of_circuit(c)
-        v = unitary_of_circuit(nf.tail.to_gates()) @ unitary_of_gadgets(nf.gadgets)
+        v = unitary_of_circuit(nf.tail.to_gates()) @ unitary_of_circuit(nf.gadgets)
         assert equiv_up_to_phase(u, v)
 
 
@@ -305,7 +305,7 @@ def test_synth_gadget_two_leg_ladder():
     kinds = [gate.kind for gate in circ.gates]
     assert kinds == ["cnot", "rz", "cnot"]
     assert equiv_up_to_phase(
-        unitary_of_circuit(circ), unitary_of_gadgets(GadgetCircuit(2, (g,)))
+        unitary_of_circuit(circ), unitary_of_circuit(GadgetCircuit(2, (g,)))
     )
 
 
@@ -325,7 +325,7 @@ def test_synth_gadget_oracle_various():
         legs = BitVec(n, int(rng.integers(1, 1 << n)))
         basis = "Z" if rng.integers(2) else "X"
         entry = GadgetEntry(basis, float(rng.uniform(-3, 3)), legs)
-        expected = unitary_of_gadgets(GadgetCircuit(n, (entry,)))
+        expected = unitary_of_circuit(GadgetCircuit(n, (entry,)))
         for shape in ("ladder", "tree"):
             got = unitary_of_circuit(synth_gadget(entry, shape))
             assert equiv_up_to_phase(got, expected)
@@ -350,7 +350,7 @@ def test_synth_gadget_circuit_list():
     for shape in ("ladder", "tree"):
         circ = synth_gadget_circuit(g, shape)
         assert equiv_up_to_phase(
-            unitary_of_circuit(circ), unitary_of_gadgets(g)
+            unitary_of_circuit(circ), unitary_of_circuit(g)
         )
     assert synth_gadget_circuit(GadgetCircuit(2, ()), "tree").gates == ()
 
@@ -361,7 +361,7 @@ def test_synth_gadget_wraps_large_angles():
     assert -math.pi < out.gates[0].angle <= math.pi
     assert equiv_up_to_phase(
         unitary_of_circuit(out),
-        unitary_of_gadgets(GadgetCircuit(1, (big,))),
+        unitary_of_circuit(GadgetCircuit(1, (big,))),
     )
 
 
@@ -377,7 +377,7 @@ def test_random_gadget_lists_match_oracle():
         for shape in ("ladder", "tree"):
             assert equiv_up_to_phase(
                 unitary_of_circuit(synth_gadget_circuit(g, shape)),
-                unitary_of_gadgets(g),
+                unitary_of_circuit(g),
             )
 
 

@@ -15,16 +15,12 @@ K Exp(1) variates xi from ``SeedSequence((seed, a))``. Chain a thus
 depends only on the moves, its own start and its own xi, so the attempt
 pool is a prefix: more attempts never change earlier ones. Each chain is
 still exactly a Metropolis chain with uniform row-addition proposals;
-only the joint draw couples them. The driver returns, as ``best_c``,
-the best matrix over all attempts and the identity, so the result never
-loses to doing nothing; among attempts the first to reach the best
-energy is ``best_c``. It also returns every attempt's best C, in attempt
-order, as ``candidates``: the energy is a proxy, and ``optimize``
-chooses among them (and the identity) by the CNOTs of its output. When
-the identity already scores a lower bound that holds for every C
-(``_energy_floor``), no chain can beat it, and it is returned without
-running any: the same ``best_c``, with no per-attempt energies and no
-candidates.
+only the joint draw couples them. ``anneal`` returns each attempt's best
+C, in attempt order, as ``candidates``, and the lowest energy, and picks
+none: ``optimize`` chooses C by the CNOTs of its output. When the
+identity already scores a lower bound that holds for every C
+(``_energy_floor``), no chain can beat it, and none runs: the result has
+no per-attempt energies and no candidates.
 
 A chain keeps three lists of packed rows: C, C @ L_Z and
 (C^-1)^T @ L_X. A row addition changes one row of each product: row i
@@ -87,8 +83,7 @@ moves.
 Tests check both loops against a reference that takes the same draws and
 recomputes ``energy`` from C at every step (identical best energy and
 best C per attempt, some streams with thresholds of exactly 0), and that
-the returned C and every candidate are invertible and score their
-reported energies.
+every candidate is invertible and scores its attempt's energy.
 """
 
 from __future__ import annotations
@@ -145,8 +140,7 @@ class AnnealParams:
 
 @dataclass(frozen=True)
 class AnnealResult:
-    best_c: BitMatrix
-    best_energy: int
+    best_energy: int  # the lowest over the identity and every attempt
     initial_energy: int
     per_attempt_energies: tuple[int, ...] = ()
     candidates: tuple[BitMatrix, ...] = ()  # each attempt's best C
@@ -340,7 +334,7 @@ def _chains(
 
 
 def anneal(lz: BitMatrix, lx: BitMatrix, p: AnnealParams | None = None) -> AnnealResult:
-    """Best C over ``p.attempts`` chains and the identity; deterministic per seed."""
+    """Each of ``p.attempts`` chains' best C and the lowest energy; deterministic per seed."""
     if lz.rows != lx.rows:
         raise ValueError("L_Z and L_X must have the same number of rows")
     n = lz.rows
@@ -353,15 +347,10 @@ def anneal(lz: BitMatrix, lx: BitMatrix, p: AnnealParams | None = None) -> Annea
     # Nothing to search: no C scores below the floor, and the identity
     # meets it. It always does for n = 1 (GL(1,2) = {I}) and with no legs.
     if identity_energy == _energy_floor(lz, lx):
-        return AnnealResult(BitMatrix.identity(n), identity_energy, identity_energy, ())
+        return AnnealResult(identity_energy, identity_energy)
 
     t0 = p.t0 if p.t0 is not None else default_t0(lz, lx)
     results = _chains(lz, lx, p, t0)
     per_attempt = tuple(e for e, _ in results)
     candidates = tuple(BitMatrix(n, n, rows) for _, rows in results)
-    best_e = min(per_attempt)
-    if best_e < identity_energy:
-        best_c = candidates[per_attempt.index(best_e)]  # the first of equals
-        return AnnealResult(best_c, best_e, identity_energy, per_attempt, candidates)
-    identity = BitMatrix.identity(n)
-    return AnnealResult(identity, identity_energy, identity_energy, per_attempt, candidates)
+    return AnnealResult(min(identity_energy, *per_attempt), identity_energy, per_attempt, candidates)

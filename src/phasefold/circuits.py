@@ -272,10 +272,21 @@ def _lower_gate(g: Gate) -> list[Gate]:
 
 
 def lower_to_basis(c: GateCircuit) -> GateCircuit:
-    """Rewrite to {CNOT, RZ, RX}; unitary preserved up to global phase."""
+    """Rewrite to {CNOT, RZ, RX}; unitary preserved up to global phase.
+
+    After lowering, each RZ or RX angle outside (-pi, pi] becomes
+    atan2(sin a, cos a): libm reduces that argument exactly, and a turn
+    of 2*pi changes RZ or RX only by a sign. In-range angles pass through
+    bit-identical. No angle is reduced before lowering, because
+    CRZ(t + 2*pi) is CRZ(t) times Z on the control, not a phase.
+    """
     out: list[Gate] = []
     for g in c.gates:
-        out.extend(_lower_gate(g))
+        for b in _lower_gate(g):
+            a = b.angle
+            if a is not None and not -math.pi < a <= math.pi:
+                b = Gate(b.kind, b.qubits, math.atan2(math.sin(a), math.cos(a)))
+            out.append(b)
     return GateCircuit(c.n_qubits, tuple(out))
 
 

@@ -4,7 +4,8 @@
 detects the repeating layer, anneals a change of basis C in GL(n,2) for
 the repeating unit, and re-synthesises
 
-    prefix gadgets ; C block ; optimised unit per layer ; C^-1 block ; tail
+    prefix ; block with h_z = C^-1 ; layers with legs C*L_Z and (C^T)^-1*L_X
+        ; block with h_z = C ; tail
 
 so the two CNOT blocks are paid once however many layers repeat.
 

@@ -194,7 +194,7 @@ def synth_gadget(e: GadgetEntry, shape: str = "tree") -> GateCircuit:
     n, bits = e.legs.n, e.legs.bits
     leg_qubits = [q for q in range(n) if bits >> q & 1]
     pairs = _fan_in_pairs(leg_qubits, tree=(shape == "tree"))
-    angle = ci.wrap_angle(e.angle)  # angles leave the toolkit reduced mod 2*pi
+    angle = ci.wrap_angle(e.angle)  # a fused gadget angle may lie outside (-pi, pi]
     if e.basis == "Z":
         fan_in = [ci.cnot(s, t) for s, t in pairs]
         rotation = ci.rz(angle, leg_qubits[0])

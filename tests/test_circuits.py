@@ -133,6 +133,15 @@ def test_lower_leaves_basis_circuit_unchanged():
     assert lower_to_basis(c) == c
 
 
+def test_lower_keeps_in_range_angles_bit_identical():
+    # Only angles outside (-pi, pi] are reduced; the ends, signed zeros and
+    # subnormals pass through as the same float.
+    edges = [math.pi, math.nextafter(-math.pi, 0.0), -0.0, 0.0, 5e-324, -5e-324]
+    angles = edges + np.random.default_rng(14).uniform(-math.pi, math.pi, 200).tolist()
+    c = GateCircuit(1, tuple((ci.rz, ci.rx)[k % 2](a, 0) for k, a in enumerate(angles)))
+    assert [g.angle.hex() for g in lower_to_basis(c).gates] == [a.hex() for a in angles]
+
+
 def test_lower_random_mixed_circuits_oracle():
     rng = np.random.default_rng(12)
     kinds = ["h", "ry", "cz", "crz", "crx", "cu1", "cnot", "rz", "rx"]

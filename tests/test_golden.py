@@ -56,6 +56,7 @@ CASES = {
         generate(AnsatzSpec("random_gadget", 5, layers=3, gadgets_per_layer=6, seed=11)),
         "ladder",
     ),
+    # Its angles are drawn from [0, 2*pi), so lowering reduces those above pi.
     "staircase_rx": lambda: generate(AnsatzSpec("staircase", 4, layers=8, seed=5, with_rx=True)),
     "fusion_to_zero": _cancelling_unit,
     "random_basis_a": lambda: _random_basis(1, 3, 20),
@@ -70,7 +71,7 @@ CASE_PARAMS = {"random_gadget_default_budget": AnnealParams(seed=7)}
 
 PINS = {
     "random_gadget_ansatz": "fd6cb8a0e9a053346b47071b00230db3352c4d3e88cdeb77c86d2559a5a76f09",
-    "staircase_rx": "316eeef1beccd7583e53a6f8b84761b6c40b8f5678167890628cb6a3817ceed5",
+    "staircase_rx": "f1a7aa903248330ffec3e35a70968c92b07c1423846a05a31940fe5ec4035fbd",
     "fusion_to_zero": "60aff4e0b72691ab94b33683a730d6d76a0826da96cafcac91b8c7373c15ed62",
     "random_basis_a": "153556a8aebe7fac46ede756bc5028562aad730adb43c3be336b48e4deaa05b7",
     "random_basis_b": "afeb4179987d1e0359847ed4055cb31e28373ed529204393c1ebf66219ebe685",

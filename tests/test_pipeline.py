@@ -310,6 +310,37 @@ def test_optimize_verify_skipped_above_limit():
     assert report.verified == "skipped"
 
 
+LARGE_ANGLE_CASES = {
+    **{
+        f"rz_cnot_rz_rx_{a:.0e}": (ci.rz(a, 0), ci.cnot(0, 1), ci.rz(a, 1), ci.rx(a, 0))
+        for a in (1e8, 1e10, 1e15)
+    },
+    "fused_1e17_and_0.3": (ci.rz(1e17, 0), ci.rz(0.3, 0), ci.cnot(0, 1), ci.rx(0.2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_ANGLE_CASES))
+def test_optimize_verifies_large_angles(name):
+    # Lowering reduces each angle exactly, so neither a float 2*pi nor a
+    # fused sum such as 1e17 + 0.3 loses what the oracle still sees.
+    c = GateCircuit(2, LARGE_ANGLE_CASES[name])
+    assert optimize(c, FAST)[1].verified == "yes"
+
+
+def test_optimize_large_angles_correct_past_the_check(monkeypatch):
+    # At 11 qubits optimize skips its check, so an inexact reduction would
+    # return a wrong circuit silently; the dense error shows it is right.
+    from phasefold import oracle
+    from phasefold.oracle import VERIFY_TOL, product_error
+
+    a = 1e10
+    c = GateCircuit(11, (ci.rz(a, 0), ci.cnot(0, 1), ci.rz(a, 1), ci.rx(a, 0), ci.rx(0.3, 10)))
+    out, report = optimize(c, FAST)
+    assert report.verified == "skipped"
+    monkeypatch.setattr(oracle, "MAX_QUBITS", 12)
+    assert product_error(c, out) < VERIFY_TOL
+
+
 def test_optimize_raises_when_its_output_fails_the_oracle(monkeypatch):
     import phasefold.pipeline as pl
     from phasefold.pipeline import VerificationError
@@ -512,3 +543,41 @@ def test_choice_reports_the_chosen_energy():
     assert report.energy_after <= report.energy_chosen
     assert f"energy_chosen={report.energy_chosen}" in report.to_kv().splitlines()
     assert f"(chosen {report.energy_chosen})" in report.to_text()
+
+
+def test_choose_ties_go_to_identity_then_earliest():
+    # Of I and the candidates, _choose takes the fewest output CNOTs; on a
+    # tie, I wins, then the earlier candidate. On this unit a brute-force
+    # search over GL(3,2) finds two Cs that tie below I, and one that ties
+    # with I at a lower energy than I's.
+    import itertools
+
+    import phasefold.pipeline as pl
+    from phasefold.annealing import AnnealResult, energy
+    from phasefold.gadgets import gadget_circuit, leg_matrices
+    from phasefold.gf2 import rank
+
+    unit = gadget_circuit(3, [("Z", 0.3, "110"), ("Z", 0.5, "011"), ("X", 0.7, "111")])
+    angles = [[0.3, 0.5, 0.7], [0.2, 0.4, 0.6]]
+    lz, lx = leg_matrices(unit)
+    legs = pl._live_legs(unit, angles)
+    identity = BitMatrix.identity(3)
+    initial = energy(identity, lz, lx)
+    cost_i = pl._output_cnots(identity._r, legs)
+    cost = {}
+    for bits in itertools.product((0, 1), repeat=9):
+        m = BitMatrix.from_rows([bits[i : i + 3] for i in range(0, 9, 3)])
+        if rank(m) == 3 and m != identity:
+            cost.setdefault(pl._output_cnots(m._r, legs), []).append(m)
+    a, b = next(ms for k, ms in sorted(cost.items()) if len(ms) > 1 and k < cost_i)[:2]
+    d = next(m for m in cost[cost_i] if energy(m, lz, lx) < initial)
+
+    def choose(*cs):
+        es = tuple(energy(m, lz, lx) for m in cs)
+        return pl._choose(AnnealResult(min((initial, *es)), initial, es, cs), unit, angles)
+
+    assert choose() == (identity, initial)
+    assert choose(a, b) == (a, energy(a, lz, lx))
+    assert choose(b, a) == (b, energy(b, lz, lx))
+    assert choose(d) == (identity, initial)
+    assert choose(d, b, a) == (b, energy(b, lz, lx))

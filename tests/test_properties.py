@@ -11,8 +11,10 @@ kernel, whether or not a group is ever applied.
 
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
-lowest-energy ``best_c``; the output passes the oracle and is the same
-on every run with the same seed.
+first candidate of lowest energy; the output passes the oracle and is
+the same on every run with the same seed. On {CNOT, RZ, RX, CRZ, CU1}
+circuits with angles up to 1e300 in size, optimize's output passes the
+oracle: lowering reduces every angle exactly.
 """
 
 import numpy as np
@@ -37,7 +39,9 @@ from phasefold.pipeline import euler_peephole, optimize
 
 
 @st.composite
-def circuits(draw, min_qubits=1, max_qubits=6, max_gates=30, kinds=tuple(ci.GATE_KINDS)):
+def circuits(
+    draw, min_qubits=1, max_qubits=6, max_gates=30, kinds=tuple(ci.GATE_KINDS), max_angle=7.0
+):
     n = draw(st.integers(min_qubits, max_qubits))
     kinds = sorted(k for k in kinds if ci.GATE_KINDS[k][0] <= n)
     gates = []
@@ -45,7 +49,7 @@ def circuits(draw, min_qubits=1, max_qubits=6, max_gates=30, kinds=tuple(ci.GATE
         kind = draw(st.sampled_from(kinds))
         arity, has_angle = ci.GATE_KINDS[kind]
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity, unique=True))
-        angle = draw(st.floats(-7, 7)) if has_angle else None
+        angle = draw(st.floats(-max_angle, max_angle)) if has_angle else None
         gates.append(ci.Gate(kind, tuple(qubits), angle))
     return GateCircuit(n, tuple(gates))
 
@@ -111,6 +115,17 @@ def test_product_error_is_the_dense_error(c, data):
                 assert abs(product_error(c, d) - want) < 1e-12, directions
 
 
+@given(
+    circuits(max_qubits=4, kinds=("cnot", "rz", "rx", "crz", "cu1"), max_angle=1e300),
+    st.integers(0, 2**32 - 1),
+)
+def test_optimize_verifies_every_finite_angle(c, seed):
+    # Lowering reduces each angle exactly: a CRZ angle only after lowering,
+    # as CRZ(t + 2*pi) differs from CRZ(t) by Z on the control.
+    out, report = optimize(c, AnnealParams(iterations=60, attempts=3, seed=seed))
+    assert report.verified == "yes"
+
+
 @given(circuits(kinds=("cnot", "rz", "rx")), st.integers(0, 2**32 - 1))
 def test_chosen_c_costs_no_more_than_identity_or_best_c(c, seed):
     p = AnnealParams(iterations=60, attempts=3, seed=seed)
@@ -118,7 +133,13 @@ def test_chosen_c_costs_no_more_than_identity_or_best_c(c, seed):
     assert report.verified == "yes"
     assert optimize(c, p)[0] == out
     identity = BitMatrix.identity(c.n_qubits)
-    for pick in (lambda r: identity, lambda r: r.best_c):
+
+    def lowest(r):
+        if not r.candidates:
+            return identity
+        return r.candidates[r.per_attempt_energies.index(min(r.per_attempt_energies))]
+
+    for pick in (lambda r: identity, lowest):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(pipeline, "_choose", lambda r, unit, angles, pick=pick: (pick(r), 0))
             forced, _ = optimize(c, p)

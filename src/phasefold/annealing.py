@@ -89,6 +89,7 @@ every candidate is invertible and scores its attempt's energy.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,21 +152,29 @@ def energy(c: BitMatrix, lz: BitMatrix, lx: BitMatrix) -> int:
     return popcount(mat_mul(c, lz)) + popcount(mat_mul(inverse_transpose(c), lx))
 
 
+def _multi_leg_floor(weights: Mapping[int, int]) -> int:
+    """Least total weight of the words that keep two legs or more under any C in GL(n,2).
+
+    ``weights`` maps distinct nonzero leg words to weights. An invertible
+    matrix keeps them nonzero and distinct, and unit words are
+    independent, so at most rank(words) of them can map to one leg; the
+    others keep two or more, and the cheapest are the lightest.
+    """
+    ordered = sorted(weights.values())
+    return sum(ordered[: len(ordered) - _rank(list(weights))])
+
+
 def _energy_floor(lz: BitMatrix, lx: BitMatrix) -> int:
     """A lower bound on ``energy`` over every C in GL(n,2).
 
     C @ L_Z and (C^T)^-1 @ L_X are each an invertible matrix times L, so
-    each maps nonzero columns to nonzero ones, one leg at least, and
-    distinct columns to distinct ones. Unit columns are independent, so
-    at most rank(L) of L's distinct nonzero columns can map to weight 1;
-    each of the others costs at least one more leg per copy, and the
-    cheapest are the least repeated.
+    every nonzero column keeps one leg at least, and each copy of a
+    column that keeps two or more costs one more (``_multi_leg_floor``).
     """
     floor = 0
     for m in (lz, lx):
         counts = Counter(w for w in _transpose_rows(m._r, m.cols) if w)
-        repeats = sorted(counts.values())
-        floor += sum(repeats) + sum(repeats[: len(repeats) - _rank(list(counts))])
+        floor += sum(counts.values()) + _multi_leg_floor(counts)
     return floor
 
 

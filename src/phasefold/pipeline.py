@@ -17,8 +17,16 @@ synthesised; ties go to the identity, then to the earliest attempt.
 Only the winner's blocks and gadgets are synthesised. The prefix and
 the tail do not depend on C, and ``euler_peephole`` moves no CNOT.
 
-After synthesis, ``euler_peephole`` collapses each wire's rotation
-runs, and the output is oracle-verified up to global phase when small
+The two C blocks are won back only across repeated layers, and the
+re-synthesis can cost more CNOTs than the input's own gates. So the
+lowered input, peepholed, is the *input side*, and ``optimize`` returns
+it instead of the optimized side when it has fewer CNOTs, or as many and
+a lower CNOT depth. Before the anneal, a lower bound on the optimized
+side's CNOTs over every C (``_cnot_floor``) often shows that the input
+side wins; then nothing is annealed or chosen and no gadget or C block
+is synthesised, and the result is what the comparison would give.
+
+The returned side is oracle-verified up to global phase when small
 enough: ``oracle.product_error`` runs the one product U_out^dag U_in and
 measures its distance from a phase times the identity, building at most
 one dense matrix and none while the product stays in one group. The
@@ -28,10 +36,11 @@ benchmark ansatz generators live in ``ansatz``.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 from . import circuits as ci
-from .annealing import AnnealParams, AnnealResult, anneal
+from .annealing import AnnealParams, AnnealResult, _multi_leg_floor, anneal
 from .circuits import GateCircuit, cnot_count, cnot_depth, euler_xzx_to_zxz
 from .gadgets import (
     GadgetCircuit,
@@ -45,7 +54,14 @@ from .gf2 import BitMatrix, _mul_rows, _row_ops, _transpose_rows, invert
 from .oracle import MAX_QUBITS, VERIFY_TOL, product_error
 # Unused here; perfbench/tracing.py looks these two names up on this module.
 from .oracle import equiv_up_to_phase, unitary_of_circuit  # noqa: F401
-from .transform import detect_layers, extract, h_z, synth_cnot, synth_gadget
+from .transform import (
+    CnotCircuit,
+    detect_layers,
+    extract,
+    h_z,
+    synth_cnot,
+    synth_gadget,
+)
 
 log = logging.getLogger(__name__)
 
@@ -73,6 +89,7 @@ class OptimizeReport:
     energy_after: int  # the best energy the anneal reached
     energy_chosen: int  # the energy of the C the output uses
     layers_detected: int
+    output: str  # "optimized" | "input": which side was returned
     verified: str  # "yes" | "no" | "skipped"
 
     def to_kv(self) -> str:
@@ -87,6 +104,7 @@ class OptimizeReport:
             ("energy_after", self.energy_after),
             ("energy_chosen", self.energy_chosen),
             ("layers_detected", self.layers_detected),
+            ("output", self.output),
             ("verified", self.verified),
         ]
         return "\n".join(f"{k}={v}" for k, v in pairs)
@@ -103,7 +121,7 @@ class OptimizeReport:
             lines.append(f"{name:<12} {before:>8} {after:>8} {delta:>7}")
         lines.append(
             f"energy {self.energy_before} -> {self.energy_after} (chosen {self.energy_chosen})"
-            f" | layers {self.layers_detected} | verified {self.verified}"
+            f" | layers {self.layers_detected} | output {self.output} | verified {self.verified}"
         )
         return "\n".join(lines)
 
@@ -172,6 +190,86 @@ def _choose(
     return best_c, best_e
 
 
+@dataclass(frozen=True)
+class _Parts:
+    """A lowered circuit as ``optimize`` re-synthesises it around C."""
+
+    prefix: tuple[GadgetEntry, ...]  # the non-repeating gadgets of nonzero angle
+    unit: GadgetCircuit  # the fused repeating unit
+    angles: list[list[float]]  # the unit's fused angles, per occurrence
+    tail: CnotCircuit  # the tail, re-synthesised
+    layers: int
+    raw_unit_energy: int  # the unit's leg count before fusion
+
+
+def _split(lowered: GateCircuit) -> _Parts:
+    """Extract the normal form, detect the layers and fuse the repeating unit."""
+    nf = extract(lowered)
+    info = detect_layers(nf.gadgets)
+    entries = nf.gadgets.entries
+    occurrences = [
+        entries[info.offset + o * info.unit_length : info.offset + (o + 1) * info.unit_length]
+        for o in range(info.repeats)
+    ]
+    # One fusion plan serves every repetition, keeping the layers uniform.
+    plan = fusion_plan(occurrences[0])
+    return _Parts(
+        prefix=tuple(e for e in entries[: info.offset] if not is_zero_angle(e.angle)),
+        unit=GadgetCircuit(lowered.n_qubits, tuple(e for e, _ in plan)),
+        angles=[[sum(occ[i].angle for i in src) for _, src in plan] for occ in occurrences],
+        # The tail is a pure CNOT circuit, so its unitary is the basis
+        # permutation fixed by h_z; re-synthesising it keeps the exact unitary
+        # and lets a self-cancelling tail (h_z = I) vanish entirely.
+        tail=synth_cnot(h_z(nf.tail)),
+        layers=info.repeats,
+        raw_unit_energy=sum(e.legs.popcount() for e in occurrences[0]),
+    )
+
+
+def _synthesize(parts: _Parts, c: BitMatrix, shape: str) -> GateCircuit:
+    """The optimized side for the change of basis ``c``, peepholed.
+
+    Gadgets with legs C*L commute left across a block of action C^-1
+    back to legs L, so the sandwich C^-1-block ; unit' ; C-block
+    reproduces the original unit exactly. For C = I both blocks are empty.
+    """
+    gates: list[ci.Gate] = []
+    for e in parts.prefix:
+        gates.extend(synth_gadget(e, shape).gates)
+    gates.extend(synth_cnot(invert(c)).to_gates().gates)
+    acted = apply_action(parts.unit, c).entries
+    for occ_angles in parts.angles:
+        for e, angle in zip(acted, occ_angles):
+            if not is_zero_angle(angle):
+                gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
+    gates.extend(synth_cnot(c).to_gates().gates)
+    gates.extend(parts.tail.to_gates().gates)
+    return euler_peephole(GateCircuit(parts.unit.n_qubits, tuple(gates)))
+
+
+def _cnot_floor(parts: _Parts) -> int:
+    """A lower bound on the CNOTs of ``_synthesize(parts, C, shape)`` over every C in GL(n,2).
+
+    The prefix gadgets (2(|legs| - 1) each) and the tail count exactly.
+    Between them, C = I costs ``_output_cnots`` at I. Any other C pays at
+    least one CNOT in each of its two blocks, and 2 CNOTs per emission of
+    each leg word that keeps two legs or more; per basis, the words'
+    emissions give the least of those (``_multi_leg_floor``). The bound
+    holds for what ``_synthesize`` emits, so it must change with it.
+    """
+    legs = _live_legs(parts.unit, parts.angles)
+    gadgets = 0
+    for basis in ("Z", "X"):
+        emissions: Counter[int] = Counter()
+        for b, word, live in legs:
+            if b == basis:
+                emissions[word] += live
+        gadgets += 2 * _multi_leg_floor(emissions)
+    identity = _output_cnots(BitMatrix.identity(parts.unit.n_qubits)._r, legs)
+    fixed = len(parts.tail) + sum(2 * (e.legs.popcount() - 1) for e in parts.prefix)
+    return fixed + min(identity, 2 + gadgets)
+
+
 def optimize(
     c: GateCircuit,
     p: AnnealParams | None = None,
@@ -188,45 +286,21 @@ def optimize(
     n = c.n_qubits
     before = metrics_of(c)
 
-    nf = extract(ci.lower_to_basis(c))
-    info = detect_layers(nf.gadgets)
-    entries = nf.gadgets.entries
-    prefix = entries[: info.offset]
-    occurrences = [
-        entries[info.offset + o * info.unit_length : info.offset + (o + 1) * info.unit_length]
-        for o in range(info.repeats)
-    ]
-
-    gates: list[ci.Gate] = []
-    for e in prefix:
-        if not is_zero_angle(e.angle):
-            gates.extend(synth_gadget(e, shape).gates)
-
-    # With no gadgets the anneal stops at its floor: C = I and every energy is 0.
-    raw_unit_energy = sum(e.legs.popcount() for e in occurrences[0])
-    # One fusion plan serves every repetition, keeping the layers uniform.
-    plan = fusion_plan(occurrences[0])
-    unit = GadgetCircuit(n, tuple(e for e, _ in plan))
-    angles = [[sum(occ[i].angle for i in src) for _, src in plan] for occ in occurrences]
-    lz, lx = leg_matrices(unit)
-    result = anneal(lz, lx, p)
-    c_best, chosen_energy = _choose(result, unit, angles)
-    # Gadgets with legs C*L commute left across a block of action C^-1
-    # back to legs L, so the sandwich C^-1-block ; unit' ; C-block
-    # reproduces the original unit exactly. For C = I both blocks are empty.
-    gates.extend(synth_cnot(invert(c_best)).to_gates().gates)
-    acted = apply_action(unit, c_best).entries
-    for occ_angles in angles:
-        for e, angle in zip(acted, occ_angles):
-            if not is_zero_angle(angle):
-                gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
-    gates.extend(synth_cnot(c_best).to_gates().gates)
-
-    # The tail is a pure CNOT circuit, so its unitary is the basis permutation
-    # fixed by h_z; re-synthesising it keeps the exact unitary and lets a
-    # self-cancelling tail (h_z = I) vanish entirely.
-    gates.extend(synth_cnot(h_z(nf.tail)).to_gates().gates)
-    out = euler_peephole(GateCircuit(n, tuple(gates)))
+    lowered = ci.lower_to_basis(c)
+    input_side = euler_peephole(lowered)
+    parts = _split(lowered)
+    if _cnot_floor(parts) > cnot_count(input_side):
+        # No C can beat the input side: nothing is annealed, chosen or
+        # synthesised, and the energies read as when the anneal stops at its floor.
+        identity_energy = sum(e.legs.popcount() for e in parts.unit.entries)
+        out, best_energy, chosen_energy = input_side, identity_energy, identity_energy
+    else:
+        result = anneal(*leg_matrices(parts.unit), p)
+        c_best, chosen_energy = _choose(result, parts.unit, parts.angles)
+        best_energy = result.best_energy
+        out = _synthesize(parts, c_best, shape)
+        if (cnot_count(input_side), cnot_depth(input_side)) < (cnot_count(out), cnot_depth(out)):
+            out = input_side
 
     verified = "skipped"
     if verify and n <= MAX_QUBITS:
@@ -241,10 +315,11 @@ def optimize(
     report = OptimizeReport(
         before=before,
         after=metrics_of(out),
-        energy_before=raw_unit_energy,
-        energy_after=result.best_energy,
+        energy_before=parts.raw_unit_energy,
+        energy_after=best_energy,
         energy_chosen=chosen_energy,
-        layers_detected=info.repeats,
+        layers_detected=parts.layers,
+        output="input" if out is input_side else "optimized",
         verified=verified,
     )
     if verified == "no":

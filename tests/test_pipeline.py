@@ -116,26 +116,27 @@ def test_optimize_pure_cnot_circuit():
 
 
 @pytest.mark.parametrize(
-    "gates, text, after",
+    "gates, text, after, side",
     [
         ((ci.cnot(0, 1), ci.cnot(1, 2), ci.cnot(0, 1), ci.cnot(2, 0)),
-         "qubits 3\ncnot 0 1\ncnot 1 0\ncnot 2 0\ncnot 1 2\ncnot 0 1\ncnot 2 1\n",
-         (4, 4, 4, 6, 6, 6)),
-        ((), "qubits 3\n", (0, 0, 0, 0, 0, 0)),
+         "qubits 3\ncnot 0 1\ncnot 1 2\ncnot 0 1\ncnot 2 0\n",
+         (4, 4, 4, 4, 4, 4), "input"),
+        ((), "qubits 3\n", (0, 0, 0, 0, 0, 0), "optimized"),
     ],
     ids=["pure-cnot", "empty"],
 )
-def test_optimize_without_gadgets_is_pinned(gates, text, after):
-    # No gadgets: the empty unit goes through the same path as any other,
-    # the anneal stops at its floor, C = I, and only the re-synthesised
-    # tail is emitted.
+def test_optimize_without_gadgets_is_pinned(gates, text, after, side):
+    # No gadgets: the optimized side is the re-synthesised tail alone, 6
+    # CNOTs for the 4 given, so the bound returns the input side unannealed.
+    # An empty circuit goes through the same path as any other: the anneal
+    # stops at its floor, C = I, and the empty optimized side is returned.
     out, report = optimize(GateCircuit(3, gates), FAST)
     assert serialize(out) == text
     names = ("before_cnot_count", "before_cnot_depth", "before_gate_count",
              "after_cnot_count", "after_cnot_depth", "after_gate_count")
     pairs = list(zip(names, after)) + [
         ("energy_before", 0), ("energy_after", 0), ("energy_chosen", 0),
-        ("layers_detected", 1), ("verified", "yes"),
+        ("layers_detected", 1), ("output", side), ("verified", "yes"),
     ]
     assert report.to_kv() == "\n".join(f"{k}={v}" for k, v in pairs)
 
@@ -480,59 +481,53 @@ CHOICE_CASES = {
 }
 
 
-def _optimize_choosing(monkeypatch, c, p, pick):
-    """optimize with C picked by ``pick(result)``; returns (output, (result, unit, angles))."""
-    import phasefold.pipeline as pl
-
-    seen = []
-
-    def choose(result, unit, angles):
-        seen.append((result, unit, angles))
-        return pick(result), 0
-
-    with monkeypatch.context() as m:
-        m.setattr(pl, "_choose", choose)
-        out, report = optimize(c, p)
-    assert report.verified == "yes"
-    return out, seen[0]
-
-
 @pytest.mark.parametrize("name", sorted(CHOICE_CASES))
-def test_output_cnots_is_the_synthesised_count(name, monkeypatch):
+def test_output_cnots_is_the_synthesised_count(name):
     # For I and every candidate, the exact cost equals the CNOTs of the
-    # output optimize builds with that C, less the prefix and the tail.
-    # Like a layer's, a zero-angle prefix gadget emits nothing.
+    # optimized side built with that C, less the prefix and the tail, and
+    # the CNOT bound is no more than those CNOTs. Like a layer's, a
+    # zero-angle prefix gadget emits nothing.
     import phasefold.pipeline as pl
-    from phasefold.gadgets import is_zero_angle
+    from phasefold.annealing import anneal
+    from phasefold.circuits import cnot_depth
+    from phasefold.gadgets import is_zero_angle, leg_matrices
     from phasefold.transform import synth_cnot, synth_gadget
 
     c = CHOICE_CASES[name]()
     p = AnnealParams(iterations=300, attempts=6, seed=5)
-    nf = extract(ci.lower_to_basis(c))
+    lowered = ci.lower_to_basis(c)
+    nf = extract(lowered)
     info = detect_layers(nf.gadgets)
     prefix = nf.gadgets.entries[: info.offset]
     fixed = len(synth_cnot(h_z(nf.tail))) + sum(
         cnot_count(synth_gadget(e)) for e in prefix if not is_zero_angle(e.angle)
     )
-    identity = BitMatrix.identity(c.n_qubits)
-    _, (result, unit, angles) = _optimize_choosing(monkeypatch, c, p, lambda r: identity)
-    legs = pl._live_legs(unit, angles)
-    pool = (identity,) + result.candidates
+    parts = pl._split(lowered)
+    result = anneal(*leg_matrices(parts.unit), p)
+    legs = pl._live_legs(parts.unit, parts.angles)
+    pool = (BitMatrix.identity(c.n_qubits),) + result.candidates
     costs = [pl._output_cnots(m._r, legs) for m in pool]
+    floor = pl._cnot_floor(parts)
     for m, cost in zip(pool, costs):
-        out, _ = _optimize_choosing(monkeypatch, c, p, lambda r: m)
-        assert cnot_count(out) - fixed == cost
-    # optimize itself takes the first of the cheapest.
-    out, report = optimize(c, p)
-    assert cnot_count(out) - fixed == min(costs)
+        count = cnot_count(pl._synthesize(parts, m, "tree"))
+        assert count - fixed == cost
+        assert floor <= count
+    # optimize chooses the first of the cheapest, and returns the input side
+    # only when it has fewer CNOTs, or as many and a lower CNOT depth.
     chosen = pool[costs.index(min(costs))]
-    assert out == _optimize_choosing(monkeypatch, c, p, lambda r: chosen)[0]
+    assert pl._choose(result, parts.unit, parts.angles)[0] == chosen
+    optimized = pl._synthesize(parts, chosen, "tree")
+    input_side = euler_peephole(lowered)
+    out, report = optimize(c, p)
+    assert out == {"optimized": optimized, "input": input_side}[report.output]
+    cost_in, cost_opt = ((cnot_count(d), cnot_depth(d)) for d in (input_side, optimized))
+    assert (cost_in < cost_opt) == (report.output == "input")
     if name == "fused_angle_zero_once":
         assert sorted(live for _, _, live in legs) == [2, 3]
     if name == "zero_angle_prefix":
         assert [e.angle for e in prefix] == [0.0]
-        assert cnot_count(out) == 5
-        assert out.gates[:2] != (ci.cnot(1, 0), ci.cnot(1, 0))
+        assert cnot_count(optimized) == 5
+        assert optimized.gates[:2] != (ci.cnot(1, 0), ci.cnot(1, 0))
     if name.startswith("ansatz"):
         assert len(set(costs)) > 1  # the choice matters here
 

@@ -12,7 +12,9 @@ kernel, whether or not a group is ever applied.
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
 first candidate of lowest energy; the output passes the oracle and is
-the same on every run with the same seed. On {CNOT, RZ, RX, CRZ, CU1}
+the same on every run with the same seed. Nor does optimize return more
+CNOTs than it was given, and skipping the anneal when the CNOT bound
+rules out every C returns what annealing would. On {CNOT, RZ, RX, CRZ, CU1}
 circuits with angles up to 1e300 in size, optimize's output passes the
 oracle: lowering reduces every angle exactly.
 """
@@ -144,3 +146,27 @@ def test_chosen_c_costs_no_more_than_identity_or_best_c(c, seed):
             m.setattr(pipeline, "_choose", lambda r, unit, angles, pick=pick: (pick(r), 0))
             forced, _ = optimize(c, p)
         assert cnot_count(out) <= cnot_count(forced)
+
+
+@given(circuits(kinds=("cnot", "rz", "rx")), st.integers(0, 2**32 - 1))
+def test_optimize_never_adds_cnots_and_skips_exactly(c, seed):
+    p = AnnealParams(iterations=60, attempts=3, seed=seed)
+    out, report = optimize(c, p)
+    assert report.verified == "yes"
+    assert cnot_count(out) <= cnot_count(c)
+    assert optimize(c, p)[0] == out
+    # With the bound disabled, every call anneals and compares both sides;
+    # the bound never exceeds the CNOTs of the optimized side it builds.
+    floor, synthesize, sides = pipeline._cnot_floor, pipeline._synthesize, []
+
+    def synthesize_and_count(parts, basis, shape):
+        side = synthesize(parts, basis, shape)
+        sides.append((floor(parts), cnot_count(side)))
+        return side
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(pipeline, "_cnot_floor", lambda parts: 0)
+        m.setattr(pipeline, "_synthesize", synthesize_and_count)
+        annealed, annealed_report = optimize(c, p)
+    assert (annealed, annealed_report.output) == (out, report.output)
+    assert [bound <= count for bound, count in sides] == [True]

@@ -287,20 +287,27 @@ def optimize(
     before = metrics_of(c)
 
     lowered = ci.lower_to_basis(c)
-    input_side = euler_peephole(lowered)
     parts = _split(lowered)
-    if _cnot_floor(parts) > cnot_count(input_side):
+    # euler_peephole moves no CNOT, so the input side has the lowered CNOTs,
+    # and it is peepholed only when it is returned or ties on CNOTs.
+    input_cnots = cnot_count(lowered)
+    output = "optimized"
+    if _cnot_floor(parts) > input_cnots:
         # No C can beat the input side: nothing is annealed, chosen or
         # synthesised, and the energies read as when the anneal stops at its floor.
         identity_energy = sum(e.legs.popcount() for e in parts.unit.entries)
-        out, best_energy, chosen_energy = input_side, identity_energy, identity_energy
+        out, output = euler_peephole(lowered), "input"
+        best_energy = chosen_energy = identity_energy
     else:
         result = anneal(*leg_matrices(parts.unit), p)
         c_best, chosen_energy = _choose(result, parts.unit, parts.angles)
         best_energy = result.best_energy
         out = _synthesize(parts, c_best, shape)
-        if (cnot_count(input_side), cnot_depth(input_side)) < (cnot_count(out), cnot_depth(out)):
-            out = input_side
+        out_cnots = cnot_count(out)
+        if input_cnots <= out_cnots:
+            input_side = euler_peephole(lowered)
+            if (input_cnots, cnot_depth(input_side)) < (out_cnots, cnot_depth(out)):
+                out, output = input_side, "input"
 
     verified = "skipped"
     if verify and n <= MAX_QUBITS:
@@ -319,7 +326,7 @@ def optimize(
         energy_after=best_energy,
         energy_chosen=chosen_energy,
         layers_detected=parts.layers,
-        output="input" if out is input_side else "optimized",
+        output=output,
         verified=verified,
     )
     if verified == "no":

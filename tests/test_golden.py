@@ -1,8 +1,6 @@
 """Golden output pins: byte-exact optimize output on fixed-seed inputs.
 
-Each case hashes ``serialize(out)`` and ``report.to_kv()`` but its
-``output`` line, and ``SIDES`` pins which side was returned, so the
-hashes of outputs that did not change stay put. Every case but one
+Each case hashes ``serialize(out) + report.to_kv()``. Every case but one
 anneals 3 x 300, one chain at a time; ``random_gadget_default_budget``
 takes the default budget (``annealing.DEFAULT_ATTEMPTS`` x
 ``DEFAULT_ITERATIONS``), so the packed loop and the choice of C among
@@ -72,24 +70,22 @@ CASES = {
 CASE_PARAMS = {"random_gadget_default_budget": AnnealParams(seed=7)}
 
 PINS = {
-    "random_gadget_ansatz": "fd6cb8a0e9a053346b47071b00230db3352c4d3e88cdeb77c86d2559a5a76f09",
-    "staircase_rx": "71f854e7e647bb9f857e90d24f8d330601e289e9a93303a1e49110485dd4e359",
-    "fusion_to_zero": "60aff4e0b72691ab94b33683a730d6d76a0826da96cafcac91b8c7373c15ed62",
-    "random_basis_a": "cdba3e0b49ad6236b89ee5ba89c5eb21dc543b3e4fcd3c4a1db61eadebc4ab73",
-    "random_basis_b": "262142c9bbf42e2981ded4c022d9406724a7872f9f8ef3d9cefadb7d87394677",
-    "random_basis_c": "0d1333290682a57abbf6a6eb75d43331a0b8303edada4d7927b3693d07d0d4e0",
-    "random_gadget_default_budget": "46757a6738638856474c66e8f0cb8476bf6e9b785b46393931a23ae4ce10be8f",
+    "random_gadget_ansatz": "be29318351af3c940368c1c9ece3173c6a297d878627490e52351665217c3be5",
+    "staircase_rx": "af45d8e446c18f085a8222fcca2f6cd3645d372be320ac99718b8aaedddb8e9c",
+    "fusion_to_zero": "491848546132bccc21f9ad12f4231fe79c27558aeb041a962c6d6700353efad3",
+    "random_basis_a": "8d9e64ca9e14d59502da432d09a99bbdc79c22e31bb7b8563f36c9ec79b91d29",
+    "random_basis_b": "e79f6da3517362023a935e2da9a15b3b18f0513bed925f4298e939642fb8b871",
+    "random_basis_c": "69212a7e68532d73746cb760dfa3d28564573ce89066ea36938c27d5636628e4",
+    "random_gadget_default_budget": "f4e8d940fd8065f08e00c2da9a57754fe920907a84a8960f007df806f062cbc6",
 }
 # No C gives the random basis circuits or the staircase fewer CNOTs than
 # their own lowered, peepholed gates, so optimize returns those.
 INPUT_SIDE = ("random_basis_a", "random_basis_b", "random_basis_c", "staircase_rx")
-SIDES = {name: "input" if name in INPUT_SIDE else "optimized" for name in CASES}
 
 
 def _digest(name: str) -> tuple[str, object]:
     out, report = optimize(CASES[name](), CASE_PARAMS.get(name, PARAMS))
-    kv = [line for line in report.to_kv().splitlines() if line != f"output={report.output}"]
-    text = serialize(out) + "\n".join(kv)
+    text = serialize(out) + report.to_kv()
     return hashlib.sha256(text.encode()).hexdigest(), report
 
 
@@ -97,7 +93,7 @@ def _digest(name: str) -> tuple[str, object]:
 def test_golden_output(name):
     digest, report = _digest(name)
     assert report.verified == "yes"
-    assert report.output == SIDES[name]
+    assert report.output == ("input" if name in INPUT_SIDE else "optimized")
     assert digest == PINS[name]
 
 

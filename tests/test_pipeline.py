@@ -9,7 +9,7 @@ from phasefold import circuits as ci
 from phasefold.annealing import AnnealParams
 from phasefold.circuits import GateCircuit, cnot_count, serialize
 from phasefold.gf2 import BitMatrix
-from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
+from phasefold.oracle import VERIFY_TOL, equiv_up_to_phase, product_error, unitary_of_circuit
 from phasefold.ansatz import AnsatzSpec, NonMonotonicError, generate, mppp_period
 from phasefold.pipeline import euler_peephole, metrics_of, optimize
 from phasefold.transform import (
@@ -483,10 +483,10 @@ CHOICE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CHOICE_CASES))
 def test_output_cnots_is_the_synthesised_count(name):
-    # For I and every candidate, the exact cost equals the CNOTs of the
-    # optimized side built with that C, less the prefix and the tail, and
-    # the CNOT bound is no more than those CNOTs. Like a layer's, a
-    # zero-angle prefix gadget emits nothing.
+    # For I and every candidate, the optimized side built with that C passes
+    # the oracle, the exact cost equals its CNOTs less the prefix and the
+    # tail, and the CNOT bound is no more than those CNOTs. Like a layer's,
+    # a zero-angle prefix gadget emits nothing.
     import phasefold.pipeline as pl
     from phasefold.annealing import anneal
     from phasefold.circuits import cnot_depth
@@ -509,7 +509,9 @@ def test_output_cnots_is_the_synthesised_count(name):
     costs = [pl._output_cnots(m._r, legs) for m in pool]
     floor = pl._cnot_floor(parts)
     for m, cost in zip(pool, costs):
-        count = cnot_count(pl._synthesize(parts, m, "tree"))
+        side = pl._synthesize(parts, m, "tree")
+        assert product_error(c, side) < VERIFY_TOL
+        count = cnot_count(side)
         assert count - fixed == cost
         assert floor <= count
     # optimize chooses the first of the cheapest, and returns the input side

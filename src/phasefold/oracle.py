@@ -33,9 +33,10 @@ one permutation. Only the row-mixing steps, each a 2x2 gate on one qubit
   2^d x 2^d blocks, when a gate would add a direction past
   D = ``GROUP_DIRECTIONS``, and at the end.
 
-Time per verification product, ``product_error(c, out)`` (ms, best of 3,
-summed over six seeded instances per row; 2-vCPU Xeon, numpy 2.4 with
-OpenBLAS), of the per-gate kernel and of groups of at most D directions.
+Time per verification product, ``product_error(c, out)`` before it
+cancelled any step (ms, best of 3, summed over six seeded instances per
+row; 2-vCPU Xeon, numpy 2.4 with OpenBLAS), of the per-gate kernel and
+of groups of at most D directions: these time the kernels alone.
 The instances are random-gadget ansaetze (10 gadgets, 2, 5 or 10
 layers, ladder synthesis), random {CNOT, RZ, RX} circuits of 10-120
 gates, and staircase or brickwall layers (4-16) with RZ and RX on every
@@ -71,10 +72,23 @@ and ``product_error(c, out)`` run c's gates and then out's gates in
 reverse order, each inverted (a step's inverse is the same step at minus
 its angle; CNOT, CZ and H are their own inverses), whatever kind of
 circuit either side is; both ``optimize`` and ``phasefold verify`` check
-this way. ``equiv_up_to_phase`` accepts when ``phase_aligned_error`` =
+this way. Before the kernel runs, ``product_error`` cancels equal steps
+that are last on their qubits in both circuits (``_cancel_trailing``):
+same kind, same qubit tuple in order, same angle, and every step left
+after it in its own circuit acts on other qubits. Disjoint steps
+commute, so then U_c = X g and U_out = Y g, and W = Y^dag X exactly;
+what stays is evaluated in full. The walk starts at the ends and stops
+once a step that stays blocks every qubit of out, so it costs the steps
+it cancels and the few it passes, not the circuits' length; a product
+with nothing left is I and scores 0. A circuit against its own rewrite
+(the input returned as optimize's output, or ``phasefold verify a a``)
+mostly cancels away. ``unitary_of_circuit`` applies every step.
+
+``equiv_up_to_phase`` accepts when ``phase_aligned_error`` =
 ||u - e^{i phi} v||_F < ``VERIFY_TOL``, with e^{i phi} the phase of
-tr(v^dag u) and v = I for a product. As U_out is unitary, ||W - e^{i phi} I||_F = ||U_c - e^{i phi}
-U_out||_F at the same phase, so a product and a pair of unitaries meet
+tr(v^dag u) and v = I for a product. As U_out is unitary,
+||W - e^{i phi} I||_F = ||U_c - e^{i phi} U_out||_F at the same phase,
+so a product and a pair of unitaries meet
 one rule, and the Frobenius norm bounds every entry of the difference.
 ``product_error`` computes that error without building W. While the
 grouped kernel has applied no group, row i of W holds 2^d known entries
@@ -497,18 +511,77 @@ def _steps(circuit) -> tuple[int, list]:
     return n, steps
 
 
-def _accumulate(circuit, undo=None):
-    """The accumulator after ``circuit``'s steps, then ``undo``'s in reverse order, each inverted."""
+def _operands(circuit, undo) -> tuple[int, list, list]:
+    """(qubit count, ``circuit``'s steps, ``undo``'s steps); no ``undo`` has none."""
     n, steps = _steps(circuit)
     _check_size(n)
-    if undo is not None:
-        undo_n, undo_steps = _steps(undo)
-        if undo_n != n:
-            raise ValueError("circuits act on different qubit counts")
-        inverses = ((k, q, None if a is None else -a) for k, q, a in reversed(undo_steps))
-        steps = itertools.chain(steps, inverses)
+    if undo is None:
+        return n, steps, []
+    undo_n, undo_steps = _steps(undo)
+    if undo_n != n:
+        raise ValueError("circuits act on different qubit counts")
+    return n, steps, undo_steps
+
+
+def _step_qubits(qubits) -> tuple[int, ...]:
+    """The qubits a step acts on; a parity step's are the set bits of its legs."""
+    if isinstance(qubits, tuple):
+        return qubits
+    return tuple(q for q in range(qubits.n) if qubits.bits >> q & 1)
+
+
+def _cancel_trailing(n: int, steps: list, undo_steps: list) -> tuple[list, list]:
+    """Both step lists without their equal pairs that are last on their qubits.
+
+    ``undo`` is walked back from its end. A step whose qubits no kept
+    later step of ``undo`` touches is last on them there; it cancels the
+    step of ``circuit`` that is last on each of its qubits, if that step
+    is equal: same kind, same qubit tuple in order, same angle. Otherwise
+    it is kept, and blocks its qubits. ``circuit`` is scanned back only
+    as far as a lookup needs, each scanned step queued on its qubits, so
+    a qubit's last remaining step heads its queue. The walk stops once
+    every qubit is blocked.
+    """
+    queues: list[list[int]] = [[] for _ in range(n)]  # scanned steps on each qubit, latest first
+    heads = [0] * n  # cancelled steps at the front of each queue
+    scanned = len(steps)
+    cancelled: set[int] = set()
+    kept: list = []  # walked steps of ``undo`` that stay, latest first
+    blocked, everything = 0, (1 << n) - 1
+    j = len(undo_steps)
+    while j and blocked != everything:
+        j -= 1
+        step = undo_steps[j]
+        qubits = _step_qubits(step[1])
+        mask = sum(1 << q for q in qubits)
+        if not mask & blocked:
+            first = qubits[0]
+            while heads[first] == len(queues[first]) and scanned:
+                scanned -= 1
+                for q in _step_qubits(steps[scanned][1]):
+                    queues[q].append(scanned)
+            if heads[first] < len(queues[first]):
+                i = queues[first][heads[first]]
+                if steps[i] == step and all(queues[q][heads[q]] == i for q in qubits):
+                    for q in qubits:
+                        heads[q] += 1
+                    cancelled.add(i)
+                    continue
+        blocked |= mask
+        kept.append(step)
+    if not cancelled:
+        return steps, undo_steps
+    tail = [s for i, s in enumerate(steps[scanned:], scanned) if i not in cancelled]
+    return steps[:scanned] + tail, undo_steps[:j] + kept[::-1]
+
+
+def _accumulate(n: int, steps: list, undo_steps: list):
+    """The accumulator after ``steps``, then ``undo_steps`` in reverse order, each inverted."""
+    inverses = ((k, q, None if a is None else -a) for k, q, a in reversed(undo_steps))
     acc = _accumulator(n)
-    for kind, run in itertools.groupby(steps, key=lambda step: step[0]):
+    for kind, run in itertools.groupby(
+        itertools.chain(steps, inverses), key=lambda step: step[0]
+    ):
         if kind == "cnot":  # consecutive CNOTs, even across the two circuits: one permutation
             acc.permute(_cnot_run_rows(n, [qubits for _, qubits, _ in run]))
             continue
@@ -530,9 +603,9 @@ def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
     Either side may be a ``GateCircuit``, a ``GadgetCircuit`` or a
     ``NormalForm`` (see ``_steps``). With ``undo``, the product goes on
     through ``undo``'s steps in reverse order, each inverted, and so is
-    U_undo^dag @ U_circuit.
+    U_undo^dag @ U_circuit. Every step is applied; nothing cancels.
     """
-    return _accumulate(circuit, undo).flush()
+    return _accumulate(*_operands(circuit, undo)).flush()
 
 
 def product_error(circuit, undo) -> float:
@@ -540,9 +613,15 @@ def product_error(circuit, undo) -> float:
 
     That is ||U_undo^dag U_circuit - e^{i phi} I||_F with e^{i phi} the
     phase of the product's trace; see ``_Grouped.error`` for how it is read.
-    Either side may be any circuit kind ``unitary_of_circuit`` takes.
+    Either side may be any circuit kind ``unitary_of_circuit`` takes. Equal
+    steps last on their qubits in both circuits cancel first
+    (``_cancel_trailing``); if nothing is left, the product is I.
     """
-    return _accumulate(circuit, undo).error()
+    n, steps, undo_steps = _operands(circuit, undo)
+    steps, undo_steps = _cancel_trailing(n, steps, undo_steps)
+    if not steps and not undo_steps:
+        return 0.0
+    return _accumulate(n, steps, undo_steps).error()
 
 
 def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:

@@ -125,9 +125,16 @@ def assert_circuit_kernels_match(monkeypatch, circuit):
 
 
 def assert_errors_match(monkeypatch, c, d):
-    """``product_error(c, d)`` is the reference product's error on every kernel."""
+    """``product_error(c, d)`` is the reference product's error on every kernel.
+
+    So is the error the kernel reads from the whole product, before any
+    trailing steps cancel, as with d = c the check itself runs no kernel.
+    """
     want = phase_aligned_error(reference_unitary(d).conj().T @ reference_unitary(c))
     assert_kernels_match(monkeypatch, lambda: product_error(c, d), want)
+    assert_kernels_match(
+        monkeypatch, lambda: oracle._accumulate(*oracle._operands(c, d)).error(), want
+    )
 
 
 def single(n, gate):
@@ -379,6 +386,44 @@ def test_one_product_matches_reference_all_kinds(n, monkeypatch):
 def test_qubit_limit():
     with pytest.raises(TooManyQubitsError):
         unitary_of_circuit(GateCircuit(11, ()))
+    with pytest.raises(TooManyQubitsError):
+        product_error(GateCircuit(11, ()), GateCircuit(11, ()))
+
+
+def test_equal_trailing_steps_cancel_to_nothing(monkeypatch):
+    # Equal steps last on their qubits cancel in pairs, also where the two
+    # circuits order commuting steps differently, and across an X gadget's
+    # Hadamards; with nothing left the product is I, and no accumulator is built.
+    c = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.rz(0.2, 0), ci.crx(0.9, 2, 1)))
+    d = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.crx(0.9, 2, 1), ci.rz(0.2, 0)))
+    g = gadget_circuit(3, [("X", 0.5, "110"), ("Z", -1.5, "011"), ("X", 0.7, "001")])
+    monkeypatch.setattr(oracle, "_accumulator", None)  # building one would raise
+    for a, b in ((c, c), (c, d), (d, c), (g, g)):
+        assert product_error(a, b) == 0.0
+
+
+@pytest.mark.parametrize(
+    "c, d",
+    [
+        ((ci.rx(0.7, 0), ci.cnot(0, 1)), (ci.cnot(0, 1), ci.rx(0.7, 0))),
+        ((ci.cnot(0, 1), ci.rz(0.7, 1)), (ci.rz(0.7, 1), ci.cnot(0, 1))),
+        ((ci.cnot(0, 1),), (ci.cnot(1, 0),)),
+        (
+            (ci.rz(0.3, 1), ci.cnot(0, 1), ci.rx(0.7, 1)),
+            (ci.rz(0.3, 1), ci.cnot(0, 1), ci.rx(0.7 + 1e-6, 1)),
+        ),
+    ],
+    ids=["rx-past-control", "rz-past-target", "cnot-reversed", "last-angle-bent"],
+)
+def test_unequal_trailing_steps_never_cancel(c, d, monkeypatch):
+    # No pair is equal, and no step may cancel: a rotation does not commute
+    # past a CNOT on its qubit, CNOT(1, 0) is not CNOT(0, 1), and angles
+    # must be equal. Either way round, each scores its dense error, above
+    # the tolerance.
+    c, d = GateCircuit(2, c), GateCircuit(2, d)
+    for a, b in ((c, d), (d, c)):
+        assert_errors_match(monkeypatch, a, b)
+        assert product_error(a, b) > oracle.VERIFY_TOL
 
 
 @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
@@ -625,19 +670,30 @@ def test_grouped_kernel_holds_two_matrices(peak_bytes):
     assert peak < 2 * matrix_bytes + 4 * coef_bytes, peak / matrix_bytes
 
 
+def _halved(c: GateCircuit) -> GateCircuit:
+    """c with every rotation split into two halves: the same unitary, but no
+    rotation of c is a step of it, so only unrotated trailing gates cancel."""
+    gates = []
+    for g in c.gates:
+        gates += [g] if g.angle is None else [ci.Gate(g.kind, g.qubits, g.angle / 2)] * 2
+    return GateCircuit(c.n_qubits, tuple(gates))
+
+
 def test_verification_holds_one_matrix(monkeypatch, peak_bytes):
-    # optimize's check at MAX_QUBITS, the error of the product U_c^dag U_c
+    # optimize's check at MAX_QUBITS, the error of the product U_d^dag U_c
     # over several groups, peaks at one matrix and coefficient-sized arrays:
     # groups are applied coset by coset in place, and the rows are read into
-    # the error block by block (a block is 2^16 entries).
+    # the error block by block (a block is 2^16 entries). d is c with its
+    # rotations halved, so that the product does not cancel away.
     n = MAX_QUBITS
     rng = np.random.default_rng(78)
     c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
+    d = _halved(c)
     matrix_bytes = 16 << (2 * n)
     coef_bytes = 16 << (n + GROUP_DIRECTIONS)
     applied = _count_groups(monkeypatch)
     errors = []
-    peak = peak_bytes(lambda: errors.append(product_error(c, c)))
+    peak = peak_bytes(lambda: errors.append(product_error(c, d)))
     assert errors[0] < oracle.VERIFY_TOL
     assert len(applied) > 1
     assert peak < matrix_bytes + 8 * coef_bytes, peak / matrix_bytes
@@ -646,7 +702,8 @@ def test_verification_holds_one_matrix(monkeypatch, peak_bytes):
 def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
     # Mixing gates on five qubits and CNOTs among the other five: the product
     # stays in one group, and its error is read from the coefficients alone,
-    # well below one matrix.
+    # well below one matrix. d is c with its rotations halved, and bent is
+    # d after a first RX of 1e-3: only the trailing CNOTs cancel.
     n = MAX_QUBITS
     rng = np.random.default_rng(79)
     gates = []
@@ -655,10 +712,11 @@ def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
         gates.append(ci.rz(float(rng.uniform(-3, 3)), int(rng.integers(n))))
         gates.append(ci.cnot(*(int(q) for q in rng.choice(range(5, n), size=2, replace=False))))
     c = GateCircuit(n, tuple(gates))
-    bent = GateCircuit(n, (ci.rx(1e-3, 0),) + c.gates)
+    d = _halved(c)
+    bent = GateCircuit(n, (ci.rx(1e-3, 0),) + d.gates)
     matrix_bytes = 16 << (2 * n)
     applied = _count_groups(monkeypatch)
-    assert peak_bytes(lambda: product_error(c, c)) < matrix_bytes // 4
-    assert product_error(c, c) < oracle.VERIFY_TOL
+    assert peak_bytes(lambda: product_error(c, d)) < matrix_bytes // 4
+    assert product_error(c, d) < oracle.VERIFY_TOL
     assert product_error(c, bent) > oracle.VERIFY_TOL
     assert applied == []

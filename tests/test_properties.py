@@ -7,7 +7,11 @@ pair score at least the largest phase-aligned entry error, so it is at
 least as strict as an entry-wise comparison. Its error must also equal
 the two-matrix error of ``verify``: both apply one rule. On up to 9
 qubits, ``product_error`` reads the same error from the product on every
-kernel, whether or not a group is ever applied.
+kernel, whether or not a group is ever applied. Trailing steps that
+cancel before the product runs never change that error: against a
+reordered tail, the peephole's rewrite, a bent angle, a swap of two
+gates near the end or a CNOT turned round, on gate and gadget circuits,
+``product_error`` on both kernels is the error of the whole product.
 
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
@@ -18,6 +22,8 @@ rules out every C returns what annealing would. On {CNOT, RZ, RX, CRZ, CU1}
 circuits with angles up to 1e300 in size, optimize's output passes the
 oracle: lowering reduces every angle exactly.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -37,8 +43,10 @@ from phasefold.oracle import (
 from phasefold import pipeline
 from phasefold.annealing import AnnealParams
 from phasefold.circuits import cnot_count
-from phasefold.gf2 import BitMatrix
+from phasefold.gadgets import GadgetCircuit, GadgetEntry
+from phasefold.gf2 import BitMatrix, BitVec
 from phasefold.pipeline import euler_peephole, optimize
+from phasefold.transform import synth_gadget_circuit
 
 
 @st.composite
@@ -116,6 +124,96 @@ def test_product_error_is_the_dense_error(c, data):
                 m.setattr(oracle, "GROUP_MIN_QUBITS", 1)
                 m.setattr(oracle, "GROUP_DIRECTIONS", directions)
                 assert abs(product_error(c, d) - want) < 1e-12, directions
+
+
+def _support(item) -> int:
+    """Qubit mask of a gate or a gadget entry."""
+    return item.legs.bits if hasattr(item, "legs") else sum(1 << q for q in item.qubits)
+
+
+def _reordered_tail(data, items: tuple) -> tuple:
+    """``items`` with a drawn suffix re-sorted, never past an earlier item on a shared qubit."""
+    k = data.draw(st.integers(0, len(items)))
+    head, rest = items[: len(items) - k], list(items[len(items) - k :])
+    tail = []
+    while rest:
+        ready = [
+            i
+            for i, item in enumerate(rest)
+            if not any(_support(item) & _support(before) for before in rest[:i])
+        ]
+        tail.append(rest.pop(data.draw(st.sampled_from(ready))))
+    return head + tuple(tail)
+
+
+def _bent(data, items: tuple) -> tuple:
+    """``items`` (gates or gadget entries) with one drawn angle moved by 1e-3."""
+    angled = [k for k, item in enumerate(items) if item.angle is not None]
+    if not angled:
+        return items
+    k = data.draw(st.sampled_from(angled))
+    bent = dataclasses.replace(items[k], angle=items[k].angle + 1e-3)
+    return items[:k] + (bent,) + items[k + 1 :]
+
+
+@st.composite
+def gadget_circuits(draw, max_qubits=6, max_entries=12):
+    n = draw(st.integers(1, max_qubits))
+    entries = [
+        GadgetEntry(
+            draw(st.sampled_from("ZX")),
+            draw(st.floats(-7.0, 7.0)),
+            BitVec(n, draw(st.integers(1, (1 << n) - 1))),
+        )
+        for _ in range(draw(st.integers(0, max_entries)))
+    ]
+    return GadgetCircuit(n, tuple(entries))
+
+
+def assert_cancelled_error_is_dense(c, d) -> None:
+    """product_error on both kernels, either way round, is the uncancelled dense error."""
+    for a, b in ((c, d), (d, c)):
+        want = phase_aligned_error(unitary_of_circuit(a, b))
+        for min_qubits in (oracle.MAX_QUBITS + 1, 1):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(oracle, "GROUP_MIN_QUBITS", min_qubits)
+                assert abs(product_error(a, b) - want) < 1e-12, min_qubits
+
+
+@given(circuits(), st.sampled_from(("reorder", "peephole", "bend", "swap", "flip")), st.data())
+def test_cancelled_gate_product_is_the_dense_error(c, how, data):
+    # Trailing steps cancel only where equal and last on their qubits on
+    # both sides. A reordered tail, the peephole's rewrite, a bent angle,
+    # two neighbouring gates swapped whether or not they commute, and one
+    # gate's qubits reversed must all score what the whole product scores.
+    gates = c.gates
+    if how == "reorder":
+        gates = _reordered_tail(data, gates)
+    elif how == "peephole":
+        gates = euler_peephole(ci.lower_to_basis(c)).gates
+    elif how == "bend":
+        gates = _bent(data, gates)
+    elif len(gates) > 1 and how == "swap":
+        k = data.draw(st.integers(max(1, len(gates) - 3), len(gates) - 1))  # near the end
+        gates = gates[: k - 1] + (gates[k], gates[k - 1]) + gates[k + 1 :]
+    elif how == "flip" and any(len(g.qubits) == 2 for g in gates):
+        k = data.draw(st.sampled_from([k for k, g in enumerate(gates) if len(g.qubits) == 2]))
+        g = gates[k]
+        gates = gates[:k] + (ci.Gate(g.kind, g.qubits[::-1], g.angle),) + gates[k + 1 :]
+    assert_cancelled_error_is_dense(c, GateCircuit(c.n_qubits, gates))
+
+
+@given(gadget_circuits(), st.sampled_from(("reorder", "bend", "synth")), st.data())
+def test_cancelled_gadget_product_is_the_dense_error(g, how, data):
+    # As above on gadget circuits: parity steps between Hadamards, and a
+    # gadget circuit against its own synthesis.
+    if how == "reorder":
+        d = GadgetCircuit(g.n_qubits, _reordered_tail(data, g.entries))
+    elif how == "bend":
+        d = GadgetCircuit(g.n_qubits, _bent(data, g.entries))
+    else:
+        d = synth_gadget_circuit(g, data.draw(st.sampled_from(("ladder", "tree"))))
+    assert_cancelled_error_is_dense(g, d)
 
 
 @given(

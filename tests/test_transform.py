@@ -20,7 +20,7 @@ from phasefold.gf2 import (
     random_invertible,
     rank,
 )
-from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
+from phasefold.oracle import VERIFY_TOL, equiv_up_to_phase, product_error, unitary_of_circuit
 from phasefold.transform import (
     CnotCircuit,
     LayerInfo,
@@ -363,6 +363,16 @@ def test_synth_gadget_wraps_large_angles():
         unitary_of_circuit(out),
         unitary_of_circuit(GadgetCircuit(1, (big,))),
     )
+
+
+@pytest.mark.parametrize("angle", [1e6, 1e8, 1e10, 1e15, -1e15, 1e300])
+def test_synth_gadget_reduces_huge_angles_exactly(angle):
+    # wrap_angle's fmod by a rounded 2*pi alone would miss by 1.9e-9 at 1e8
+    # and 2.2e-2 at 1e15; the synthesis reduces such angles exactly.
+    g = gadget_circuit(2, [("Z", angle, "11"), ("X", 0.3, "01")])
+    out = synth_gadget_circuit(g, "ladder")
+    assert all(-math.pi < gate.angle <= math.pi for gate in out.gates if gate.angle is not None)
+    assert product_error(g, out) < VERIFY_TOL
 
 
 def test_random_gadget_lists_match_oracle():

@@ -291,9 +291,16 @@ def lower_to_basis(c: GateCircuit) -> GateCircuit:
 
 
 def wrap_angle(a: float) -> float:
-    """Reduce to the interval (-pi, pi]; in-range values pass through bit-exact."""
+    """Reduce to the interval (-pi, pi]; in-range values pass through bit-exact.
+
+    Up to |a| = 64 the ``fmod`` by a rounded 2*pi is within 1e-14; beyond,
+    it drifts by 2.4e-16 a turn, so the angle is first reduced exactly to
+    atan2(sin a, cos a), as at lowering.
+    """
     if -math.pi < a <= math.pi:
         return a
+    if abs(a) > 64.0:
+        a = math.atan2(math.sin(a), math.cos(a))
     a = math.fmod(a + math.pi, TWO_PI)
     if a <= 0.0:
         a += TWO_PI

@@ -364,10 +364,11 @@ def euler_peephole(c: GateCircuit) -> GateCircuit:
     """Collapse per-wire rotation runs; at most three rotations survive a run.
 
     Adjacent same-basis rotations fuse; longer alternating runs rotate
-    through the Euler identity until they fit in three. Works on
-    {CNOT, RZ, RX} circuits only.
+    through the Euler identity until they fit in three. Each angle is
+    first reduced with ``wrap_angle``, so sums add in-range values. Works
+    on {CNOT, RZ, RX} circuits only.
     """
-    pending: list[list[ci.Gate]] = [[] for _ in range(c.n_qubits)]
+    pending: list[list[tuple[str, float]]] = [[] for _ in range(c.n_qubits)]
     gates: list[ci.Gate] = []
 
     def flush(q: int) -> None:
@@ -375,12 +376,12 @@ def euler_peephole(c: GateCircuit) -> GateCircuit:
         if not run:
             return
         pending[q] = []
-        for kind, angle in _collapse_run([(g.kind, g.angle) for g in run]):
+        for kind, angle in _collapse_run(run):
             gates.append(ci.rz(angle, q) if kind == "rz" else ci.rx(angle, q))
 
     for g in c.gates:
         if g.kind == "rz" or g.kind == "rx":
-            pending[g.qubits[0]].append(g)
+            pending[g.qubits[0]].append((g.kind, ci.wrap_angle(g.angle)))
         elif g.kind == "cnot":
             flush(g.qubits[0])
             flush(g.qubits[1])

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -195,14 +194,9 @@ def synth_gadget(e: GadgetEntry, shape: str = "tree") -> GateCircuit:
     n, bits = e.legs.n, e.legs.bits
     leg_qubits = [q for q in range(n) if bits >> q & 1]
     pairs = _fan_in_pairs(leg_qubits, tree=(shape == "tree"))
-    # A fused gadget angle may lie outside (-pi, pi]. Up to 64, wrap_angle is
-    # within 1e-14; beyond, its fmod by a rounded 2*pi drifts by 2.4e-16 a
-    # turn, so the angle is first reduced exactly, as at lowering: a turn
-    # changes RZ or RX only by a sign.
-    angle = e.angle
-    if abs(angle) > 64.0:
-        angle = math.atan2(math.sin(angle), math.cos(angle))
-    angle = ci.wrap_angle(angle)
+    # A fused gadget angle may lie outside (-pi, pi]; a turn changes RZ or
+    # RX only by a sign.
+    angle = ci.wrap_angle(e.angle)
     if e.basis == "Z":
         fan_in = [ci.cnot(s, t) for s, t in pairs]
         rotation = ci.rz(angle, leg_qubits[0])

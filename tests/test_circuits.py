@@ -237,6 +237,15 @@ def test_wrap_angle_interval():
     assert math.isclose(wrap_angle(3 * math.pi / 2), -math.pi / 2)
 
 
+@pytest.mark.parametrize("angle", [64.5, -1e8, 1e15, 1e300])
+def test_wrap_angle_reduces_huge_angles_exactly(angle):
+    # Past |a| = 64 the reduction is atan2(sin a, cos a), which libm
+    # computes from the exact argument; fmod by a rounded 2*pi would drift.
+    got = wrap_angle(angle)
+    assert -math.pi < got <= math.pi
+    assert abs(got - math.atan2(math.sin(angle), math.cos(angle))) < 1e-15
+
+
 def test_cnot_metrics_examples():
     empty = GateCircuit(4, ())
     assert cnot_count(empty) == 0 and cnot_depth(empty) == 0

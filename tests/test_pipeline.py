@@ -202,6 +202,24 @@ def test_peephole_respects_cnot_boundaries():
                 assert run[g.qubits[0]] <= 3
 
 
+def test_peephole_reduces_huge_angles_before_fusing():
+    # 1e17 + 0.3 in floating point loses the 0.3; reducing each angle first
+    # keeps it.
+    c = ci.parse("qubits 1\nrz 1e17 0\nrz 0.3 0\n")
+    out = euler_peephole(c)
+    assert len(out.gates) == 1
+    assert product_error(c, out) < VERIFY_TOL
+
+
+@pytest.mark.parametrize("angle", [1e8, 1e15, -1e17, 1e300])
+def test_peephole_collapses_huge_angle_runs_exactly(angle):
+    gates = (ci.rz(angle, 0), ci.rx(angle, 0), ci.rz(0.3, 0), ci.rx(-angle, 0))
+    c = GateCircuit(1, gates)
+    out = euler_peephole(c)
+    assert len(out.gates) <= 3
+    assert product_error(c, out) < VERIFY_TOL
+
+
 def test_peephole_rejects_non_basis():
     with pytest.raises(ValueError):
         euler_peephole(GateCircuit(1, (ci.h(0),)))

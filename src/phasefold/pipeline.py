@@ -7,7 +7,9 @@ the repeating unit, and re-synthesises
     prefix ; block with h_z = C^-1 ; layers with legs C*L_Z and (C^T)^-1*L_X
         ; block with h_z = C ; tail
 
-so the two CNOT blocks are paid once however many layers repeat.
+so the two CNOT blocks are paid once however many layers repeat. Both
+come from one elimination of C: every CNOT is its own inverse, so C's
+block reversed has action C^-1.
 
 The anneal minimises the unit's leg count, a proxy for what the output
 pays. ``optimize`` therefore chooses C itself: of the identity and each
@@ -50,7 +52,7 @@ from .gadgets import (
     is_zero_angle,
     leg_matrices,
 )
-from .gf2 import BitMatrix, _mul_rows, _row_ops, _transpose_rows, invert
+from .gf2 import BitMatrix, _mul_rows, _row_ops, _transpose_rows
 from .oracle import MAX_QUBITS, VERIFY_TOL, product_error
 # Unused here; perfbench/tracing.py looks these two names up on this module.
 from .oracle import equiv_up_to_phase, unitary_of_circuit  # noqa: F401
@@ -150,10 +152,12 @@ def _live_legs(unit: GadgetCircuit, angles: list[list[float]]) -> list[tuple[str
 def _output_cnots(c_rows: tuple[int, ...], legs: list[tuple[str, int, int]]) -> int:
     """CNOTs of the two C blocks and every layer, for the C with row words ``c_rows``.
 
-    Exactly what ``optimize`` emits between the prefix and the tail: one
-    CNOT per row operation of C and of C^-1 (``synth_cnot``), and
-    2(|legs| - 1) per emitted gadget (``synth_gadget``, either shape),
-    with legs C*legs (Z) or (C^T)^-1*legs (X) as in ``apply_action``.
+    Exactly what ``optimize`` emits between the prefix and the tail: two
+    CNOTs per row operation of C (``synth_cnot``'s block, reversed and in
+    order), and 2(|legs| - 1) per emitted gadget (``synth_gadget``, either
+    shape), with legs C*legs (Z) or (C^T)^-1*legs (X) as in
+    ``apply_action``. (C^T)^-1 has the rows of C^-1, which C's ops give
+    when replayed on I.
     """
     n = len(c_rows)
     ops = _row_ops(list(c_rows))
@@ -165,7 +169,7 @@ def _output_cnots(c_rows: tuple[int, ...], legs: list[tuple[str, int, int]]) -> 
     for basis, word, live in legs:
         (acted,) = _mul_rows((word,), columns[basis])
         gadgets += live * (acted.bit_count() - 1)
-    return len(ops) + len(_row_ops(inv)) + 2 * gadgets
+    return 2 * (len(ops) + gadgets)
 
 
 def _choose(
@@ -231,18 +235,20 @@ def _synthesize(parts: _Parts, c: BitMatrix, shape: str) -> GateCircuit:
 
     Gadgets with legs C*L commute left across a block of action C^-1
     back to legs L, so the sandwich C^-1-block ; unit' ; C-block
-    reproduces the original unit exactly. For C = I both blocks are empty.
+    reproduces the original unit exactly. The C^-1 block is ``synth_cnot(c)``
+    reversed, so C is eliminated once. For C = I both blocks are empty.
     """
     gates: list[ci.Gate] = []
     for e in parts.prefix:
         gates.extend(synth_gadget(e, shape).gates)
-    gates.extend(synth_cnot(invert(c)).to_gates().gates)
+    block = synth_cnot(c).to_gates().gates
+    gates.extend(reversed(block))
     acted = apply_action(parts.unit, c).entries
     for occ_angles in parts.angles:
         for e, angle in zip(acted, occ_angles):
             if not is_zero_angle(angle):
                 gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
-    gates.extend(synth_cnot(c).to_gates().gates)
+    gates.extend(block)
     gates.extend(parts.tail.to_gates().gates)
     return euler_peephole(GateCircuit(parts.unit.n_qubits, tuple(gates)))
 
@@ -251,8 +257,8 @@ def _cnot_floor(parts: _Parts) -> int:
     """A lower bound on the CNOTs of ``_synthesize(parts, C, shape)`` over every C in GL(n,2).
 
     The prefix gadgets (2(|legs| - 1) each) and the tail count exactly.
-    Between them, C = I costs ``_output_cnots`` at I. Any other C pays at
-    least one CNOT in each of its two blocks, and 2 CNOTs per emission of
+    Between them, C = I costs ``_output_cnots`` at I. Any other C pays its
+    block, of at least one CNOT, twice, and 2 CNOTs per emission of
     each leg word that keeps two legs or more; per basis, the words'
     emissions give the least of those (``_multi_leg_floor``). The bound
     holds for what ``_synthesize`` emits, so it must change with it.

@@ -70,13 +70,13 @@ CASES = {
 CASE_PARAMS = {"random_gadget_default_budget": AnnealParams(seed=7)}
 
 PINS = {
-    "random_gadget_ansatz": "be29318351af3c940368c1c9ece3173c6a297d878627490e52351665217c3be5",
+    "random_gadget_ansatz": "713cc071ce029fcc8e7a78396da73a6319f0106daabfff21b5195c8a08c5cd32",
     "staircase_rx": "af45d8e446c18f085a8222fcca2f6cd3645d372be320ac99718b8aaedddb8e9c",
-    "fusion_to_zero": "491848546132bccc21f9ad12f4231fe79c27558aeb041a962c6d6700353efad3",
+    "fusion_to_zero": "6d4bc4e208c35d1c1d0e3418691f40ff76f4dff33921b1cb909c27201cecc3bc",
     "random_basis_a": "8d9e64ca9e14d59502da432d09a99bbdc79c22e31bb7b8563f36c9ec79b91d29",
     "random_basis_b": "e79f6da3517362023a935e2da9a15b3b18f0513bed925f4298e939642fb8b871",
     "random_basis_c": "69212a7e68532d73746cb760dfa3d28564573ce89066ea36938c27d5636628e4",
-    "random_gadget_default_budget": "f4e8d940fd8065f08e00c2da9a57754fe920907a84a8960f007df806f062cbc6",
+    "random_gadget_default_budget": "b9d5eac62388a1c9dad1e480d088c2339f47f90ca803bf588ea08ab7cd4a611f",
 }
 # No C gives the random basis circuits or the staircase fewer CNOTs than
 # their own lowered, peepholed gates, so optimize returns those.

@@ -503,8 +503,11 @@ CHOICE_CASES = {
 def test_output_cnots_is_the_synthesised_count(name):
     # For I and every candidate, the optimized side built with that C passes
     # the oracle, the exact cost equals its CNOTs less the prefix and the
-    # tail, and the CNOT bound is no more than those CNOTs. Like a layer's,
-    # a zero-angle prefix gadget emits nothing.
+    # tail, and the CNOT bound is no more than those CNOTs. Its first block,
+    # right after the prefix's CNOTs, is synth_cnot(C) reversed, and its
+    # closing block, right before the tail's, is synth_cnot(C); the peephole
+    # moves no CNOT, so both read off the circuit. Like a layer's, a
+    # zero-angle prefix gadget emits nothing.
     import phasefold.pipeline as pl
     from phasefold.annealing import anneal
     from phasefold.circuits import cnot_depth
@@ -517,9 +520,8 @@ def test_output_cnots_is_the_synthesised_count(name):
     nf = extract(lowered)
     info = detect_layers(nf.gadgets)
     prefix = nf.gadgets.entries[: info.offset]
-    fixed = len(synth_cnot(h_z(nf.tail))) + sum(
-        cnot_count(synth_gadget(e)) for e in prefix if not is_zero_angle(e.angle)
-    )
+    head = sum(cnot_count(synth_gadget(e)) for e in prefix if not is_zero_angle(e.angle))
+    fixed = head + len(synth_cnot(h_z(nf.tail)))
     parts = pl._split(lowered)
     result = anneal(*leg_matrices(parts.unit), p)
     legs = pl._live_legs(parts.unit, parts.angles)
@@ -532,6 +534,11 @@ def test_output_cnots_is_the_synthesised_count(name):
         count = cnot_count(side)
         assert count - fixed == cost
         assert floor <= count
+        block = synth_cnot(m).cnots
+        cnots = [g.qubits for g in side.gates if g.kind == "cnot"]
+        closing = count - len(parts.tail) - len(block)
+        assert tuple(cnots[head : head + len(block)]) == block[::-1]
+        assert tuple(cnots[closing : closing + len(block)]) == block
     # optimize chooses the first of the cheapest, and returns the input side
     # only when it has fewer CNOTs, or as many and a lower CNOT depth.
     chosen = pool[costs.index(min(costs))]
@@ -546,7 +553,8 @@ def test_output_cnots_is_the_synthesised_count(name):
         assert sorted(live for _, _, live in legs) == [2, 3]
     if name == "zero_angle_prefix":
         assert [e.angle for e in prefix] == [0.0]
-        assert cnot_count(optimized) == 5
+        # C's block has 2 CNOTs and is paid twice.
+        assert cnot_count(optimized) == 4
         assert optimized.gates[:2] != (ci.cnot(1, 0), ci.cnot(1, 0))
     if name.startswith("ansatz"):
         assert len(set(costs)) > 1  # the choice matters here

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phasefold import circuits as ci
 from phasefold.circuits import GateCircuit, ParseError, cnot_depth
@@ -16,6 +18,7 @@ from phasefold.gf2 import (
     BitVec,
     NotInvertibleError,
     inverse_transpose,
+    invert,
     mat_mul,
     random_invertible,
     rank,
@@ -248,6 +251,15 @@ def test_synth_cnot_roundtrip_and_bound():
         circ = synth_cnot(m)
         assert h_z(circ) == m
         assert len(circ.cnots) <= n * n
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_synth_cnot_reversed_has_the_inverse_action(n, seed):
+    # Every CNOT is its own inverse, so one elimination of C gives both of
+    # optimize's blocks: C's CNOTs reversed act as C^-1.
+    m = random_invertible(n, seed)
+    reversed_block = CnotCircuit(n, synth_cnot(m).cnots[::-1])
+    assert h_z(reversed_block) == invert(m)
 
 
 def _gl3_matrices():

@@ -34,9 +34,10 @@ one permutation. Only the row-mixing steps, each a 2x2 gate on one qubit
   D = ``GROUP_DIRECTIONS``, and at the end.
 
 Time per verification product, ``product_error(c, out)`` before it
-cancelled any step (ms, best of 3, summed over six seeded instances per
-row; 2-vCPU Xeon, numpy 2.4 with OpenBLAS), of the per-gate kernel and
-of groups of at most D directions: these time the kernels alone.
+cancelled or merged any step (ms, best of 3, summed over six seeded
+instances per row; 2-vCPU Xeon, numpy 2.4 with OpenBLAS), of the
+per-gate kernel and of groups of at most D directions: these time the
+kernels alone.
 The instances are random-gadget ansaetze (10 gadgets, 2, 5 or 10
 layers, ladder synthesis), random {CNOT, RZ, RX} circuits of 10-120
 gates, and staircase or brickwall layers (4-16) with RZ and RX on every
@@ -82,7 +83,31 @@ once a step that stays blocks every qubit of out, so it costs the steps
 it cancels and the few it passes, not the circuits' length; a product
 with nothing left is I and scores 0. A circuit against its own rewrite
 (the input returned as optimize's output, or ``phasefold verify a a``)
-mostly cancels away. ``unitary_of_circuit`` applies every step.
+mostly cancels away.
+
+Then, when both sides are {CNOT, RZ, RX} circuits, rotations merge
+(``_merged_steps``). Pushing every CNOT of a side to its end writes it
+as P_A R: A is its net CNOT action, and R its rotations as Pauli
+rotations in the input frame, RZ on q becoming Z on row q of the action
+so far and RX on q X on column q of that action's inverse, each angle
+outside (-pi, pi] reduced exactly to atan2(sin a, cos a), which changes
+the rotation only by a sign. When the two actions are equal, P cancels
+and W = S^dag R: c's rotations, then out's in reverse at minus their
+angles. A rotation commutes with every rotation of its own kind, and
+with one of the other kind when the two strings overlap evenly, so each
+moves back onto an equal one past those it commutes with, and the
+angles of two rotations about one Pauli string add: the merge is exact
+algebra, and an exact zero drops. Strings are indexed, so a rotation
+with no equal one costs O(1), and a merge looks back past at most
+``_MERGE_WALK`` rotations of the other kind (the longest walk that
+merges passes 79 on the benchmark's quality sets of seeds 401, 557 and
+733). What is left runs through the
+kernels: a Z string as a parity diagonal, an X string as RX on one of
+its qubits between two fans of CNOTs, so no more RX steps than the two
+sides had; an empty remainder scores 0 and builds nothing. Any other
+step kind, or unequal actions, takes the step path above. An optimized
+ansatz re-orders and re-fuses the input's own gadgets, so its product
+nearly always merges away. ``unitary_of_circuit`` applies every step.
 
 ``equiv_up_to_phase`` accepts when ``phase_aligned_error`` =
 ||u - e^{i phi} v||_F < ``VERIFY_TOL``, with e^{i phi} the phase of
@@ -117,6 +142,7 @@ VERIFY_TOL = 1e-9  # on the phase-aligned Frobenius error, so also on every entr
 _BLOCK_ENTRIES = 1 << 16  # entries per row block of an error reduction
 GROUP_DIRECTIONS = 6  # most row-pairing directions one group fuses
 GROUP_MIN_QUBITS = 8  # fewest qubits for which groups beat the per-gate kernel
+_MERGE_WALK = 256  # most rotations of the other kind one merge looks back past
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -195,6 +221,16 @@ def _bits(n: int) -> np.ndarray:
     bits = (np.arange(1 << n)[None, :] >> shifts) & 1
     bits.setflags(write=False)
     return bits
+
+
+@functools.lru_cache(maxsize=None)
+def _parities(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(every basis index, the parity of its bits); read-only."""
+    index = np.arange(1 << n)
+    parity = np.bitwise_xor.reduce(_bits(n), axis=0)
+    index.setflags(write=False)
+    parity.setflags(write=False)
+    return index, parity
 
 
 @functools.lru_cache(maxsize=None)
@@ -591,7 +627,7 @@ def _accumulate(n: int, steps: list, undo_steps: list):
             elif kind in _MIXING:
                 acc.mix(_MIXING[kind](angle), qubits[0])
             elif kind == "parity":
-                acc.scale(gadget_diagonal(n, angle, qubits))
+                acc.scale(_parity_diagonal(n, angle, _step_qubits(qubits)))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
     return acc
@@ -608,6 +644,114 @@ def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
     return _accumulate(*_operands(circuit, undo)).flush()
 
 
+def _reduced(a: float) -> float:
+    """``a`` reduced exactly into (-pi, pi]: a turn changes a rotation only by a sign."""
+    return a if -math.pi < a <= math.pi else math.atan2(math.sin(a), math.cos(a))
+
+
+def _frame_rotations(n: int, steps: list) -> tuple[list[int], list] | None:
+    """(rows of the net CNOT action, the rotations in the input frame) of {cnot, rz, rx} steps.
+
+    Pushing every CNOT to the end turns RZ on q into Z on row q of the
+    CNOT action A so far, and RX on q into X on column q of A^-1; each
+    rotation is (is X, string as a qubit mask, angle reduced), in
+    application order. A CNOT (c, t) adds row c of A to row t and column
+    t of A^-1 to column c. None for any other step kind.
+    """
+    rows = [1 << q for q in range(n)]
+    cols = rows[:]  # columns of A^-1
+    rotations = []
+    for kind, qubits, angle in steps:
+        if kind == "cnot":
+            c, t = qubits
+            rows[t] ^= rows[c]
+            cols[c] ^= cols[t]
+        elif kind == "rz":
+            rotations.append((False, rows[qubits[0]], _reduced(angle)))
+        elif kind == "rx":
+            rotations.append((True, cols[qubits[0]], _reduced(angle)))
+        else:
+            return None
+    return rows, rotations
+
+
+def _merged(rotations) -> list:
+    """``rotations`` with each moved back past those it commutes with onto an equal one.
+
+    Z strings commute with Z strings, X with X, and a Z and an X string
+    when their overlap is even. A rotation merges into the latest kept
+    live one of the same kind and string, if every kept rotation of the
+    other kind after that one commutes with it (``_commutes_after``): the
+    angles add, and an exact zero is dropped, which makes the live one
+    before it the latest. Otherwise it is kept where it stands. Live
+    strings are indexed, so a rotation with no equal one costs O(1).
+    """
+    kept: list[list] = []  # [is X, string, angle]; angle None once merged away
+    live: dict[tuple[bool, int], list[int]] = {}  # (is X, string) -> live positions, latest last
+    of_kind: tuple[list[int], list[int]] = ([], [])  # positions of Z, of X rotations
+    for x, string, angle in rotations:
+        if not angle:
+            continue
+        equal = live.setdefault((x, string), [])
+        if equal and _commutes_after(kept, of_kind[not x], equal[-1], string):
+            merged = kept[equal[-1]]
+            merged[2] = merged[2] + angle or None
+            if merged[2] is None:
+                equal.pop()
+            continue
+        equal.append(len(kept))
+        of_kind[x].append(len(kept))
+        kept.append([x, string, angle])
+    return [rotation for rotation in kept if rotation[2] is not None]
+
+
+def _commutes_after(kept: list, positions: list[int], p: int, string: int) -> bool:
+    """True when ``string`` overlaps evenly each live kept string at ``positions`` after ``p``.
+
+    ``positions`` hold rotations of the other kind, in order. At most
+    ``_MERGE_WALK`` of them are checked, and finding more is False, so a
+    merge walk never costs more than that.
+    """
+    for walked, k in enumerate(reversed(positions)):
+        if k < p:
+            return True
+        if walked == _MERGE_WALK:
+            return False
+        if kept[k][2] is not None and (kept[k][1] & string).bit_count() & 1:
+            return False
+    return True
+
+
+def _merged_steps(n: int, steps: list, undo_steps: list) -> list | None:
+    """The steps left once ``_merged`` has run on both sides' rotations; None off its domain.
+
+    Needs {cnot, rz, rx} steps on both sides and equal net CNOT actions.
+    Then U_circuit = P R and U_undo = P S for one permutation P, so
+    U_undo^dag U_circuit = S^dag R: ``circuit``'s rotations in the input
+    frame, then ``undo``'s in reverse, each at minus its angle. A string
+    left over on one qubit is RZ or RX there; a longer Z string is a
+    "parity" step, and a longer X string is RX on its lowest qubit
+    between two fans of CNOTs from there to its other qubits. So no more
+    RX steps are left than the two sides had.
+    """
+    ours, theirs = _frame_rotations(n, steps), _frame_rotations(n, undo_steps)
+    if ours is None or theirs is None or ours[0] != theirs[0]:
+        return None
+    inverses = ((x, string, -angle) for x, string, angle in reversed(theirs[1]))
+    left = []
+    for x, string, angle in _merged(itertools.chain(ours[1], inverses)):
+        if not string & (string - 1):
+            left.append(("rx" if x else "rz", (string.bit_length() - 1,), angle))
+            continue
+        qubits = tuple(q for q in range(n) if string >> q & 1)
+        if not x:
+            left.append(("parity", qubits, angle))
+            continue
+        fan = [("cnot", (qubits[0], q), None) for q in qubits[1:]]
+        left += fan + [("rx", qubits[:1], angle)] + fan
+    return left
+
+
 def product_error(circuit, undo) -> float:
     """``phase_aligned_error(unitary_of_circuit(circuit, undo))``, at most one matrix built.
 
@@ -615,10 +759,16 @@ def product_error(circuit, undo) -> float:
     phase of the product's trace; see ``_Grouped.error`` for how it is read.
     Either side may be any circuit kind ``unitary_of_circuit`` takes. Equal
     steps last on their qubits in both circuits cancel first
-    (``_cancel_trailing``); if nothing is left, the product is I.
+    (``_cancel_trailing``), then rotations merge (``_merged_steps``) where
+    both sides are {CNOT, RZ, RX} circuits of one net CNOT action; if
+    nothing is left, the product is I up to phase and scores 0.
     """
     n, steps, undo_steps = _operands(circuit, undo)
     steps, undo_steps = _cancel_trailing(n, steps, undo_steps)
+    if steps or undo_steps:
+        merged = _merged_steps(n, steps, undo_steps)
+        if merged is not None:
+            steps, undo_steps = merged, []
     if not steps and not undo_steps:
         return 0.0
     return _accumulate(n, steps, undo_steps).error()
@@ -626,9 +776,14 @@ def product_error(circuit, undo) -> float:
 
 def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:
     """Diagonal of a Z phase gadget under the sign convention above."""
-    leg_qubits = [q for q in range(n) if legs[q]]
-    parity = np.bitwise_xor.reduce(_bits(n)[leg_qubits], axis=0, initial=0)
-    return np.where(parity == 1, cmath.exp(0.5j * theta), cmath.exp(-0.5j * theta))
+    return _parity_diagonal(n, theta, [q for q in range(n) if legs[q]])
+
+
+def _parity_diagonal(n: int, theta: float, qubits) -> np.ndarray:
+    """``gadget_diagonal`` on the legs ``qubits``: RZ's diagonal read at each index's leg parity."""
+    index, parity = _parities(n)
+    legs = sum(1 << (n - 1 - q) for q in qubits)
+    return _rz_diagonal(theta)[parity[index & legs]]
 
 
 def _row_blocks(shape: tuple[int, ...]):

@@ -47,12 +47,11 @@ from .circuits import GateCircuit, cnot_count, cnot_depth, euler_xzx_to_zxz
 from .gadgets import (
     GadgetCircuit,
     GadgetEntry,
-    apply_action,
     fusion_plan,
     is_zero_angle,
     leg_matrices,
 )
-from .gf2 import BitMatrix, _mul_rows, _row_ops, _transpose_rows
+from .gf2 import BitMatrix, BitVec, _mul_rows, _row_ops, _transpose_rows
 from .oracle import MAX_QUBITS, VERIFY_TOL, product_error
 # Unused here; perfbench/tracing.py looks these two names up on this module.
 from .oracle import equiv_up_to_phase, unitary_of_circuit  # noqa: F401
@@ -149,26 +148,33 @@ def _live_legs(unit: GadgetCircuit, angles: list[list[float]]) -> list[tuple[str
     return legs
 
 
+def _acted_legs(c_rows: tuple[int, ...], ops, legs) -> list[int]:
+    """Each (basis, legs word) of ``legs`` acted on by the C with row words ``c_rows``.
+
+    C*legs for Z and (C^T)^-1*legs for X, as ``gadgets.apply_action``:
+    new legs XOR the columns of C, or of (C^T)^-1, that the old ones pick.
+    The columns of (C^T)^-1 are the rows of C^-1, which C's row
+    operations ``ops`` give when replayed on I, so nothing inverts C.
+    """
+    n = len(c_rows)
+    inv = [1 << i for i in range(n)]
+    for r, s in ops:
+        inv[r] ^= inv[s]
+    columns = {"Z": _transpose_rows(c_rows, n), "X": inv}
+    return [_mul_rows((word,), columns[basis])[0] for basis, word in legs]
+
+
 def _output_cnots(c_rows: tuple[int, ...], legs: list[tuple[str, int, int]]) -> int:
     """CNOTs of the two C blocks and every layer, for the C with row words ``c_rows``.
 
     Exactly what ``optimize`` emits between the prefix and the tail: two
     CNOTs per row operation of C (``synth_cnot``'s block, reversed and in
     order), and 2(|legs| - 1) per emitted gadget (``synth_gadget``, either
-    shape), with legs C*legs (Z) or (C^T)^-1*legs (X) as in
-    ``apply_action``. (C^T)^-1 has the rows of C^-1, which C's ops give
-    when replayed on I.
+    shape), with legs acted on by C as in ``_synthesize`` (``_acted_legs``).
     """
-    n = len(c_rows)
     ops = _row_ops(list(c_rows))
-    inv = [1 << i for i in range(n)]  # C^-1: the ops replayed on I, as in ``invert``
-    for r, s in ops:
-        inv[r] ^= inv[s]
-    columns = {"Z": _transpose_rows(c_rows, n), "X": inv}
-    gadgets = 0
-    for basis, word, live in legs:
-        (acted,) = _mul_rows((word,), columns[basis])
-        gadgets += live * (acted.bit_count() - 1)
+    acted = _acted_legs(c_rows, ops, [(basis, word) for basis, word, _ in legs])
+    gadgets = sum(live * (word.bit_count() - 1) for word, (_, _, live) in zip(acted, legs))
     return 2 * (len(ops) + gadgets)
 
 
@@ -236,21 +242,27 @@ def _synthesize(parts: _Parts, c: BitMatrix, shape: str) -> GateCircuit:
     Gadgets with legs C*L commute left across a block of action C^-1
     back to legs L, so the sandwich C^-1-block ; unit' ; C-block
     reproduces the original unit exactly. The C^-1 block is ``synth_cnot(c)``
-    reversed, so C is eliminated once. For C = I both blocks are empty.
+    reversed, and its row operations also give the acted legs
+    (``_acted_legs``), so C is eliminated once. For C = I both blocks are
+    empty.
     """
+    n = parts.unit.n_qubits
     gates: list[ci.Gate] = []
     for e in parts.prefix:
         gates.extend(synth_gadget(e, shape).gates)
-    block = synth_cnot(c).to_gates().gates
-    gates.extend(reversed(block))
-    acted = apply_action(parts.unit, c).entries
+    block = synth_cnot(c)
+    cnots = block.to_gates().gates
+    gates.extend(reversed(cnots))
+    unit = parts.unit.entries
+    words = _acted_legs(c._r, block.cnots, [(e.basis, e.legs.bits) for e in unit])
+    acted = [(e.basis, BitVec(n, word)) for e, word in zip(unit, words)]
     for occ_angles in parts.angles:
-        for e, angle in zip(acted, occ_angles):
+        for (basis, legs), angle in zip(acted, occ_angles):
             if not is_zero_angle(angle):
-                gates.extend(synth_gadget(GadgetEntry(e.basis, angle, e.legs), shape).gates)
-    gates.extend(block)
+                gates.extend(synth_gadget(GadgetEntry(basis, angle, legs), shape).gates)
+    gates.extend(cnots)
     gates.extend(parts.tail.to_gates().gates)
-    return euler_peephole(GateCircuit(parts.unit.n_qubits, tuple(gates)))
+    return euler_peephole(GateCircuit(n, tuple(gates)))
 
 
 def _cnot_floor(parts: _Parts) -> int:

@@ -7,11 +7,13 @@ on gadget circuits and normal forms; ``product_error`` is checked against
 the phase-aligned error of the reference product. Both kernels, the per-gate
 one and the grouped one, are forced at any qubit count by patching
 ``GROUP_MIN_QUBITS``, and the grouped one at several group caps by
-patching ``GROUP_DIRECTIONS``.
+patching ``GROUP_DIRECTIONS``. A product whose rotations all merge away
+builds no accumulator, and the merge stays linear on a long circuit.
 """
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -124,17 +126,19 @@ def assert_circuit_kernels_match(monkeypatch, circuit):
     assert_kernels_match(monkeypatch, lambda: unitary_of_circuit(circuit), reference)
 
 
+def kernel_error(c, d) -> float:
+    """The error the kernel reads from the whole product U_d^dag U_c: nothing cancels or merges."""
+    return oracle._accumulate(*oracle._operands(c, d)).error()
+
+
 def assert_errors_match(monkeypatch, c, d):
     """``product_error(c, d)`` is the reference product's error on every kernel.
 
-    So is the error the kernel reads from the whole product, before any
-    trailing steps cancel, as with d = c the check itself runs no kernel.
+    So is ``kernel_error``, as with d = c the check itself runs no kernel.
     """
     want = phase_aligned_error(reference_unitary(d).conj().T @ reference_unitary(c))
     assert_kernels_match(monkeypatch, lambda: product_error(c, d), want)
-    assert_kernels_match(
-        monkeypatch, lambda: oracle._accumulate(*oracle._operands(c, d)).error(), want
-    )
+    assert_kernels_match(monkeypatch, lambda: kernel_error(c, d), want)
 
 
 def single(n, gate):
@@ -400,6 +404,41 @@ def test_equal_trailing_steps_cancel_to_nothing(monkeypatch):
     monkeypatch.setattr(oracle, "_accumulator", None)  # building one would raise
     for a, b in ((c, c), (c, d), (d, c), (g, g)):
         assert product_error(a, b) == 0.0
+
+
+def test_fully_merged_product_builds_no_accumulator(monkeypatch):
+    # Rotations moved across gates they commute with, away from both ends,
+    # so not every step cancels at the end: RZ past two CNOTs on its qubit
+    # as control, and an X gadget past a Z gadget on the same two qubits
+    # (even overlap). Every rotation merges onto its equal at an exact zero.
+    c = GateCircuit(2, (ci.rz(0.3, 0), ci.cnot(0, 1), ci.rx(0.4, 1), ci.cnot(0, 1)))
+    d = GateCircuit(2, (ci.cnot(0, 1), ci.rx(0.4, 1), ci.cnot(0, 1), ci.rz(0.3, 0)))
+    z = (ci.cnot(0, 1), ci.rz(0.5, 1), ci.cnot(0, 1))  # Z on qubits 0 and 1
+    x = (ci.cnot(0, 1), ci.rx(-0.6, 0), ci.cnot(0, 1))  # X on qubits 0 and 1
+    e, f = GateCircuit(2, z + x), GateCircuit(2, x + z)
+    for a, b in ((c, d), (e, f)):
+        assert oracle._cancel_trailing(a.n_qubits, *oracle._operands(a, b)[1:]) != ([], [])
+        assert oracle._merged_steps(*oracle._operands(a, b)) == []
+    monkeypatch.setattr(oracle, "_accumulator", None)  # building one would raise
+    for a, b in ((c, d), (d, c), (e, f), (f, e)):
+        assert product_error(a, b) == 0.0
+
+
+def test_merge_walk_stays_linear(monkeypatch):
+    # Every Z string on MAX_QUBITS qubits once, as a CNOT ladder around an
+    # RZ (about 9,000 steps), against the same gadgets in a shuffled order:
+    # each rotation finds its equal by its string and merges to an exact
+    # zero, with no walk over the others.
+    n = MAX_QUBITS
+    rng = np.random.default_rng(81)
+    entries = [GadgetEntry("Z", float(rng.uniform(-3, 3)), BitVec(n, s)) for s in range(1, 1 << n)]
+    shuffled = [entries[i] for i in rng.permutation(len(entries))]
+    c = synth_gadget_circuit(GadgetCircuit(n, tuple(entries)), "ladder")
+    d = synth_gadget_circuit(GadgetCircuit(n, tuple(shuffled)), "ladder")
+    monkeypatch.setattr(oracle, "_accumulator", None)
+    start = time.perf_counter()
+    assert product_error(c, d) == 0.0
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize(
@@ -703,7 +742,8 @@ def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
     # Mixing gates on five qubits and CNOTs among the other five: the product
     # stays in one group, and its error is read from the coefficients alone,
     # well below one matrix. d is c with its rotations halved, and bent is
-    # d after a first RX of 1e-3: only the trailing CNOTs cancel.
+    # d after a first RX of 1e-3. The check merges the halves back, so the
+    # kernel is also run on the whole product (``kernel_error``).
     n = MAX_QUBITS
     rng = np.random.default_rng(79)
     gates = []
@@ -716,7 +756,8 @@ def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
     bent = GateCircuit(n, (ci.rx(1e-3, 0),) + d.gates)
     matrix_bytes = 16 << (2 * n)
     applied = _count_groups(monkeypatch)
-    assert peak_bytes(lambda: product_error(c, d)) < matrix_bytes // 4
-    assert product_error(c, d) < oracle.VERIFY_TOL
-    assert product_error(c, bent) > oracle.VERIFY_TOL
+    for error in (product_error, kernel_error):
+        assert peak_bytes(lambda: error(c, d)) < matrix_bytes // 4
+        assert error(c, d) < oracle.VERIFY_TOL
+        assert error(c, bent) > oracle.VERIFY_TOL
     assert applied == []

@@ -12,6 +12,12 @@ cancel before the product runs never change that error: against a
 reordered tail, the peephole's rewrite, a bent angle, a swap of two
 gates near the end or a CNOT turned round, on gate and gadget circuits,
 ``product_error`` on both kernels is the error of the whole product.
+Nor do rotations that merge before the product runs: a {CNOT, RZ, RX}
+circuit against its re-synthesised gadget normal form, against a copy
+with one rotation moved back across gates it commutes with, against a
+copy with an RZ/RX pair on one qubit swapped (which is rejected), against
+a circuit of another net CNOT action (nothing merges) and with angles up
+to 1e300 in size all score the dense error.
 
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
@@ -46,17 +52,23 @@ from phasefold.circuits import cnot_count
 from phasefold.gadgets import GadgetCircuit, GadgetEntry
 from phasefold.gf2 import BitMatrix, BitVec
 from phasefold.pipeline import euler_peephole, optimize
-from phasefold.transform import synth_gadget_circuit
+from phasefold.transform import extract, synth_gadget_circuit
 
 
 @st.composite
 def circuits(
-    draw, min_qubits=1, max_qubits=6, max_gates=30, kinds=tuple(ci.GATE_KINDS), max_angle=7.0
+    draw,
+    min_qubits=1,
+    max_qubits=6,
+    max_gates=30,
+    kinds=tuple(ci.GATE_KINDS),
+    max_angle=7.0,
+    min_gates=0,
 ):
     n = draw(st.integers(min_qubits, max_qubits))
     kinds = sorted(k for k in kinds if ci.GATE_KINDS[k][0] <= n)
     gates = []
-    for _ in range(draw(st.integers(0, max_gates))):
+    for _ in range(draw(st.integers(min_gates, max_gates))):
         kind = draw(st.sampled_from(kinds))
         arity, has_angle = ci.GATE_KINDS[kind]
         qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity, unique=True))
@@ -170,8 +182,8 @@ def gadget_circuits(draw, max_qubits=6, max_entries=12):
     return GadgetCircuit(n, tuple(entries))
 
 
-def assert_cancelled_error_is_dense(c, d) -> None:
-    """product_error on both kernels, either way round, is the uncancelled dense error."""
+def assert_checked_error_is_dense(c, d) -> None:
+    """product_error on both kernels, either way round, is the dense error of the whole product."""
     for a, b in ((c, d), (d, c)):
         want = phase_aligned_error(unitary_of_circuit(a, b))
         for min_qubits in (oracle.MAX_QUBITS + 1, 1):
@@ -200,7 +212,7 @@ def test_cancelled_gate_product_is_the_dense_error(c, how, data):
         k = data.draw(st.sampled_from([k for k, g in enumerate(gates) if len(g.qubits) == 2]))
         g = gates[k]
         gates = gates[:k] + (ci.Gate(g.kind, g.qubits[::-1], g.angle),) + gates[k + 1 :]
-    assert_cancelled_error_is_dense(c, GateCircuit(c.n_qubits, gates))
+    assert_checked_error_is_dense(c, GateCircuit(c.n_qubits, gates))
 
 
 @given(gadget_circuits(), st.sampled_from(("reorder", "bend", "synth")), st.data())
@@ -213,7 +225,108 @@ def test_cancelled_gadget_product_is_the_dense_error(g, how, data):
         d = GadgetCircuit(g.n_qubits, _bent(data, g.entries))
     else:
         d = synth_gadget_circuit(g, data.draw(st.sampled_from(("ladder", "tree"))))
-    assert_cancelled_error_is_dense(g, d)
+    assert_checked_error_is_dense(g, d)
+
+
+BASIS = ("cnot", "rz", "rx")
+
+
+def merges(c, d) -> bool:
+    """True when product_error merges the rotations of c against d."""
+    return oracle._merged_steps(*oracle._operands(c, d)) is not None
+
+
+@given(circuits(kinds=BASIS), st.sampled_from(("ladder", "tree")))
+def test_merged_normal_form_resynthesis_is_the_dense_error(c, shape):
+    # The circuit against its gadget normal form, re-synthesised: one net
+    # CNOT action, and the gadgets' rotations are the circuit's own in the
+    # input frame, in another order and with other CNOTs around them.
+    nf = extract(c)
+    gates = synth_gadget_circuit(nf.gadgets, shape).gates + nf.tail.to_gates().gates
+    d = GateCircuit(c.n_qubits, gates)
+    assert merges(c, d)
+    assert_checked_error_is_dense(c, d)
+    assert product_error(c, d) < VERIFY_TOL
+
+
+def _commutes(rotation: ci.Gate, gate: ci.Gate) -> bool:
+    """An RZ or RX commutes with ``gate``: disjoint, a rotation of its own kind,
+    or a CNOT with the rotation's qubit as control (RZ) or as target (RX)."""
+    q = rotation.qubits[0]
+    if q not in gate.qubits:
+        return True
+    if gate.kind == "cnot":
+        return gate.qubits[0 if rotation.kind == "rz" else 1] == q
+    return gate.kind == rotation.kind
+
+
+@given(circuits(kinds=BASIS, min_gates=4), st.data())
+def test_merged_moved_rotation_is_the_dense_error(c, data):
+    # One rotation moved back across gates it commutes with, leaving gates
+    # before and after it, so trailing steps alone cannot cancel it.
+    gates = c.gates
+    movable = [
+        k
+        for k in range(2, len(gates) - 1)
+        if gates[k].angle is not None and _commutes(gates[k], gates[k - 1])
+    ]
+    assume(movable)
+    k = data.draw(st.sampled_from(movable))
+    first = k - 1
+    while first > 1 and _commutes(gates[k], gates[first - 1]):
+        first -= 1
+    to = data.draw(st.integers(first, k - 1))
+    d = GateCircuit(c.n_qubits, gates[:to] + (gates[k],) + gates[to:k] + gates[k + 1 :])
+    assert merges(c, d)
+    assert_checked_error_is_dense(c, d)
+    assert product_error(c, d) < VERIFY_TOL
+
+
+@given(st.integers(1, 5), st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.data())
+def test_merged_anticommuting_swap_is_the_dense_error(n, a, b, data):
+    # RZ and RX on one qubit, next to each other: their strings overlap in
+    # one qubit, so they do not commute, and swapping them is caught.
+    before = data.draw(circuits(n, n, max_gates=12, kinds=BASIS)).gates
+    after = data.draw(circuits(n, n, max_gates=12, kinds=BASIS)).gates
+    q = data.draw(st.integers(0, n - 1))
+    pair = (ci.rz(a, q), ci.rx(b, q))
+    c = GateCircuit(n, before + pair + after)
+    d = GateCircuit(n, before + pair[::-1] + after)
+    assert merges(c, d)
+    assert_checked_error_is_dense(c, d)
+    assert product_error(c, d) > VERIFY_TOL
+
+
+@given(circuits(min_qubits=2, kinds=BASIS), st.data())
+def test_unequal_cnot_actions_are_the_dense_error(c, data):
+    # One CNOT more anywhere changes the net CNOT action: nothing merges,
+    # and the whole product is evaluated.
+    n = c.n_qubits
+    pair = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    k = data.draw(st.integers(0, len(c.gates)))
+    d = GateCircuit(n, c.gates[:k] + (ci.cnot(*pair),) + c.gates[k:])
+    assert not merges(c, d)
+    assert_checked_error_is_dense(c, d)
+
+
+@given(circuits(kinds=BASIS, max_angle=1e300), st.sampled_from(("peephole", "moved")), st.data())
+def test_merged_huge_angles_are_the_dense_error(c, how, data):
+    # Angles up to 1e300 against the peephole's rewrite, whose angles
+    # lowering reduced exactly, or against a copy with its last rotation
+    # moved to the front where that commutes: the merge reduces each angle
+    # exactly too, so the sums match the dense product's.
+    if how == "peephole":
+        d = euler_peephole(ci.lower_to_basis(c))
+    else:
+        angled = [k for k, g in enumerate(c.gates) if g.angle is not None]
+        k = angled[-1] if angled else 0
+        if angled and all(_commutes(c.gates[k], g) for g in c.gates[:k]):
+            d = GateCircuit(c.n_qubits, (c.gates[k],) + c.gates[:k] + c.gates[k + 1 :])
+        else:
+            d = c
+    assert merges(c, d)
+    assert_checked_error_is_dense(c, d)
+    assert product_error(c, d) < VERIFY_TOL
 
 
 @given(

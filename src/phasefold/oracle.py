@@ -34,10 +34,9 @@ one permutation. Only the row-mixing steps, each a 2x2 gate on one qubit
   D = ``GROUP_DIRECTIONS``, and at the end.
 
 Time per verification product, ``product_error(c, out)`` before it
-cancelled or merged any step (ms, best of 3, summed over six seeded
-instances per row; 2-vCPU Xeon, numpy 2.4 with OpenBLAS), of the
-per-gate kernel and of groups of at most D directions: these time the
-kernels alone.
+merged any step (ms, best of 3, summed over six seeded instances per
+row; 2-vCPU Xeon, numpy 2.4 with OpenBLAS), of the per-gate kernel and
+of groups of at most D directions: these time the kernels alone.
 The instances are random-gadget ansaetze (10 gadgets, 2, 5 or 10
 layers, ladder synthesis), random {CNOT, RZ, RX} circuits of 10-120
 gates, and staircase or brickwall layers (4-16) with RZ and RX on every
@@ -73,19 +72,12 @@ and ``product_error(c, out)`` run c's gates and then out's gates in
 reverse order, each inverted (a step's inverse is the same step at minus
 its angle; CNOT, CZ and H are their own inverses), whatever kind of
 circuit either side is; both ``optimize`` and ``phasefold verify`` check
-this way. Before the kernel runs, ``product_error`` cancels equal steps
-that are last on their qubits in both circuits (``_cancel_trailing``):
-same kind, same qubit tuple in order, same angle, and every step left
-after it in its own circuit acts on other qubits. Disjoint steps
-commute, so then U_c = X g and U_out = Y g, and W = Y^dag X exactly;
-what stays is evaluated in full. The walk starts at the ends and stops
-once a step that stays blocks every qubit of out, so it costs the steps
-it cancels and the few it passes, not the circuits' length; a product
-with nothing left is I and scores 0. A circuit against its own rewrite
-(the input returned as optimize's output, or ``phasefold verify a a``)
-mostly cancels away.
+this way. Two equal step lists score 0 in ``product_error`` with nothing
+built, as U^dag U = I: a circuit against itself (``phasefold verify a a``,
+or an input that lowering and the peephole leave as it is, returned as
+optimize's output).
 
-Then, when both sides are {CNOT, RZ, RX} circuits, rotations merge
+Otherwise, when both sides are {CNOT, RZ, RX} circuits, rotations merge
 (``_merged_steps``). Pushing every CNOT of a side to its end writes it
 as P_A R: A is its net CNOT action, and R its rotations as Pauli
 rotations in the input frame, RZ on q becoming Z on row q of the action
@@ -107,7 +99,9 @@ its qubits between two fans of CNOTs, so no more RX steps than the two
 sides had; an empty remainder scores 0 and builds nothing. Any other
 step kind, or unequal actions, takes the step path above. An optimized
 ansatz re-orders and re-fuses the input's own gadgets, so its product
-nearly always merges away. ``unitary_of_circuit`` applies every step.
+nearly always merges away, and so does an input returned with the
+peephole's order of rotations on disjoint qubits. ``unitary_of_circuit``
+applies every step.
 
 ``equiv_up_to_phase`` accepts when ``phase_aligned_error`` =
 ||u - e^{i phi} v||_F < ``VERIFY_TOL``, with e^{i phi} the phase of
@@ -566,51 +560,6 @@ def _step_qubits(qubits) -> tuple[int, ...]:
     return tuple(q for q in range(qubits.n) if qubits.bits >> q & 1)
 
 
-def _cancel_trailing(n: int, steps: list, undo_steps: list) -> tuple[list, list]:
-    """Both step lists without their equal pairs that are last on their qubits.
-
-    ``undo`` is walked back from its end. A step whose qubits no kept
-    later step of ``undo`` touches is last on them there; it cancels the
-    step of ``circuit`` that is last on each of its qubits, if that step
-    is equal: same kind, same qubit tuple in order, same angle. Otherwise
-    it is kept, and blocks its qubits. ``circuit`` is scanned back only
-    as far as a lookup needs, each scanned step queued on its qubits, so
-    a qubit's last remaining step heads its queue. The walk stops once
-    every qubit is blocked.
-    """
-    queues: list[list[int]] = [[] for _ in range(n)]  # scanned steps on each qubit, latest first
-    heads = [0] * n  # cancelled steps at the front of each queue
-    scanned = len(steps)
-    cancelled: set[int] = set()
-    kept: list = []  # walked steps of ``undo`` that stay, latest first
-    blocked, everything = 0, (1 << n) - 1
-    j = len(undo_steps)
-    while j and blocked != everything:
-        j -= 1
-        step = undo_steps[j]
-        qubits = _step_qubits(step[1])
-        mask = sum(1 << q for q in qubits)
-        if not mask & blocked:
-            first = qubits[0]
-            while heads[first] == len(queues[first]) and scanned:
-                scanned -= 1
-                for q in _step_qubits(steps[scanned][1]):
-                    queues[q].append(scanned)
-            if heads[first] < len(queues[first]):
-                i = queues[first][heads[first]]
-                if steps[i] == step and all(queues[q][heads[q]] == i for q in qubits):
-                    for q in qubits:
-                        heads[q] += 1
-                    cancelled.add(i)
-                    continue
-        blocked |= mask
-        kept.append(step)
-    if not cancelled:
-        return steps, undo_steps
-    tail = [s for i, s in enumerate(steps[scanned:], scanned) if i not in cancelled]
-    return steps[:scanned] + tail, undo_steps[:j] + kept[::-1]
-
-
 def _accumulate(n: int, steps: list, undo_steps: list):
     """The accumulator after ``steps``, then ``undo_steps`` in reverse order, each inverted."""
     inverses = ((k, q, None if a is None else -a) for k, q, a in reversed(undo_steps))
@@ -758,20 +707,18 @@ def product_error(circuit, undo) -> float:
     That is ||U_undo^dag U_circuit - e^{i phi} I||_F with e^{i phi} the
     phase of the product's trace; see ``_Grouped.error`` for how it is read.
     Either side may be any circuit kind ``unitary_of_circuit`` takes. Equal
-    steps last on their qubits in both circuits cancel first
-    (``_cancel_trailing``), then rotations merge (``_merged_steps``) where
-    both sides are {CNOT, RZ, RX} circuits of one net CNOT action; if
-    nothing is left, the product is I up to phase and scores 0.
+    step lists score 0, as U^dag U = I. Otherwise rotations merge
+    (``_merged_steps``) where both sides are {CNOT, RZ, RX} circuits of one
+    net CNOT action, and what is left, or every step off that domain, is
+    evaluated; an empty remainder scores 0.
     """
     n, steps, undo_steps = _operands(circuit, undo)
-    steps, undo_steps = _cancel_trailing(n, steps, undo_steps)
-    if steps or undo_steps:
-        merged = _merged_steps(n, steps, undo_steps)
-        if merged is not None:
-            steps, undo_steps = merged, []
-    if not steps and not undo_steps:
+    if steps == undo_steps:
         return 0.0
-    return _accumulate(n, steps, undo_steps).error()
+    merged = _merged_steps(n, steps, undo_steps)
+    if merged is None:
+        return _accumulate(n, steps, undo_steps).error()
+    return _accumulate(n, merged, []).error() if merged else 0.0
 
 
 def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:

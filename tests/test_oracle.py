@@ -7,8 +7,9 @@ on gadget circuits and normal forms; ``product_error`` is checked against
 the phase-aligned error of the reference product. Both kernels, the per-gate
 one and the grouped one, are forced at any qubit count by patching
 ``GROUP_MIN_QUBITS``, and the grouped one at several group caps by
-patching ``GROUP_DIRECTIONS``. A product whose rotations all merge away
-builds no accumulator, and the merge stays linear on a long circuit.
+patching ``GROUP_DIRECTIONS``. Neither a circuit against itself nor a
+product whose rotations all merge away builds an accumulator, and the
+merge stays linear on a long circuit.
 """
 
 import cmath
@@ -23,7 +24,7 @@ from phasefold import oracle
 from phasefold.circuits import GateCircuit
 from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit
 from phasefold.gf2 import BitVec
-from phasefold.transform import CnotCircuit, NormalForm, synth_gadget_circuit
+from phasefold.transform import CnotCircuit, NormalForm, extract, synth_gadget_circuit
 from phasefold.oracle import (
     CNOT_MATRIX,
     CZ_MATRIX,
@@ -395,20 +396,33 @@ def test_qubit_limit():
 
 
 def test_equal_trailing_steps_cancel_to_nothing(monkeypatch):
-    # Equal steps last on their qubits cancel in pairs, also where the two
-    # circuits order commuting steps differently, and across an X gadget's
-    # Hadamards; with nothing left the product is I, and no accumulator is built.
+    # A circuit against itself cancels to nothing, as U^dag U = I: it
+    # scores exactly 0 with no accumulator built, on a gate circuit with a
+    # CRX, gadget circuits with X gadgets, a normal form and a circuit of
+    # every gate kind at MAX_QUBITS. The same gates with the CRX and the
+    # last RZ swapped (they commute) are other steps, off the merge's
+    # domain: they go through the kernels and pass.
     c = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.rz(0.2, 0), ci.crx(0.9, 2, 1)))
     d = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.crx(0.9, 2, 1), ci.rz(0.2, 0)))
     g = gadget_circuit(3, [("X", 0.5, "110"), ("Z", -1.5, "011"), ("X", 0.7, "001")])
+    n = MAX_QUBITS
+    rng = np.random.default_rng(82)
+    rich = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(80)))
+    assert {gate.kind for gate in rich.gates} == set(ci.GATE_KINDS)
+    nf = extract(ci.lower_to_basis(rich))
+    _, steps, undo_steps = oracle._operands(c, d)
+    assert steps != undo_steps
+    for a, b in ((c, d), (d, c)):
+        assert_errors_match(monkeypatch, a, b)
+        assert product_error(a, b) < oracle.VERIFY_TOL
     monkeypatch.setattr(oracle, "_accumulator", None)  # building one would raise
-    for a, b in ((c, c), (c, d), (d, c), (g, g)):
-        assert product_error(a, b) == 0.0
+    for x in (c, g, rich, nf.gadgets, nf):
+        assert product_error(x, x) == 0.0
 
 
 def test_fully_merged_product_builds_no_accumulator(monkeypatch):
     # Rotations moved across gates they commute with, away from both ends,
-    # so not every step cancels at the end: RZ past two CNOTs on its qubit
+    # so the two step lists differ: RZ past two CNOTs on its qubit
     # as control, and an X gadget past a Z gadget on the same two qubits
     # (even overlap). Every rotation merges onto its equal at an exact zero.
     c = GateCircuit(2, (ci.rz(0.3, 0), ci.cnot(0, 1), ci.rx(0.4, 1), ci.cnot(0, 1)))
@@ -417,8 +431,9 @@ def test_fully_merged_product_builds_no_accumulator(monkeypatch):
     x = (ci.cnot(0, 1), ci.rx(-0.6, 0), ci.cnot(0, 1))  # X on qubits 0 and 1
     e, f = GateCircuit(2, z + x), GateCircuit(2, x + z)
     for a, b in ((c, d), (e, f)):
-        assert oracle._cancel_trailing(a.n_qubits, *oracle._operands(a, b)[1:]) != ([], [])
-        assert oracle._merged_steps(*oracle._operands(a, b)) == []
+        n, steps, undo_steps = oracle._operands(a, b)
+        assert steps != undo_steps
+        assert oracle._merged_steps(n, steps, undo_steps) == []
     monkeypatch.setattr(oracle, "_accumulator", None)  # building one would raise
     for a, b in ((c, d), (d, c), (e, f), (f, e)):
         assert product_error(a, b) == 0.0
@@ -454,11 +469,11 @@ def test_merge_walk_stays_linear(monkeypatch):
     ],
     ids=["rx-past-control", "rz-past-target", "cnot-reversed", "last-angle-bent"],
 )
-def test_unequal_trailing_steps_never_cancel(c, d, monkeypatch):
-    # No pair is equal, and no step may cancel: a rotation does not commute
-    # past a CNOT on its qubit, CNOT(1, 0) is not CNOT(0, 1), and angles
-    # must be equal. Either way round, each scores its dense error, above
-    # the tolerance.
+def test_unequal_last_steps_never_merge(c, d, monkeypatch):
+    # Each pair differs in its last steps, and nothing may merge away: a
+    # rotation does not commute past a CNOT on its qubit, CNOT(1, 0) is
+    # not CNOT(0, 1), and angles must be equal. Either way round, each
+    # scores its dense error, above the tolerance.
     c, d = GateCircuit(2, c), GateCircuit(2, d)
     for a, b in ((c, d), (d, c)):
         assert_errors_match(monkeypatch, a, b)
@@ -710,8 +725,9 @@ def test_grouped_kernel_holds_two_matrices(peak_bytes):
 
 
 def _halved(c: GateCircuit) -> GateCircuit:
-    """c with every rotation split into two halves: the same unitary, but no
-    rotation of c is a step of it, so only unrotated trailing gates cancel."""
+    """c with every rotation split into two halves: the same unitary, but
+    other steps, so the check runs c against it through the kernels, or
+    merges the halves back where every gate is a CNOT, RZ or RX."""
     gates = []
     for g in c.gates:
         gates += [g] if g.angle is None else [ci.Gate(g.kind, g.qubits, g.angle / 2)] * 2
@@ -723,7 +739,7 @@ def test_verification_holds_one_matrix(monkeypatch, peak_bytes):
     # over several groups, peaks at one matrix and coefficient-sized arrays:
     # groups are applied coset by coset in place, and the rows are read into
     # the error block by block (a block is 2^16 entries). d is c with its
-    # rotations halved, so that the product does not cancel away.
+    # rotations halved, so that the product is not skipped as equal.
     n = MAX_QUBITS
     rng = np.random.default_rng(78)
     c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))

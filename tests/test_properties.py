@@ -7,17 +7,16 @@ pair score at least the largest phase-aligned entry error, so it is at
 least as strict as an entry-wise comparison. Its error must also equal
 the two-matrix error of ``verify``: both apply one rule. On up to 9
 qubits, ``product_error`` reads the same error from the product on every
-kernel, whether or not a group is ever applied. Trailing steps that
-cancel before the product runs never change that error: against a
-reordered tail, the peephole's rewrite, a bent angle, a swap of two
-gates near the end or a CNOT turned round, on gate and gadget circuits,
-``product_error`` on both kernels is the error of the whole product.
-Nor do rotations that merge before the product runs: a {CNOT, RZ, RX}
-circuit against its re-synthesised gadget normal form, against a copy
-with one rotation moved back across gates it commutes with, against a
-copy with an RZ/RX pair on one qubit swapped (which is rejected), against
-a circuit of another net CNOT action (nothing merges) and with angles up
-to 1e300 in size all score the dense error.
+kernel, whether or not a group is ever applied, and exactly 0 for a
+circuit against itself. Against a reordered tail, the peephole's
+rewrite, a bent angle, a swap of two gates near the end or a CNOT turned
+round, on gate and gadget circuits, ``product_error`` on both kernels is
+the error of the whole product. So it is where rotations merge: a
+{CNOT, RZ, RX} circuit against its re-synthesised gadget normal form,
+against a copy with one rotation moved back across gates it commutes
+with, against a copy with an RZ/RX pair on one qubit swapped (which is
+rejected), against a circuit of another net CNOT action (nothing
+merges) and with angles up to 1e300 in size all score the dense error.
 
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
@@ -121,7 +120,8 @@ MIXED_KINDS = ("cnot", "rz", "rx", "ry", "h", "crx", "cz")
 @given(circuits(max_qubits=9, max_gates=24, kinds=MIXED_KINDS), st.data())
 def test_product_error_is_the_dense_error(c, data):
     # Equal and one-angle-bent pairs; groups capped at 1, 2 and the default
-    # number of directions, so that products stay open or get applied.
+    # number of directions, so that products stay open or get applied. The
+    # circuit against itself is exactly 0.
     pairs = [c]
     angled = [k for k, g in enumerate(c.gates) if g.angle is not None]
     if angled:
@@ -136,6 +136,7 @@ def test_product_error_is_the_dense_error(c, data):
                 m.setattr(oracle, "GROUP_MIN_QUBITS", 1)
                 m.setattr(oracle, "GROUP_DIRECTIONS", directions)
                 assert abs(product_error(c, d) - want) < 1e-12, directions
+    assert product_error(c, c) == 0.0
 
 
 def _support(item) -> int:
@@ -194,10 +195,11 @@ def assert_checked_error_is_dense(c, d) -> None:
 
 @given(circuits(), st.sampled_from(("reorder", "peephole", "bend", "swap", "flip")), st.data())
 def test_cancelled_gate_product_is_the_dense_error(c, how, data):
-    # Trailing steps cancel only where equal and last on their qubits on
-    # both sides. A reordered tail, the peephole's rewrite, a bent angle,
-    # two neighbouring gates swapped whether or not they commute, and one
-    # gate's qubits reversed must all score what the whole product scores.
+    # A reordered tail, the peephole's rewrite, a bent angle, two
+    # neighbouring gates swapped whether or not they commute, and one
+    # gate's qubits reversed must all score what the whole product scores:
+    # merged where both sides are {CNOT, RZ, RX} of one net CNOT action,
+    # every step evaluated otherwise.
     gates = c.gates
     if how == "reorder":
         gates = _reordered_tail(data, gates)
@@ -217,8 +219,8 @@ def test_cancelled_gate_product_is_the_dense_error(c, how, data):
 
 @given(gadget_circuits(), st.sampled_from(("reorder", "bend", "synth")), st.data())
 def test_cancelled_gadget_product_is_the_dense_error(g, how, data):
-    # As above on gadget circuits: parity steps between Hadamards, and a
-    # gadget circuit against its own synthesis.
+    # As above on gadget circuits, which never merge: parity steps between
+    # Hadamards, and a gadget circuit against its own synthesis.
     if how == "reorder":
         d = GadgetCircuit(g.n_qubits, _reordered_tail(data, g.entries))
     elif how == "bend":
@@ -263,7 +265,7 @@ def _commutes(rotation: ci.Gate, gate: ci.Gate) -> bool:
 @given(circuits(kinds=BASIS, min_gates=4), st.data())
 def test_merged_moved_rotation_is_the_dense_error(c, data):
     # One rotation moved back across gates it commutes with, leaving gates
-    # before and after it, so trailing steps alone cannot cancel it.
+    # before and after it, so only the merge can move it back.
     gates = c.gates
     movable = [
         k

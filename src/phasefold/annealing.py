@@ -129,8 +129,8 @@ class AnnealParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t0 is not None and not self.t0 > 0:
-            raise ValueError("t0 must be positive")
+        if self.t0 is not None and not 0 < self.t0 < np.inf:
+            raise ValueError("t0 must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.attempts < 1:

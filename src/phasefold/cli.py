@@ -191,6 +191,9 @@ def cmd_bench(args) -> int:
     if args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
         return 1
+    if args.sweep is None and args.sweep_values is not None:
+        print("error: --sweep-values needs --sweep", file=sys.stderr)
+        return 1
     if args.sweep is not None:
         if not args.sweep_values:
             print("error: --sweep needs --sweep-values", file=sys.stderr)

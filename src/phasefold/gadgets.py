@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .circuits import ParseError, parse_angle
-from .gf2 import BitMatrix, BitVec, _mul_rows, invert
+from .gf2 import BitMatrix, BitVec, _mul_rows, _transpose_rows, row_ops
 
 log = logging.getLogger(__name__)
 
@@ -98,19 +98,32 @@ def leg_matrices(g: GadgetCircuit) -> tuple[BitMatrix, BitMatrix]:
     )
 
 
+def _acted_legs(c_rows: Sequence[int], ops, legs: Iterable[tuple[str, int]]) -> list[int]:
+    """Each (basis, legs word) of ``legs`` acted on by the C with row words ``c_rows``.
+
+    C*legs for Z and (C^T)^-1*legs for X: new legs XOR the columns of C,
+    or of (C^T)^-1, that the old ones pick. The columns of (C^T)^-1 are
+    the rows of C^-1, which C's row operations ``ops`` give when replayed
+    on I, so nothing inverts C.
+    """
+    n = len(c_rows)
+    inv = [1 << i for i in range(n)]
+    for r, s in ops:
+        inv[r] ^= inv[s]
+    columns = {"Z": _transpose_rows(c_rows, n), "X": inv}
+    return [_mul_rows((word,), columns[basis])[0] for basis, word in legs]
+
+
 def apply_action(g: GadgetCircuit, c: BitMatrix) -> GadgetCircuit:
     """Act with C on Z legs and (C^T)^-1 on X legs; order and angles kept."""
     if not c.is_square() or c.rows != g.n_qubits:
         raise ValueError("action matrix must be n x n")
-    # New legs XOR the columns of C (Z) or of (C^T)^-1 (X) picked by the old
-    # ones; the columns of (C^T)^-1 are the rows of C^-1.
-    columns = {"Z": c.transpose()._r, "X": invert(c)._r}  # invert raises for singular C
+    # row_ops raises NotInvertibleError for a singular C.
+    words = _acted_legs(c._r, row_ops(c), [(e.basis, e.legs.bits) for e in g.entries])
     n = g.n_qubits
-    entries = []
-    for e in g.entries:
-        (legs,) = _mul_rows((e.legs.bits,), columns[e.basis])
-        entries.append(GadgetEntry(e.basis, e.angle, BitVec(n, legs)))
-    return GadgetCircuit(n, tuple(entries))
+    return GadgetCircuit(
+        n, tuple(GadgetEntry(e.basis, e.angle, BitVec(n, w)) for e, w in zip(g.entries, words))
+    )
 
 
 def commutes(a: GadgetEntry, b: GadgetEntry) -> bool:

@@ -13,11 +13,13 @@ block reversed has action C^-1.
 
 The anneal minimises the unit's leg count, a proxy for what the output
 pays. ``optimize`` therefore chooses C itself: of the identity and each
-attempt's best C, the one whose output has the fewest CNOTs, counted
-exactly on row words (``_output_cnots``) before anything is
-synthesised; ties go to the identity, then to the earliest attempt.
-Only the winner's blocks and gadgets are synthesised. The prefix and
-the tail do not depend on C, and ``euler_peephole`` moves no CNOT.
+attempt's best C, the one whose output has the fewest CNOTs; ties go to
+the identity, then to the earliest attempt. ``_score`` counts those
+CNOTs exactly on row words, from one elimination of C that also gives
+C's block and the acted legs, so each C is scored once, the identity
+when the circuit is split, and the winner's block feeds the synthesis
+as it is. The prefix and the tail do not depend on C, and
+``euler_peephole`` moves no CNOT.
 
 The two C blocks are won back only across repeated layers, and the
 re-synthesis can cost more CNOTs than the input's own gates. So the
@@ -40,6 +42,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import circuits as ci
 from .annealing import AnnealParams, AnnealResult, _multi_leg_floor, anneal
@@ -47,11 +50,12 @@ from .circuits import GateCircuit, cnot_count, cnot_depth, euler_xzx_to_zxz
 from .gadgets import (
     GadgetCircuit,
     GadgetEntry,
+    _acted_legs,
     fusion_plan,
     is_zero_angle,
     leg_matrices,
 )
-from .gf2 import BitMatrix, BitVec, _mul_rows, _row_ops, _transpose_rows
+from .gf2 import BitMatrix, BitVec, _row_ops
 from .oracle import MAX_QUBITS, VERIFY_TOL, product_error
 # Unused here; perfbench/tracing.py looks these two names up on this module.
 from .oracle import equiv_up_to_phase, unitary_of_circuit  # noqa: F401
@@ -134,70 +138,28 @@ def _percent_change(before: int, after: int) -> str:
     return f"{pct}%"
 
 
-def _live_legs(unit: GadgetCircuit, angles: list[list[float]]) -> list[tuple[str, int, int]]:
-    """(basis, legs word, occurrences that emit it) per entry of the fused unit.
+class _Block(NamedTuple):
+    """A change of basis C scored exactly as ``optimize`` emits it."""
 
-    An entry is emitted in each occurrence whose fused angle is not zero;
-    entries emitted in none are left out.
+    c: BitMatrix
+    energy: int
+    cnots: int  # of the two C blocks and every layer, between the prefix and the tail
+    ops: list[tuple[int, int]]  # C's row operations: C's block, CNOT(r, s) per (r, s)
+    words: list[int]  # the live legs acted on by C, in order
+
+
+def _score(c: BitMatrix, energy: int, legs: tuple[tuple[int, str, int, int], ...]) -> _Block:
+    """C scored, of energy ``energy``, on the live legs ``legs`` (``_Parts.legs``).
+
+    One elimination of C gives its row operations, which are C's block,
+    and the legs it acts on (``gadgets._acted_legs``). The cost is two
+    CNOTs per row operation (C's block, reversed and in order) and
+    2(|legs| - 1) per emitted gadget (``synth_gadget``, either shape).
     """
-    legs = []
-    for k, e in enumerate(unit.entries):
-        live = sum(not is_zero_angle(a[k]) for a in angles)
-        if live:
-            legs.append((e.basis, e.legs.bits, live))
-    return legs
-
-
-def _acted_legs(c_rows: tuple[int, ...], ops, legs) -> list[int]:
-    """Each (basis, legs word) of ``legs`` acted on by the C with row words ``c_rows``.
-
-    C*legs for Z and (C^T)^-1*legs for X, as ``gadgets.apply_action``:
-    new legs XOR the columns of C, or of (C^T)^-1, that the old ones pick.
-    The columns of (C^T)^-1 are the rows of C^-1, which C's row
-    operations ``ops`` give when replayed on I, so nothing inverts C.
-    """
-    n = len(c_rows)
-    inv = [1 << i for i in range(n)]
-    for r, s in ops:
-        inv[r] ^= inv[s]
-    columns = {"Z": _transpose_rows(c_rows, n), "X": inv}
-    return [_mul_rows((word,), columns[basis])[0] for basis, word in legs]
-
-
-def _output_cnots(c_rows: tuple[int, ...], legs: list[tuple[str, int, int]]) -> int:
-    """CNOTs of the two C blocks and every layer, for the C with row words ``c_rows``.
-
-    Exactly what ``optimize`` emits between the prefix and the tail: two
-    CNOTs per row operation of C (``synth_cnot``'s block, reversed and in
-    order), and 2(|legs| - 1) per emitted gadget (``synth_gadget``, either
-    shape), with legs acted on by C as in ``_synthesize`` (``_acted_legs``).
-    """
-    ops = _row_ops(list(c_rows))
-    acted = _acted_legs(c_rows, ops, [(basis, word) for basis, word, _ in legs])
-    gadgets = sum(live * (word.bit_count() - 1) for word, (_, _, live) in zip(acted, legs))
-    return 2 * (len(ops) + gadgets)
-
-
-def _choose(
-    result: AnnealResult, unit: GadgetCircuit, angles: list[list[float]]
-) -> tuple[BitMatrix, int]:
-    """(C, its energy): of I and each attempt's best C, the one with fewest output CNOTs.
-
-    Ties go to I, then to the earliest attempt.
-    """
-    best_c, best_e = BitMatrix.identity(unit.n_qubits), result.initial_energy
-    if not result.candidates:
-        return best_c, best_e
-    legs = _live_legs(unit, angles)
-    best_cost = _output_cnots(best_c._r, legs)
-    scored = {best_c._r}
-    for c, e in zip(result.candidates, result.per_attempt_energies):
-        if c._r not in scored:
-            scored.add(c._r)
-            cost = _output_cnots(c._r, legs)
-            if cost < best_cost:
-                best_c, best_e, best_cost = c, e, cost
-    return best_c, best_e
+    ops = _row_ops(list(c._r))
+    words = _acted_legs(c._r, ops, [(basis, word) for _, basis, word, _ in legs])
+    gadgets = sum(live * (word.bit_count() - 1) for word, (*_, live) in zip(words, legs))
+    return _Block(c, energy, 2 * (len(ops) + gadgets), ops, words)
 
 
 @dataclass(frozen=True)
@@ -210,10 +172,14 @@ class _Parts:
     tail: CnotCircuit  # the tail, re-synthesised
     layers: int
     raw_unit_energy: int  # the unit's leg count before fusion
+    # (entry index, basis, legs word, occurrences that emit it) per entry of
+    # the unit whose fused angle is not zero in some occurrence.
+    legs: tuple[tuple[int, str, int, int], ...]
+    identity: _Block  # C = I, scored
 
 
 def _split(lowered: GateCircuit) -> _Parts:
-    """Extract the normal form, detect the layers and fuse the repeating unit."""
+    """Extract the normal form, detect the layers, fuse the repeating unit and score I."""
     nf = extract(lowered)
     info = detect_layers(nf.gadgets)
     entries = nf.gadgets.entries
@@ -223,69 +189,83 @@ def _split(lowered: GateCircuit) -> _Parts:
     ]
     # One fusion plan serves every repetition, keeping the layers uniform.
     plan = fusion_plan(occurrences[0])
+    unit = GadgetCircuit(lowered.n_qubits, tuple(e for e, _ in plan))
+    angles = [[sum(occ[i].angle for i in src) for _, src in plan] for occ in occurrences]
+    legs = tuple(
+        (k, e.basis, e.legs.bits, live)
+        for k, e in enumerate(unit.entries)
+        if (live := sum(not is_zero_angle(a[k]) for a in angles))
+    )
+    identity_energy = sum(e.legs.popcount() for e in unit.entries)
     return _Parts(
         prefix=tuple(e for e in entries[: info.offset] if not is_zero_angle(e.angle)),
-        unit=GadgetCircuit(lowered.n_qubits, tuple(e for e, _ in plan)),
-        angles=[[sum(occ[i].angle for i in src) for _, src in plan] for occ in occurrences],
+        unit=unit,
+        angles=angles,
         # The tail is a pure CNOT circuit, so its unitary is the basis
         # permutation fixed by h_z; re-synthesising it keeps the exact unitary
         # and lets a self-cancelling tail (h_z = I) vanish entirely.
         tail=synth_cnot(h_z(nf.tail)),
         layers=info.repeats,
         raw_unit_energy=sum(e.legs.popcount() for e in occurrences[0]),
+        legs=legs,
+        identity=_score(BitMatrix.identity(lowered.n_qubits), identity_energy, legs),
     )
 
 
-def _synthesize(parts: _Parts, c: BitMatrix, shape: str) -> GateCircuit:
-    """The optimized side for the change of basis ``c``, peepholed.
+def _choose(result: AnnealResult, parts: _Parts) -> _Block:
+    """Of I and each attempt's best C, the block with fewest output CNOTs.
+
+    Ties go to I, then to the earliest attempt.
+    """
+    blocks = {parts.identity.c._r: parts.identity}
+    for c, e in zip(result.candidates, result.per_attempt_energies):
+        if c._r not in blocks:
+            blocks[c._r] = _score(c, e, parts.legs)
+    return min(blocks.values(), key=lambda block: block.cnots)  # the first of the fewest
+
+
+def _synthesize(parts: _Parts, block: _Block, shape: str) -> GateCircuit:
+    """The optimized side for the scored change of basis ``block``, peepholed.
 
     Gadgets with legs C*L commute left across a block of action C^-1
     back to legs L, so the sandwich C^-1-block ; unit' ; C-block
-    reproduces the original unit exactly. The C^-1 block is ``synth_cnot(c)``
-    reversed, and its row operations also give the acted legs
-    (``_acted_legs``), so C is eliminated once. For C = I both blocks are
-    empty.
+    reproduces the original unit exactly. C's block is the block's row
+    operations, the C^-1 block is the same reversed, and the layers carry
+    the block's acted words, so nothing here eliminates C or acts on a
+    leg. For C = I both blocks are empty.
     """
     n = parts.unit.n_qubits
     gates: list[ci.Gate] = []
     for e in parts.prefix:
         gates.extend(synth_gadget(e, shape).gates)
-    block = synth_cnot(c)
-    cnots = block.to_gates().gates
+    cnots = [ci.cnot(r, s) for r, s in block.ops]
     gates.extend(reversed(cnots))
-    unit = parts.unit.entries
-    words = _acted_legs(c._r, block.cnots, [(e.basis, e.legs.bits) for e in unit])
-    acted = [(e.basis, BitVec(n, word)) for e, word in zip(unit, words)]
+    acted = [(k, basis, BitVec(n, w)) for (k, basis, _, _), w in zip(parts.legs, block.words)]
     for occ_angles in parts.angles:
-        for (basis, legs), angle in zip(acted, occ_angles):
-            if not is_zero_angle(angle):
-                gates.extend(synth_gadget(GadgetEntry(basis, angle, legs), shape).gates)
+        for k, basis, legs in acted:
+            if not is_zero_angle(occ_angles[k]):
+                gates.extend(synth_gadget(GadgetEntry(basis, occ_angles[k], legs), shape).gates)
     gates.extend(cnots)
     gates.extend(parts.tail.to_gates().gates)
     return euler_peephole(GateCircuit(n, tuple(gates)))
 
 
 def _cnot_floor(parts: _Parts) -> int:
-    """A lower bound on the CNOTs of ``_synthesize(parts, C, shape)`` over every C in GL(n,2).
+    """A lower bound on the CNOTs of ``_synthesize`` over every C in GL(n,2).
 
     The prefix gadgets (2(|legs| - 1) each) and the tail count exactly.
-    Between them, C = I costs ``_output_cnots`` at I. Any other C pays its
-    block, of at least one CNOT, twice, and 2 CNOTs per emission of
-    each leg word that keeps two legs or more; per basis, the words'
+    Between them, C = I costs the identity's scored block. Any other C
+    pays its block, of at least one CNOT, twice, and 2 CNOTs per emission
+    of each leg word that keeps two legs or more; per basis, the words'
     emissions give the least of those (``_multi_leg_floor``). The bound
     holds for what ``_synthesize`` emits, so it must change with it.
     """
-    legs = _live_legs(parts.unit, parts.angles)
-    gadgets = 0
-    for basis in ("Z", "X"):
-        emissions: Counter[int] = Counter()
-        for b, word, live in legs:
-            if b == basis:
-                emissions[word] += live
-        gadgets += 2 * _multi_leg_floor(emissions)
-    identity = _output_cnots(BitMatrix.identity(parts.unit.n_qubits)._r, legs)
+    emissions: dict[str, Counter[int]] = {"Z": Counter(), "X": Counter()}
+    for _, basis, word, live in parts.legs:
+        emissions[basis][word] += live
+    gadgets = 2 * sum(map(_multi_leg_floor, emissions.values()))
     fixed = len(parts.tail) + sum(2 * (e.legs.popcount() - 1) for e in parts.prefix)
-    return fixed + min(identity, 2 + gadgets)
+    return fixed + min(parts.identity.cnots, 2 + gadgets)
 
 
 def optimize(
@@ -313,14 +293,13 @@ def optimize(
     if _cnot_floor(parts) > input_cnots:
         # No C can beat the input side: nothing is annealed, chosen or
         # synthesised, and the energies read as when the anneal stops at its floor.
-        identity_energy = sum(e.legs.popcount() for e in parts.unit.entries)
         out, output = euler_peephole(lowered), "input"
-        best_energy = chosen_energy = identity_energy
+        best_energy = chosen_energy = parts.identity.energy
     else:
         result = anneal(*leg_matrices(parts.unit), p)
-        c_best, chosen_energy = _choose(result, parts.unit, parts.angles)
-        best_energy = result.best_energy
-        out = _synthesize(parts, c_best, shape)
+        chosen = _choose(result, parts)
+        best_energy, chosen_energy = result.best_energy, chosen.energy
+        out = _synthesize(parts, chosen, shape)
         out_cnots = cnot_count(out)
         if input_cnots <= out_cnots:
             input_side = euler_peephole(lowered)

@@ -1,6 +1,7 @@
 """Annealer: energy oracle values, chain invariants, optimality on small instances."""
 
 import itertools
+import math
 import types
 
 import numpy as np
@@ -336,8 +337,9 @@ def test_default_t0_scaling():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        AnnealParams(t0=0.0)
+    for t0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t0 must be positive and finite"):
+            AnnealParams(t0=t0)
     with pytest.raises(ValueError):
         AnnealParams(iterations=0)
     with pytest.raises(ValueError):

@@ -322,6 +322,20 @@ def test_bench_sweep_requires_values(capsys):
     assert main(["bench", "--sweep", "width"]) == 1
 
 
+def test_bench_sweep_values_require_sweep(capsys):
+    assert main(["bench", "--sweep-values", "1,2", "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --sweep-values needs --sweep\n"
+
+
+@pytest.mark.parametrize("t0", ["inf", "nan", "0", "-1"])
+def test_optimize_bad_t0_exits_1(t0, tmp_path, capsys):
+    src = _write(tmp_path, "c.pf", FIVE_GADGET_CIRCUIT)
+    assert main(["optimize", src, "--t0", t0]) == 1
+    assert "error: t0 must be positive and finite" in capsys.readouterr().err
+
+
 def test_extract_empty_circuit(tmp_path, capsys):
     src = _write(tmp_path, "empty.pf", "qubits 2\n")
     assert main(["extract", src]) == 0

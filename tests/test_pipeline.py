@@ -524,12 +524,16 @@ def test_output_cnots_is_the_synthesised_count(name):
     fixed = head + len(synth_cnot(h_z(nf.tail)))
     parts = pl._split(lowered)
     result = anneal(*leg_matrices(parts.unit), p)
-    legs = pl._live_legs(parts.unit, parts.angles)
-    pool = (BitMatrix.identity(c.n_qubits),) + result.candidates
-    costs = [pl._output_cnots(m._r, legs) for m in pool]
+    assert parts.identity.c == BitMatrix.identity(c.n_qubits)
+    blocks = (parts.identity,) + tuple(
+        pl._score(m, e, parts.legs)
+        for m, e in zip(result.candidates, result.per_attempt_energies)
+    )
+    pool = tuple(b.c for b in blocks)
+    costs = [b.cnots for b in blocks]
     floor = pl._cnot_floor(parts)
-    for m, cost in zip(pool, costs):
-        side = pl._synthesize(parts, m, "tree")
+    for m, scored, cost in zip(pool, blocks, costs):
+        side = pl._synthesize(parts, scored, "tree")
         assert product_error(c, side) < VERIFY_TOL
         count = cnot_count(side)
         assert count - fixed == cost
@@ -542,15 +546,16 @@ def test_output_cnots_is_the_synthesised_count(name):
     # optimize chooses the first of the cheapest, and returns the input side
     # only when it has fewer CNOTs, or as many and a lower CNOT depth.
     chosen = pool[costs.index(min(costs))]
-    assert pl._choose(result, parts.unit, parts.angles)[0] == chosen
-    optimized = pl._synthesize(parts, chosen, "tree")
+    chosen_block = pl._choose(result, parts)
+    assert chosen_block.c == chosen
+    optimized = pl._synthesize(parts, chosen_block, "tree")
     input_side = euler_peephole(lowered)
     out, report = optimize(c, p)
     assert out == {"optimized": optimized, "input": input_side}[report.output]
     cost_in, cost_opt = ((cnot_count(d), cnot_depth(d)) for d in (input_side, optimized))
     assert (cost_in < cost_opt) == (report.output == "input")
     if name == "fused_angle_zero_once":
-        assert sorted(live for _, _, live in legs) == [2, 3]
+        assert sorted(live for *_, live in parts.legs) == [2, 3]
     if name == "zero_angle_prefix":
         assert [e.angle for e in prefix] == [0.0]
         # C's block has 2 CNOTs and is paid twice.
@@ -582,22 +587,25 @@ def test_choose_ties_go_to_identity_then_earliest():
 
     unit = gadget_circuit(3, [("Z", 0.3, "110"), ("Z", 0.5, "011"), ("X", 0.7, "111")])
     angles = [[0.3, 0.5, 0.7], [0.2, 0.4, 0.6]]
+    layers = gadget_circuit(3, [(e.basis, a, e.legs) for occ in angles
+                                for e, a in zip(unit.entries, occ)])
+    parts = pl._split(ci.lower_to_basis(synth_gadget_circuit(layers, "tree")))
+    assert (parts.unit, parts.angles) == (unit, angles)
     lz, lx = leg_matrices(unit)
-    legs = pl._live_legs(unit, angles)
     identity = BitMatrix.identity(3)
     initial = energy(identity, lz, lx)
-    cost_i = pl._output_cnots(identity._r, legs)
+    cost_i = parts.identity.cnots
     cost = {}
     for bits in itertools.product((0, 1), repeat=9):
         m = BitMatrix.from_rows([bits[i : i + 3] for i in range(0, 9, 3)])
         if rank(m) == 3 and m != identity:
-            cost.setdefault(pl._output_cnots(m._r, legs), []).append(m)
+            cost.setdefault(pl._score(m, 0, parts.legs).cnots, []).append(m)
     a, b = next(ms for k, ms in sorted(cost.items()) if len(ms) > 1 and k < cost_i)[:2]
     d = next(m for m in cost[cost_i] if energy(m, lz, lx) < initial)
 
     def choose(*cs):
         es = tuple(energy(m, lz, lx) for m in cs)
-        return pl._choose(AnnealResult(min((initial, *es)), initial, es, cs), unit, angles)
+        return pl._choose(AnnealResult(min((initial, *es)), initial, es, cs), parts)[:2]
 
     assert choose() == (identity, initial)
     assert choose(a, b) == (a, energy(a, lz, lx))

@@ -25,7 +25,10 @@ the output passes it too and is the same on every run with the same seed. Nor do
 CNOTs than it was given, and skipping the anneal when the CNOT bound
 rules out every C returns what annealing would. On {CNOT, RZ, RX, CRZ, CU1}
 circuits with angles up to 1e300 in size, optimize's output passes the
-oracle: lowering reduces every angle exactly.
+oracle: lowering reduces every angle exactly. On up to 8 qubits, the
+block ``pipeline._score`` gives for a random C or for I holds
+``row_ops(C)``, ``apply_action``'s legs and the CNOT count that
+``_synthesize`` emits between the prefix and the tail.
 """
 
 import dataclasses
@@ -48,10 +51,10 @@ from phasefold.oracle import (
 from phasefold import pipeline
 from phasefold.annealing import AnnealParams
 from phasefold.circuits import cnot_count
-from phasefold.gadgets import GadgetCircuit, GadgetEntry
-from phasefold.gf2 import BitMatrix, BitVec
+from phasefold.gadgets import GadgetCircuit, GadgetEntry, apply_action, is_zero_angle
+from phasefold.gf2 import BitMatrix, BitVec, random_invertible, row_ops
 from phasefold.pipeline import euler_peephole, optimize
-from phasefold.transform import extract, synth_gadget_circuit
+from phasefold.transform import CnotCircuit, extract, synth_gadget_circuit
 
 
 @st.composite
@@ -364,15 +367,18 @@ def test_chosen_c_costs_no_more_than_identity_or_best_c(c, seed):
     for pick in (None, lambda r: identity, lowest):
         sides = []
 
-        def synthesize_and_keep(parts, basis, shape):
-            sides.append((floor(parts), synthesize(parts, basis, shape)))
+        def synthesize_and_keep(parts, block, shape):
+            sides.append((floor(parts), synthesize(parts, block, shape)))
             return sides[-1][1]
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(pipeline, "_cnot_floor", lambda parts: 0)
             m.setattr(pipeline, "_synthesize", synthesize_and_keep)
             if pick is not None:
-                m.setattr(pipeline, "_choose", lambda r, unit, angles, pick=pick: (pick(r), 0))
+                m.setattr(
+                    pipeline, "_choose",
+                    lambda r, parts, pick=pick: pipeline._score(pick(r), 0, parts.legs),
+                )
             forced, forced_report = optimize(c, p)
         [(bound, side)] = sides
         assert bound <= cnot_count(side)
@@ -381,3 +387,36 @@ def test_chosen_c_costs_no_more_than_identity_or_best_c(c, seed):
         else:
             assert product_error(c, side) < VERIFY_TOL
             assert cnot_count(out) <= cnot_count(side)
+
+
+@given(
+    st.data(), st.one_of(st.none(), st.integers(0, 2**32 - 1)), st.sampled_from(("tree", "ladder"))
+)
+def test_scored_block_is_what_synthesis_emits(data, seed, shape):
+    # One elimination of C gives row_ops(C), apply_action's legs for the
+    # live entries, and the CNOTs _synthesize emits between an empty prefix
+    # and an empty tail; C = I (seed None) is scored as the identity is.
+    n = data.draw(st.integers(1, 8))
+    spec = st.tuples(st.sampled_from("ZX"), st.integers(1, 2**n - 1))
+    specs = data.draw(st.lists(spec, max_size=8))
+    angle = st.sampled_from((0.0, 0.4, -2.5, 2 * np.pi))
+    row = st.lists(angle, min_size=len(specs), max_size=len(specs))
+    angles = data.draw(st.lists(row, min_size=1, max_size=3))
+    entries = tuple(GadgetEntry(b, 0.0, BitVec(n, w)) for b, w in specs)
+    legs = tuple(
+        (k, b, w, live)
+        for k, (b, w) in enumerate(specs)
+        if (live := sum(not is_zero_angle(a[k]) for a in angles))
+    )
+    c = BitMatrix.identity(n) if seed is None else random_invertible(n, seed)
+    block = pipeline._score(c, 7, legs)
+    assert block.c == c and block.energy == 7
+    assert block.ops == row_ops(c)
+    live = GadgetCircuit(n, tuple(entries[k] for k, *_ in legs))
+    assert block.words == [e.legs.bits for e in apply_action(live, c).entries]
+    parts = pipeline._Parts(
+        prefix=(), unit=GadgetCircuit(n, entries), angles=angles, tail=CnotCircuit(n, ()),
+        layers=len(angles), raw_unit_energy=0, legs=legs,
+        identity=pipeline._score(BitMatrix.identity(n), 0, legs),
+    )
+    assert cnot_count(pipeline._synthesize(parts, block, shape)) == block.cnots

@@ -40,6 +40,9 @@ class AnsatzSpec:
             raise ValueError("dimensions must be positive")
         if self.kind == "random_gadget" and self.gadgets_per_layer < 1:
             raise ValueError("random_gadget needs gadgets_per_layer >= 1")
+        if self.kind == "random_gadget" and self.n_qubits > 63:
+            # Gadget legs are drawn as one int64 below 2^n.
+            raise ValueError(f"random_gadget draws legs on at most 63 qubits, got {self.n_qubits}")
 
 
 def staircase_layer(n: int) -> list[tuple[int, int]]:

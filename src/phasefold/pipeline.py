@@ -33,8 +33,11 @@ is synthesised, and the result is what the comparison would give.
 The returned side is oracle-verified up to global phase when small
 enough: ``oracle.product_error`` runs the one product U_out^dag U_in and
 measures its distance from a phase times the identity, building at most
-one dense matrix and none while the product stays in one group. The
-benchmark ansatz generators live in ``ansatz``.
+one dense matrix. An output shares its input's net CNOT action, so when
+the input is a {CNOT, RZ, RX} circuit, as on every benchmark workload,
+their rotations merge and what is left is evaluated on its logical
+qubits alone; nothing is built when nothing is left. The benchmark
+ansatz generators live in ``ansatz``.
 """
 
 from __future__ import annotations

@@ -212,8 +212,9 @@ def test_bench_zero_layer_rejected(capsys):
     [
         (["--gadgets", "10,0"], "random_gadget needs gadgets_per_layer >= 1"),
         (["--layers", "2,0"], "dimensions must be positive"),
+        (["--qubits", "64"], "random_gadget draws legs on at most 63 qubits, got 64"),
     ],
-    ids=["gadgets", "layers"],
+    ids=["gadgets", "layers", "qubits"],
 )
 def test_bench_bad_cell_rejected_before_any_optimize(flags, message, monkeypatch, capsys):
     # A bad value late in a list fails before the earlier cells do any work.

@@ -1,15 +1,16 @@
 """Oracle conventions: gate matrices, bit ordering, gadget diagonals, phase alignment.
 
-The fused kernels of ``unitary_of_circuit`` are checked against
+The kernel of ``unitary_of_circuit`` is checked against
 ``reference_unitary``, a plain Kronecker/tensordot embedding of every
 gate's matrix, on gate circuits, and against ``reference_gadget_unitary``
 on gadget circuits and normal forms; ``product_error`` is checked against
-the phase-aligned error of the reference product. Both kernels, the per-gate
-one and the grouped one, are forced at any qubit count by patching
-``GROUP_MIN_QUBITS``, and the grouped one at several group caps by
-patching ``GROUP_DIRECTIONS``. Neither a circuit against itself nor a
-product whose rotations all merge away builds an accumulator, and the
-merge stays linear on a long circuit.
+the phase-aligned error of the reference product, each also with the
+kernel's column slabs cut down to one column, as from 9 qubits on it
+works in several slabs. Neither a circuit against itself
+nor a product whose rotations all merge away builds a kernel, a merged
+product never steps through ``_accumulate``, the merge stays linear on a
+long circuit, and a merged sum within ``_DROP_ANGLE`` of a turn drops
+with its cost in the slack.
 """
 
 import cmath
@@ -28,8 +29,6 @@ from phasefold.transform import CnotCircuit, NormalForm, extract, synth_gadget_c
 from phasefold.oracle import (
     CNOT_MATRIX,
     CZ_MATRIX,
-    GROUP_DIRECTIONS,
-    GROUP_MIN_QUBITS,
     H_MATRIX,
     MAX_QUBITS,
     TooManyQubitsError,
@@ -108,18 +107,16 @@ def assert_matches_reference(circuit):
     assert err < KERNEL_TOL, (err, circuit)
 
 
-# (GROUP_MIN_QUBITS, GROUP_DIRECTIONS): the per-gate kernel, then the grouped
-# kernel at caps of one direction, two, and the default.
-KERNELS = [(MAX_QUBITS + 1, GROUP_DIRECTIONS), (1, 1), (1, 2), (1, GROUP_DIRECTIONS)]
-
-
 def assert_kernels_match(monkeypatch, build, reference):
-    """``build()`` agrees with ``reference`` on every kernel in ``KERNELS``."""
-    for min_qubits, directions in KERNELS:
-        monkeypatch.setattr(oracle, "GROUP_MIN_QUBITS", min_qubits)
-        monkeypatch.setattr(oracle, "GROUP_DIRECTIONS", directions)
+    """``build()`` agrees with ``reference``, in the usual column slabs and in slabs of one column.
+
+    A reference matrix larger than one slab is built in several slabs as it is.
+    """
+    several = np.size(reference) > oracle._BLOCK_ENTRIES
+    for entries in (oracle._BLOCK_ENTRIES,) if several else (oracle._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", entries)
         err = np.max(np.abs(build() - reference))
-        assert err < KERNEL_TOL, (min_qubits, directions, err)
+        assert err < KERNEL_TOL, (entries, err)
 
 
 def assert_circuit_kernels_match(monkeypatch, circuit):
@@ -397,11 +394,11 @@ def test_qubit_limit():
 
 def test_equal_trailing_steps_cancel_to_nothing(monkeypatch):
     # A circuit against itself cancels to nothing, as U^dag U = I: it
-    # scores exactly 0 with no accumulator built, on a gate circuit with a
+    # scores exactly 0 with no kernel built, on a gate circuit with a
     # CRX, gadget circuits with X gadgets, a normal form and a circuit of
     # every gate kind at MAX_QUBITS. The same gates with the CRX and the
     # last RZ swapped (they commute) are other steps, off the merge's
-    # domain: they go through the kernels and pass.
+    # domain: they go through the kernel and pass.
     c = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.rz(0.2, 0), ci.crx(0.9, 2, 1)))
     d = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.crx(0.9, 2, 1), ci.rz(0.2, 0)))
     g = gadget_circuit(3, [("X", 0.5, "110"), ("Z", -1.5, "011"), ("X", 0.7, "001")])
@@ -415,7 +412,7 @@ def test_equal_trailing_steps_cancel_to_nothing(monkeypatch):
     for a, b in ((c, d), (d, c)):
         assert_errors_match(monkeypatch, a, b)
         assert product_error(a, b) < oracle.VERIFY_TOL
-    monkeypatch.setattr(oracle, "_accumulator", None)  # building one would raise
+    monkeypatch.setattr(oracle, "_Pending", None)  # building a kernel would raise
     for x in (c, g, rich, nf.gadgets, nf):
         assert product_error(x, x) == 0.0
 
@@ -424,7 +421,8 @@ def test_fully_merged_product_builds_no_accumulator(monkeypatch):
     # Rotations moved across gates they commute with, away from both ends,
     # so the two step lists differ: RZ past two CNOTs on its qubit
     # as control, and an X gadget past a Z gadget on the same two qubits
-    # (even overlap). Every rotation merges onto its equal at an exact zero.
+    # (even overlap). Every rotation merges onto its equal at an exact zero,
+    # so nothing is left, on no logical qubit, and nothing is built.
     c = GateCircuit(2, (ci.rz(0.3, 0), ci.cnot(0, 1), ci.rx(0.4, 1), ci.cnot(0, 1)))
     d = GateCircuit(2, (ci.cnot(0, 1), ci.rx(0.4, 1), ci.cnot(0, 1), ci.rz(0.3, 0)))
     z = (ci.cnot(0, 1), ci.rz(0.5, 1), ci.cnot(0, 1))  # Z on qubits 0 and 1
@@ -433,10 +431,27 @@ def test_fully_merged_product_builds_no_accumulator(monkeypatch):
     for a, b in ((c, d), (e, f)):
         n, steps, undo_steps = oracle._operands(a, b)
         assert steps != undo_steps
-        assert oracle._merged_steps(n, steps, undo_steps) == []
-    monkeypatch.setattr(oracle, "_accumulator", None)  # building one would raise
+        assert oracle._merged_steps(n, steps, undo_steps) == (0, [], 0.0)
+    monkeypatch.setattr(oracle, "_Pending", None)  # building a kernel would raise
     for a, b in ((c, d), (d, c), (e, f), (f, e)):
         assert product_error(a, b) == 0.0
+
+
+def test_wrapped_sum_drops_into_the_slack(monkeypatch):
+    # RZ(a) RZ(b) against RZ of their sum wrapped into (-pi, pi]: the merged
+    # angle is float(2pi), a turn plus a residue r of -2.4e-16, so it drops,
+    # and its rotation's distance from a sign, 2^(n/2) 2|sin(r/4)|, is the
+    # slack. The check scores the slack, which bounds the dense error.
+    n, a, b = 3, 2.9, 2.7
+    c = GateCircuit(n, (ci.cnot(0, 1), ci.rz(a, 1), ci.rz(b, 1)))
+    d = GateCircuit(n, (ci.cnot(0, 1), ci.rz(ci.wrap_angle(a + b), 1)))
+    residue = oracle._reduced(a + b - ci.wrap_angle(a + b))
+    assert 0 < abs(residue) <= oracle._DROP_ANGLE
+    slack = math.sqrt(1 << n) * 2 * abs(math.sin(residue / 4))
+    assert oracle._merged_steps(*oracle._operands(c, d)) == (0, [], slack)
+    assert phase_aligned_error(unitary_of_circuit(c, d)) <= slack
+    monkeypatch.setattr(oracle, "_Pending", None)  # building a kernel would raise
+    assert product_error(c, d) == slack
 
 
 def test_merge_walk_stays_linear(monkeypatch):
@@ -450,7 +465,7 @@ def test_merge_walk_stays_linear(monkeypatch):
     shuffled = [entries[i] for i in rng.permutation(len(entries))]
     c = synth_gadget_circuit(GadgetCircuit(n, tuple(entries)), "ladder")
     d = synth_gadget_circuit(GadgetCircuit(n, tuple(shuffled)), "ladder")
-    monkeypatch.setattr(oracle, "_accumulator", None)
+    monkeypatch.setattr(oracle, "_Pending", None)
     start = time.perf_counter()
     assert product_error(c, d) == 0.0
     assert time.perf_counter() - start < 2.0
@@ -482,8 +497,8 @@ def test_unequal_last_steps_never_merge(c, d, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
 def test_kernel_matches_reference_all_kinds(n, monkeypatch):
-    # 40 gates carry about 18 row-mixing ones: from n = 2 on they cross
-    # several group boundaries at caps 1 and 2, from n = 6 on at the default.
+    # 40 gates carry about 18 row-mixing ones, most after pending CNOTs or
+    # phases; at n = 9 and 10 each mix goes in several column slabs.
     rng = np.random.default_rng(600 + n)
     lengths, repeats = ((0, 1, 2, 5, 40), 3) if n <= 7 else ((40,), 1)
     for length in lengths:
@@ -536,11 +551,10 @@ def test_kernel_empty_circuit():
         assert_matches_reference(GateCircuit(n, ()))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_gadget_kernel_matches_reference(n, monkeypatch):
     # An X entry is H on its legs, the parity diagonal, then H on the same
-    # legs again: the second Hadamards pair rows along directions already
-    # in the group.
+    # legs again: the second Hadamards mix rows the first ones mixed.
     rng = np.random.default_rng(700 + n)
     for length in (0, 1, 6):
         entries = []
@@ -583,9 +597,9 @@ def test_gadget_kernel_applies_the_cnot_tail_last(n, monkeypatch):
          "crx-control-0", "crx-control-1", "crx-both-ways"],
 )
 def test_kernel_repeats_and_dependent_directions(gates, monkeypatch):
-    # A 2x2 gate whose row offset is already in the group's span only shifts
-    # the coefficient columns; after CNOT(0, 1), RX on qubit 0 pairs rows
-    # along the XOR of the two directions already opened.
+    # Mixing gates on qubits already mixed, between diagonals and CNOTs:
+    # after CNOT(0, 1), RX on qubit 0 mixes rows that earlier gates on
+    # qubits 0 and 1 mixed, and a CRX is two H mixes around a diagonal.
     assert_circuit_kernels_match(monkeypatch, GateCircuit(4, gates))
 
 
@@ -600,7 +614,8 @@ def test_kernel_repeats_and_dependent_directions(gates, monkeypatch):
     ids=["empty", "one-cnot", "zero-trace", "mixed"],
 )
 def test_error_of_a_product_that_never_mixes(gates, error, monkeypatch):
-    # Permutations and diagonals only: the group keeps its one column of ones.
+    # Permutations and diagonals only: the matrix is never mixed, and the
+    # pending part is written in once, for the error.
     c = GateCircuit(2, gates)
     assert_errors_match(monkeypatch, c, GateCircuit(2, ()))
     assert_errors_match(monkeypatch, c, c)
@@ -625,8 +640,7 @@ def test_error_of_a_product_that_never_mixes(gates, error, monkeypatch):
 def test_kernel_cnot_runs(gates, monkeypatch):
     # Consecutive CNOTs act as one permutation: runs that cross qubits, and
     # runs that are the identity, before, between and after mixing gates,
-    # or with no mixing gate at all, where a group is applied with no
-    # direction.
+    # or with no mixing gate at all, where only the pending part is written in.
     c = GateCircuit(4, gates)
     assert_circuit_kernels_match(monkeypatch, c)
     assert_errors_match(monkeypatch, c, c)
@@ -664,64 +678,17 @@ def test_normal_form_on_either_side_matches_reference(n, monkeypatch):
             assert_kernels_match(monkeypatch, lambda: product_error(c, d), want)
 
 
-def _count_groups(monkeypatch) -> list:
-    """From now on, each applied group appends one entry to the returned list."""
-    applied = []
-    apply_group = oracle._Grouped._apply_group
-
-    def spy(acc):
-        applied.append(len(acc.directions))
-        apply_group(acc)
-
-    monkeypatch.setattr(oracle._Grouped, "_apply_group", spy)
-    return applied
-
-
-def _group_sizes(monkeypatch, circuit):
-    """Directions per applied group while ``circuit``'s unitary is built."""
-    with monkeypatch.context() as m:
-        sizes = _count_groups(m)
-        assert_matches_reference(circuit)
-    return sizes
-
-
-@pytest.mark.parametrize("directions", [1, 2, GROUP_DIRECTIONS])
-def test_group_holds_exactly_the_cap(directions, monkeypatch):
-    # RX on `directions` qubits fills one group, and repeats on the same
-    # qubits stay inside it; RX on one qubit more starts a second group.
-    monkeypatch.setattr(oracle, "GROUP_MIN_QUBITS", 1)
-    monkeypatch.setattr(oracle, "GROUP_DIRECTIONS", directions)
-    n = directions + 1
-    cap = tuple(g for q in range(directions) for g in (ci.rx(0.3 + q, q), ci.rz(0.1 * q, q)))
-    repeats = tuple(ci.rx(-0.5 - q, q) for q in range(directions))
-    assert _group_sizes(monkeypatch, GateCircuit(n, cap + repeats)) == [directions]
-    one_more = cap + (ci.rx(0.9, directions),)
-    assert _group_sizes(monkeypatch, GateCircuit(n, one_more)) == [directions, 1]
-
-
-@pytest.mark.parametrize("n", [GROUP_MIN_QUBITS - 1, GROUP_MIN_QUBITS])
-def test_kernel_either_side_of_crossover(n):
-    # Default constants: the per-gate kernel below GROUP_MIN_QUBITS, groups from it on.
-    kind = oracle._Grouped if n >= GROUP_MIN_QUBITS else oracle._Pending
-    assert isinstance(oracle._accumulator(n), kind)
-    rng = np.random.default_rng(900 + n)
-    assert_matches_reference(GateCircuit(n, tuple(random_gate(rng, n) for _ in range(30))))
-    entries = [GadgetEntry("X", 0.4, BitVec(n, (1 << n) - 2)), GadgetEntry("Z", 0.9, BitVec(n, 5))]
-    g = GadgetCircuit(n, tuple(entries))
-    assert np.max(np.abs(unitary_of_circuit(g) - reference_gadget_unitary(g))) < KERNEL_TOL
-
-
-def test_grouped_kernel_holds_two_matrices(peak_bytes):
-    # Peak allocation of one unitary at MAX_QUBITS with several groups: the
-    # matrix, the copy returned in natural row order, and a few arrays as
-    # large as the 2^n x 2^GROUP_DIRECTIONS coefficients (4 x 1 MB at D = 6).
+def test_unitary_holds_two_matrices(peak_bytes):
+    # Peak allocation of one unitary at MAX_QUBITS: the matrix, mixed in
+    # place one column slab at a time, and slab-sized temporaries, under
+    # the bound of two matrices and four 2^(n+6)-entry arrays (4 x 1 MB).
     n = MAX_QUBITS
     rng = np.random.default_rng(77)
     circuit = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
     matrix_bytes = 16 << (2 * n)
-    coef_bytes = 16 << (n + GROUP_DIRECTIONS)
+    block_bytes = 16 << (n + 6)
     peak = peak_bytes(lambda: unitary_of_circuit(circuit))
-    assert peak < 2 * matrix_bytes + 4 * coef_bytes, peak / matrix_bytes
+    assert peak < 2 * matrix_bytes + 4 * block_bytes, peak / matrix_bytes
 
 
 def _halved(c: GateCircuit) -> GateCircuit:
@@ -734,32 +701,33 @@ def _halved(c: GateCircuit) -> GateCircuit:
     return GateCircuit(c.n_qubits, tuple(gates))
 
 
-def test_verification_holds_one_matrix(monkeypatch, peak_bytes):
+def test_verification_holds_one_matrix(peak_bytes):
     # optimize's check at MAX_QUBITS, the error of the product U_d^dag U_c
-    # over several groups, peaks at one matrix and coefficient-sized arrays:
-    # groups are applied coset by coset in place, and the rows are read into
-    # the error block by block (a block is 2^16 entries). d is c with its
-    # rotations halved, so that the product is not skipped as equal.
+    # off the merge's domain, peaks at one matrix and slab-sized arrays:
+    # each mixing gate rewrites the matrix one column slab at a time, and
+    # the rows are read into the error block by block (2^16 entries). d is
+    # c with its rotations halved, so that the product is not skipped as
+    # equal.
     n = MAX_QUBITS
     rng = np.random.default_rng(78)
     c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
     d = _halved(c)
+    assert oracle._merged_steps(*oracle._operands(c, d)) is None
+    assert len(oracle._row_blocks((1 << n, 1 << n))) > 1
     matrix_bytes = 16 << (2 * n)
-    coef_bytes = 16 << (n + GROUP_DIRECTIONS)
-    applied = _count_groups(monkeypatch)
+    block_bytes = 16 << (n + 6)
     errors = []
     peak = peak_bytes(lambda: errors.append(product_error(c, d)))
     assert errors[0] < oracle.VERIFY_TOL
-    assert len(applied) > 1
-    assert peak < matrix_bytes + 8 * coef_bytes, peak / matrix_bytes
+    assert peak < matrix_bytes + 8 * block_bytes, peak / matrix_bytes
 
 
 def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
-    # Mixing gates on five qubits and CNOTs among the other five: the product
-    # stays in one group, and its error is read from the coefficients alone,
-    # well below one matrix. d is c with its rotations halved, and bent is
-    # d after a first RX of 1e-3. The check merges the halves back, so the
-    # kernel is also run on the whole product (``kernel_error``).
+    # Mixing gates on five qubits and CNOTs among the other five. d is c
+    # with its rotations halved, which merge back to nothing, and bent is d
+    # after a first RX of 1e-3, which leaves that RX on one logical qubit.
+    # Neither steps through the n-qubit kernel, and each stays well below
+    # one matrix.
     n = MAX_QUBITS
     rng = np.random.default_rng(79)
     gates = []
@@ -770,10 +738,12 @@ def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
     c = GateCircuit(n, tuple(gates))
     d = _halved(c)
     bent = GateCircuit(n, (ci.rx(1e-3, 0),) + d.gates)
+    assert oracle._merged_steps(*oracle._operands(c, bent))[0] == 1
+    # W = RX(-1e-3) on qubit 0, whose error is 2^(n/2) 2 sin(1e-3 / 4).
+    want = math.sqrt(1 << n) * 2 * math.sin(1e-3 / 4)
     matrix_bytes = 16 << (2 * n)
-    applied = _count_groups(monkeypatch)
-    for error in (product_error, kernel_error):
-        assert peak_bytes(lambda: error(c, d)) < matrix_bytes // 4
-        assert error(c, d) < oracle.VERIFY_TOL
-        assert error(c, bent) > oracle.VERIFY_TOL
-    assert applied == []
+    monkeypatch.setattr(oracle, "_accumulate", None)  # the n-qubit step path would raise
+    assert peak_bytes(lambda: product_error(c, d)) < matrix_bytes // 4
+    assert peak_bytes(lambda: product_error(c, bent)) < matrix_bytes // 4
+    assert product_error(c, d) < oracle.VERIFY_TOL
+    assert abs(product_error(c, bent) - want) < 1e-12

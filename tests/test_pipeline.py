@@ -377,15 +377,30 @@ def test_optimize_raises_when_its_output_fails_the_oracle(monkeypatch):
     assert result is None
 
 
+def _kernel_sizes(monkeypatch) -> list:
+    """From now on, the qubit count of each dense kernel the oracle builds."""
+    from phasefold import oracle
+
+    sizes = []
+
+    class Recorded(oracle._Pending):
+        def __init__(self, n):
+            sizes.append(n)
+            super().__init__(n)
+
+    monkeypatch.setattr(oracle, "_Pending", Recorded)
+    return sizes
+
+
 @pytest.mark.parametrize("n", [3, 9])
 def test_optimize_never_returns_a_wrong_circuit(n, monkeypatch):
-    # A peephole that moves one rotation by 0.5 makes every output wrong:
-    # optimize raises on the per-gate kernel (n = 3) and the grouped one (n = 9).
+    # A peephole that moves one rotation by 0.5 makes every output wrong,
+    # and optimize raises. The check merges the two sides' rotations and
+    # evaluates what is left on its logical qubits: at n = 9 it builds no
+    # 2^9 x 2^9 matrix, for the right output or the wrong one.
     import phasefold.pipeline as pl
-    from phasefold import oracle
     from phasefold.pipeline import VerificationError
 
-    assert (n >= oracle.GROUP_MIN_QUBITS) == (n == 9)
     rng = np.random.default_rng(4000 + n)
     gates = []
     for _ in range(8 * n):
@@ -396,6 +411,7 @@ def test_optimize_never_returns_a_wrong_circuit(n, monkeypatch):
             rot = ci.rz if rng.integers(2) else ci.rx
             gates.append(rot(float(rng.uniform(-3, 3)), q))
     c = GateCircuit(n, tuple(gates))
+    sizes = _kernel_sizes(monkeypatch)
     assert optimize(c, FAST)[1].verified == "yes"
 
     def shift_one_rotation(c):
@@ -408,14 +424,16 @@ def test_optimize_never_returns_a_wrong_circuit(n, monkeypatch):
     monkeypatch.setattr(pl, "euler_peephole", shift_one_rotation)
     with pytest.raises(VerificationError, match="not equivalent"):
         optimize(c, FAST)
+    assert sizes and all(k < 9 for k in sizes)
 
 
 def test_optimize_raises_at_nine_qubits_when_no_group_is_applied(monkeypatch):
-    # RX on qubits 0-3 and CNOTs among 4-8: the product U_out^dag U_c stays
-    # in one group, so the check reads its error without building a matrix,
-    # and a wrong output is still an error.
+    # RX on qubits 0-3 and CNOTs among 4-8. The Z strings on qubits 4-8
+    # commute with every rotation and merge away, and the X strings sit on
+    # qubits 0-3: what the merge leaves lives on at most four logical
+    # qubits. So the check builds no 2^9 x 2^9 matrix, and a wrong output
+    # is still an error.
     import phasefold.pipeline as pl
-    from phasefold import oracle
     from phasefold.pipeline import VerificationError
 
     n = 9
@@ -426,13 +444,9 @@ def test_optimize_raises_at_nine_qubits_when_no_group_is_applied(monkeypatch):
         gates.append(ci.rz(float(rng.uniform(-3, 3)), int(rng.integers(n))))
         gates.append(ci.cnot(*(int(q) for q in rng.choice(range(4, n), size=2, replace=False))))
     c = GateCircuit(n, tuple(gates))
-    applied = []
-    apply_group = oracle._Grouped._apply_group
-    monkeypatch.setattr(
-        oracle._Grouped, "_apply_group", lambda acc: applied.append(acc) or apply_group(acc)
-    )
+    sizes = _kernel_sizes(monkeypatch)
     assert optimize(c, FAST)[1].verified == "yes"
-    assert applied == []
+    assert all(k <= 4 for k in sizes)
 
     def shift_one_rotation(c):
         out = euler_peephole(c)
@@ -444,7 +458,7 @@ def test_optimize_raises_at_nine_qubits_when_no_group_is_applied(monkeypatch):
     monkeypatch.setattr(pl, "euler_peephole", shift_one_rotation)
     with pytest.raises(VerificationError, match="not equivalent"):
         optimize(c, FAST)
-    assert applied == []
+    assert sizes and all(k <= 4 for k in sizes)
 
 
 def _random_basis_circuit(seed: int, n: int, n_gates: int) -> GateCircuit:

@@ -6,17 +6,20 @@ it against a copy with one angle moved by at least 1e-3, and on every
 pair score at least the largest phase-aligned entry error, so it is at
 least as strict as an entry-wise comparison. Its error must also equal
 the two-matrix error of ``verify``: both apply one rule. On up to 9
-qubits, ``product_error`` reads the same error from the product on every
-kernel, whether or not a group is ever applied, and exactly 0 for a
-circuit against itself. Against a reordered tail, the peephole's
-rewrite, a bent angle, a swap of two gates near the end or a CNOT turned
-round, on gate and gadget circuits, ``product_error`` on both kernels is
+qubits, ``product_error`` reads the same error from the product, and
+exactly 0 for a circuit against itself. Against a reordered tail, the
+peephole's rewrite, a bent angle, a swap of two gates near the end or a
+CNOT turned round, on gate and gadget circuits, ``product_error`` is
 the error of the whole product. So it is where rotations merge: a
 {CNOT, RZ, RX} circuit against its re-synthesised gadget normal form,
 against a copy with one rotation moved back across gates it commutes
 with, against a copy with an RZ/RX pair on one qubit swapped (which is
 rejected), against a circuit of another net CNOT action (nothing
 merges) and with angles up to 1e300 in size all score the dense error.
+On up to 8 qubits, what the merge leaves, anticommuting Z and X strings
+among it, is evaluated on its logical qubits, never through the n-qubit
+step path: the error is the dense one, and the slack of the sums dropped
+bounds the difference.
 
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
@@ -122,9 +125,8 @@ MIXED_KINDS = ("cnot", "rz", "rx", "ry", "h", "crx", "cz")
 
 @given(circuits(max_qubits=9, max_gates=24, kinds=MIXED_KINDS), st.data())
 def test_product_error_is_the_dense_error(c, data):
-    # Equal and one-angle-bent pairs; groups capped at 1, 2 and the default
-    # number of directions, so that products stay open or get applied. The
-    # circuit against itself is exactly 0.
+    # Equal and one-angle-bent pairs score the error of the whole product;
+    # the circuit against itself is exactly 0.
     pairs = [c]
     angled = [k for k, g in enumerate(c.gates) if g.angle is not None]
     if angled:
@@ -134,11 +136,7 @@ def test_product_error_is_the_dense_error(c, data):
         pairs.append(GateCircuit(c.n_qubits, c.gates[:k] + (bent,) + c.gates[k + 1 :]))
     for d in pairs:
         want = phase_aligned_error(unitary_of_circuit(c, d))
-        for directions in (1, 2, oracle.GROUP_DIRECTIONS):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(oracle, "GROUP_MIN_QUBITS", 1)
-                m.setattr(oracle, "GROUP_DIRECTIONS", directions)
-                assert abs(product_error(c, d) - want) < 1e-12, directions
+        assert abs(product_error(c, d) - want) < 1e-12
     assert product_error(c, c) == 0.0
 
 
@@ -187,13 +185,10 @@ def gadget_circuits(draw, max_qubits=6, max_entries=12):
 
 
 def assert_checked_error_is_dense(c, d) -> None:
-    """product_error on both kernels, either way round, is the dense error of the whole product."""
+    """product_error, either way round, is the dense error of the whole product."""
     for a, b in ((c, d), (d, c)):
         want = phase_aligned_error(unitary_of_circuit(a, b))
-        for min_qubits in (oracle.MAX_QUBITS + 1, 1):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(oracle, "GROUP_MIN_QUBITS", min_qubits)
-                assert abs(product_error(a, b) - want) < 1e-12, min_qubits
+        assert abs(product_error(a, b) - want) < 1e-12
 
 
 @given(circuits(), st.sampled_from(("reorder", "peephole", "bend", "swap", "flip")), st.data())
@@ -312,6 +307,53 @@ def test_unequal_cnot_actions_are_the_dense_error(c, data):
     d = GateCircuit(n, c.gates[:k] + (ci.cnot(*pair),) + c.gates[k:])
     assert not merges(c, d)
     assert_checked_error_is_dense(c, d)
+
+
+_TURN = st.floats(0.1, 3.1) | st.floats(-3.1, -0.1)
+
+
+@given(
+    circuits(max_qubits=8, kinds=BASIS, max_angle=3.1),
+    st.lists(st.tuples(_TURN, _TURN, _TURN), min_size=1, max_size=2),
+    st.sampled_from((0.0, 1e-6, 1e-3)),
+    st.data(),
+)
+def test_logical_error_is_the_dense_error(c, triples, bend, data):
+    # One or two RX, RZ, RX triples spliced into c, each on one qubit, and the
+    # same rotations written as RZ, RX, RZ (Euler) in d: in the input frame
+    # these are Z and X strings that anticommute and never merge, so the
+    # remainder holds anticommuting pairs, and the CNOTs around two let one
+    # string meet both. d's other gates are peepholed piece by piece,
+    # which wraps fused sums past pi and leaves float(2pi) residues that
+    # drop into the slack, and one of d's angles may be bent. The check
+    # runs on the logical qubits alone, never through the n-qubit step
+    # path; it is never below the dense error, and above it by at most
+    # twice the slack (the slack it adds and the error the drops may hide).
+    n = c.n_qubits
+    cuts = [0, *sorted(data.draw(st.integers(0, len(c.gates))) for _ in triples), len(c.gates)]
+    pieces = [c.gates[i:j] for i, j in zip(cuts, cuts[1:])]
+    ours, theirs = pieces[0], euler_peephole(GateCircuit(n, pieces[0])).gates
+    for (a1, a2, a3), piece in zip(triples, pieces[1:]):
+        q = data.draw(st.integers(0, n - 1))
+        b1, b2, b3 = ci.euler_xzx_to_zxz(a1, a2, a3)
+        ours += (ci.rx(a1, q), ci.rz(a2, q), ci.rx(a3, q)) + piece
+        theirs += (ci.rz(b1, q), ci.rx(b2, q), ci.rz(b3, q))
+        theirs += euler_peephole(GateCircuit(n, piece)).gates
+    if bend:
+        i = data.draw(st.sampled_from([i for i, g in enumerate(theirs) if g.angle is not None]))
+        g = theirs[i]
+        theirs = theirs[:i] + (ci.Gate(g.kind, g.qubits, g.angle + bend),) + theirs[i + 1 :]
+    c, d = GateCircuit(n, ours), GateCircuit(n, theirs)
+    merged = oracle._merged_steps(*oracle._operands(c, d))
+    assert merged is not None
+    _, rotations, slack = merged
+    assert any(x for x, _, _ in rotations) and any(z for _, z, _ in rotations)
+    want = phase_aligned_error(unitary_of_circuit(c, d))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_accumulate", None)  # the n-qubit step path would raise
+        got = product_error(c, d)
+    assert want - 1e-12 <= got <= want + 2 * slack + 1e-12
+    assert (got < VERIFY_TOL) == (bend == 0.0)
 
 
 @given(circuits(kinds=BASIS, max_angle=1e300), st.sampled_from(("peephole", "moved")), st.data())

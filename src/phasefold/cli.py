@@ -15,7 +15,7 @@ import numpy as np
 
 from .annealing import DEFAULT_ATTEMPTS, DEFAULT_ITERATIONS, AnnealParams, anneal
 from .ansatz import AnsatzSpec, generate
-from .circuits import lex, parse, serialize
+from .circuits import QUBIT_LIMIT, lex, parse, serialize
 from .gf2 import random_matrix
 from .oracle import VERIFY_TOL, product_error
 from .pipeline import VerificationError, metrics_of, optimize
@@ -161,8 +161,15 @@ SWEEP_AXES = ("attempts", "iterations", "width", "height")
 
 
 def _sweep_csv(args) -> str:
-    """Univariate annealing study on uniformly random leg matrices."""
+    """Univariate annealing study on uniformly random leg matrices.
+
+    A height is a qubit count, so past ``QUBIT_LIMIT`` it is rejected, as
+    in a file, before any matrix is drawn.
+    """
     values = args.sweep_values
+    height = max(values) if args.sweep == "height" else args.qubits
+    if height > QUBIT_LIMIT:
+        raise ValueError(f"height expects at most {QUBIT_LIMIT} qubits, got {height}")
     lines = ["axis,value,sample,energy_before,energy_after"]
     for value in values:
         # The swept axis comes last, so its value overrides the flag's.

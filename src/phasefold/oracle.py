@@ -10,67 +10,69 @@ Conventions, fixed once and asserted by tests:
   conjugates of Z gadgets on their legs.
 
 Products are dense 2^n x 2^n matrices; callers must keep n <= MAX_QUBITS.
-Every circuit kind becomes one vocabulary of steps (``_steps``), a CRX
-being H, CRZ, H on its target. CNOTs are row permutations and RZ, CZ,
-CRZ, CU1 and gadget phases are diagonals, so each composes into a
-pending part at O(2^n); a run of consecutive CNOTs composes first, into
-one permutation. Only the row-mixing steps, each a 2x2 gate on one qubit
-(RX, RY, H), need the matrix, and one kernel (``_Pending``) applies
-them in place, one column slab at a time, reading the pending
-permutation and phases as it goes: a left product acts on each column
-alone. Every temporary holds at most ``_BLOCK_ENTRIES`` entries, so the
-kernel holds one matrix (16 MB at n = 10).
+Every circuit kind is read in one vocabulary (``_frame_rotations``):
+pushing every CNOT to the end writes a circuit as P_A R, with A its net
+CNOT action, P_A the permutation of basis states A gives, and R
+rotations about Z or X strings of the input frame. Conjugating by CNOTs
+maps Z strings to Z strings and X strings to X strings, with no sign
+(Aaronson and Gottesman, arXiv:quant-ph/0406196): RZ on q becomes Z on
+row q of the action so far, and RX on q X on column q of its inverse.
+Every other gate is such rotations times a global phase (Cowtan et al.,
+arXiv:1906.01734), by the identities lowering uses; with
+Z_S(a) = exp(-i a/2 Z_S):
+
+* H = e^{i pi/2} RZ(pi/2) RX(pi/2) RZ(pi/2) and RY(t) = RZ(pi/2) RX(t) RZ(-pi/2);
+* CU1(t) = e^{i t/4} Z_a(t/2) Z_b(t/2) Z_ab(-t/2), and CZ is CU1(pi);
+* CRZ(t) = Z_t(t/2) Z_ct(-t/2), and CRX is CRZ between two H on its target;
+* a Z or X gadget is one rotation about the Z or X string of its legs.
+
+No ``synth_gadget`` is used, so the oracle stays independent of the
+synthesis it checks.
 
 Verification is one product, U_out^dag U_c: ``unitary_of_circuit(c, out)``
-and ``product_error(c, out)`` run c's gates and then out's gates in
-reverse order, each inverted (a step's inverse is the same step at minus
-its angle; CNOT, CZ and H are their own inverses), whatever kind of
-circuit either side is; both ``optimize`` and ``phasefold verify`` check
-this way. Two equal step lists score 0 in ``product_error`` with nothing
-built, as U^dag U = I: a circuit against itself (``phasefold verify a a``,
-or an input that lowering and the peephole leave as it is, returned as
-optimize's output).
+and ``product_error(c, out)`` make one frame pass over c's steps and then
+out's in reverse order, each inverted (its rotations reversed, each at
+minus its angle, and its phase conjugated; a CNOT is its own inverse),
+whatever kind of circuit either side is; both ``optimize`` and
+``phasefold verify`` check this way. ``unitary_of_circuit`` applies every
+rotation, then P_A, then the phase. Two equal step lists score 0 in
+``product_error`` with nothing built, as U^dag U = I: a circuit against
+itself (``phasefold verify a a``, or an input that lowering and the
+peephole leave as it is, returned as optimize's output).
 
-Otherwise, when both sides are {CNOT, RZ, RX} circuits, rotations merge
-(``_merged``). Pushing every CNOT of a side to its end writes it as
-P_A R: A is its net CNOT action, and R its rotations as Pauli rotations
-in the input frame, RZ on q becoming Z on row q of the action so far and
-RX on q X on column q of that action's inverse, each angle outside
-(-pi, pi] reduced exactly to atan2(sin a, cos a), which changes the
-rotation only by a sign. When the two actions are equal, P cancels and
-W = S^dag R: c's rotations, then out's in reverse at minus their angles.
-A rotation commutes with every rotation of its own kind, and with one of
-the other kind when the two strings overlap evenly, so each moves back
-onto an equal one past those it commutes with, and the angles of two
-rotations about one Pauli string add: the merge is exact algebra. A sum
-whose exact reduction r lies within ``_DROP_ANGLE`` of 0 drops; that is
-the float(2pi) a wrapped output angle leaves against the input's two
-angles. Dropping it moves W by 2|sin(r/4)| in the spectral norm and
-2^(n/2) times that in the Frobenius norm, which is added to a slack; an
-exact zero drops for free. The error is a minimum over the phase, so
-error(W) <= error(W') + ||W - W'||_F, and the check returns the error of
-what is left plus the slack: it may reject more, never accept more. The
-largest residue on the benchmark's quality sets of seeds 401 and 557 is
-2.0e-15; at ``_DROP_ANGLE`` = 1e-14 one drop costs at most 1.6e-13 at
+Otherwise the rotations merge (``_merged``), each angle outside
+(-pi, pi] first reduced exactly to atan2(sin a, cos a), which changes the
+rotation only by a sign. A rotation commutes with every rotation of its
+own kind, and with one of the other kind when the two strings overlap
+evenly, so each moves back onto an equal one past those it commutes
+with, and the angles of two rotations about one Pauli string add: the
+merge is exact algebra. A sum whose exact reduction r lies within
+``_DROP_ANGLE`` of 0 drops; that is the float(2pi) a wrapped output angle
+leaves against the input's two angles. So does a rotation that comes
+that close to I, before any sum can absorb it. Dropping one moves W by
+2|sin(r/4)| in the spectral norm and 2^(n/2) times that in the Frobenius
+norm, which is added to a slack. The error is a minimum over the phase,
+so error(W) <= error(W') + ||W - W'||_F, and the check returns the error
+of what is left plus the slack: it may reject more, never accept more.
+The largest residue on the benchmark's quality sets of seeds 401 and 557
+is 2.0e-15; at ``_DROP_ANGLE`` = 1e-14 one drop costs at most 1.6e-13 at
 n = 10, below the 1e-12 to which the tests hold the check to the dense
-error.
-Strings are indexed, so a rotation with no equal one costs O(1), and a
-merge looks back past at most ``_MERGE_WALK`` rotations of the other
-kind (the longest walk that merges passes 79 on the benchmark's quality
-sets of seeds 401, 557 and 733).
+error. Strings are indexed, so a rotation with no equal one costs O(1),
+and a merge looks back past at most ``_MERGE_WALK`` rotations of the
+other kind (the longest walk that merges passes 79 on the benchmark's
+quality sets of seeds 401, 557 and 733).
 
-What is left runs on its logical qubits (``_merged_steps``): its strings
-span a subspace of GF(2)^2n that splits into r anticommuting pairs and m
-central vectors, and a Clifford maps W to W_log (x) I on k = r + m
-qubits, so ||W - e^{i phi} I||_F = 2^((n-k)/2) ||W_log - e^{i phi} I||_F
-exactly. The kernel evaluates W_log on 2^k x 2^k, each rotation one
-update of every column slab (``_Pending.rotate``), or a diagonal; the
-n-qubit step path (``_accumulate``) does not run. An empty remainder
-builds nothing and scores the slack. Any other step kind, or unequal
-actions, takes the step path above. An optimized ansatz re-orders and re-fuses the input's own
-gadgets, so its product nearly always merges away, and so does an input
-returned with the peephole's order of rotations on disjoint qubits.
-``unitary_of_circuit`` applies every step.
+When A = I, what is left runs on its k logical qubits (``_merged_steps``)
+and scales by 2^((n-k)/2); an empty remainder builds nothing and scores
+the slack. Otherwise it runs on the n qubits, followed by P_A. An
+optimized ansatz re-orders and re-fuses the input's own gadgets, and a
+lowered or extracted circuit writes each gate as the rotations above, so
+such products nearly always merge away. One kernel (``_Pending``)
+evaluates rotations: Z strings and P_A compose into a pending diagonal
+and permutation at O(2^n), and an X string rewrites the matrix in place,
+one column slab at a time. Every temporary holds at most
+``_BLOCK_ENTRIES`` entries, so the kernel holds one matrix (16 MB at
+n = 10).
 
 ``equiv_up_to_phase`` accepts when ``phase_aligned_error`` =
 ||u - e^{i phi} v||_F < ``VERIFY_TOL``, with e^{i phi} the phase of
@@ -88,18 +90,18 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 
 import numpy as np
 
 MAX_QUBITS = 10
 VERIFY_TOL = 1e-9  # on the phase-aligned Frobenius error, so also on every entry
-_BLOCK_ENTRIES = 1 << 16  # entries per row block of an error sum, or column slab of a mix
+_BLOCK_ENTRIES = 1 << 16  # entries per row block of an error sum, or column slab of a rotation
 _MERGE_WALK = 256  # most rotations of the other kind one merge looks back past
 _DROP_ANGLE = 1e-14  # largest exact reduction of a merged sum that drops into the slack
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
+_PI_2 = math.pi / 2.0
 
 H_MATRIX = np.array([[SQRT2_INV, SQRT2_INV], [SQRT2_INV, -SQRT2_INV]], dtype=complex)
 
@@ -130,24 +132,15 @@ CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
-_CZ_DIAGONAL = np.array((1, 1, 1, -1), dtype=complex)
-CZ_MATRIX = np.diag(_CZ_DIAGONAL)
-
-
-def _cu1_diagonal(theta: float) -> np.ndarray:
-    return np.array((1, 1, 1, cmath.exp(1j * theta)))
+CZ_MATRIX = np.diag(np.array((1, 1, 1, -1), dtype=complex))
 
 
 def cu1_matrix(theta: float) -> np.ndarray:
-    return np.diag(_cu1_diagonal(theta))
-
-
-def _crz_diagonal(theta: float) -> np.ndarray:
-    return np.array((1, 1, cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)))
+    return np.diag((1, 1, 1, cmath.exp(1j * theta)))
 
 
 def crz_matrix(theta: float) -> np.ndarray:
-    return np.diag(_crz_diagonal(theta))
+    return np.diag((1, 1, cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)))
 
 
 def crx_matrix(theta: float) -> np.ndarray:
@@ -167,8 +160,8 @@ def _check_size(n_qubits: int) -> None:
         )
 
 
-# The index tables below are cached read-only per (n, qubits); n <= MAX_QUBITS
-# bounds them to a few hundred arrays of at most 2^MAX_QUBITS entries.
+# The index tables below are cached read-only per n; n <= MAX_QUBITS bounds
+# them to a few arrays of at most 2^MAX_QUBITS entries.
 @functools.lru_cache(maxsize=None)
 def _bits(n: int) -> np.ndarray:
     """Row q is bit q (qubit 0 = MSB) of every basis index; read-only."""
@@ -188,34 +181,15 @@ def _parities(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, parity
 
 
-@functools.lru_cache(maxsize=None)
-def _local_index(n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Index into a gate's own basis (first qubit = MSB) for every basis index."""
-    bits = _bits(n)
-    local = np.zeros(1 << n, dtype=np.int64)
-    for q in qubits:
-        local = (local << 1) | bits[q]
-    local.setflags(write=False)
-    return local
-
-
-@functools.lru_cache(maxsize=None)
-def _cnot_rows(n: int, control: int, target: int) -> np.ndarray:
-    """Row i of CNOT times U is row ``i ^ (control bit << target position)`` of U."""
-    rows = np.arange(1 << n) ^ (_bits(n)[control] << (n - 1 - target))
-    rows.setflags(write=False)
-    return rows
-
-
 class _Pending:
     """A 2^n x 2^n unitary kept as ``ph[:, None] * u[perm]``.
 
     Permutations and diagonals compose into ``perm`` and ``ph`` in O(2^n)
-    (``None`` stands for the identity). A mixing step reads them as it
-    rewrites ``u`` (``_apply``), column slab by column slab, in place: a
-    left product acts on each column alone, and each slab's new values
-    are formed in temporaries of at most ``_BLOCK_ENTRIES`` entries before
-    they overwrite it. So the kernel holds one matrix.
+    (``None`` stands for the identity). A rotation with an X part reads
+    them as it rewrites ``u`` (``_apply``), column slab by column slab, in
+    place: a left product acts on each column alone, and each slab's new
+    values are formed in temporaries of at most ``_BLOCK_ENTRIES``
+    entries before they overwrite it. So the kernel holds one matrix.
     """
 
     def __init__(self, n: int):
@@ -247,10 +221,6 @@ class _Pending:
                 self.u[:, cols] = new
         self.perm = self.ph = None
 
-    def mix(self, gate: np.ndarray, target: int) -> None:
-        """Left-multiply by a 2x2 gate on ``target``."""
-        self._apply(lambda slab: np.matmul(gate, slab.reshape(1 << target, 2, -1)))
-
     def rotate(self, x: int, z: int, angle: float) -> None:
         """Left-multiply by exp(-i angle/2 X^x Z^z), x and z disjoint masks of row-index bits.
 
@@ -263,8 +233,9 @@ class _Pending:
         if not x:
             self.scale(_rz_diagonal(angle)[signs])
             return
-        s = -1j * math.sin(angle / 2)
-        c, o, partner = math.cos(angle / 2), np.array((s, -s))[signs][:, None], index ^ x
+        c, s = math.cos(angle / 2), -1j * math.sin(angle / 2)
+        o = np.array((s, -s))[signs][:, None] if z else s  # one scalar on an X string
+        partner = index ^ x
         self._apply(lambda slab: c * slab + o * slab[partner])
 
     def flush(self) -> np.ndarray:
@@ -277,49 +248,19 @@ class _Pending:
         return phase_aligned_error(self.flush())
 
 
-def _cnot_run_rows(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Rows of a run of CNOTs in application order, as one permutation."""
-    rows = _cnot_rows(n, *pairs[0])
-    for control, target in pairs[1:]:
-        rows = rows[_cnot_rows(n, control, target)]
-    return rows
-
-
-_DIAGONAL = {
-    "rz": _rz_diagonal,
-    "cz": lambda _: _CZ_DIAGONAL,
-    "cu1": _cu1_diagonal,
-    "crz": _crz_diagonal,
-}
-_MIXING = {"rx": rx_matrix, "ry": ry_matrix, "h": lambda _: H_MATRIX}
-
-
 def _steps(circuit) -> tuple[int, list]:
     """(qubit count, (kind, qubits, angle) steps) of a gate circuit, gadget circuit or normal form.
 
-    A CRX is H, CRZ, H on its target, the same matrix. A gadget is a
-    "parity" step on its legs (a ``BitVec``), between H on each leg for an
-    X gadget; a normal form's tail CNOTs follow. No ``synth_gadget``, so
-    the oracle stays independent of the synthesis it checks.
+    A gate is one step. A gadget is a "Z" or "X" step whose qubits are
+    its legs as a mask, qubit q being bit q; a normal form's tail CNOTs
+    follow its gadgets.
     """
     if hasattr(circuit, "gates"):
-        steps = []
-        for g in circuit.gates:
-            if g.kind == "crx":
-                h = ("h", g.qubits[1:], None)
-                steps += [h, ("crz", g.qubits, g.angle), h]
-            else:
-                steps.append((g.kind, g.qubits, g.angle))
-        return circuit.n_qubits, steps
+        return circuit.n_qubits, [(g.kind, g.qubits, g.angle) for g in circuit.gates]
     if hasattr(circuit, "tail"):
         n, steps = _steps(circuit.gadgets)
         return n, steps + [("cnot", pair, None) for pair in circuit.tail.cnots]
-    n = circuit.n_qubits
-    steps = []
-    for e in circuit.entries:
-        hadamards = [("h", (q,), None) for q in range(n) if e.legs[q]] if e.basis == "X" else []
-        steps += hadamards + [("parity", e.legs, e.angle)] + hadamards
-    return n, steps
+    return circuit.n_qubits, [(e.basis, e.legs.bits, e.angle) for e in circuit.entries]
 
 
 def _operands(circuit, undo) -> tuple[int, list, list]:
@@ -334,33 +275,92 @@ def _operands(circuit, undo) -> tuple[int, list, list]:
     return n, steps, undo_steps
 
 
-def _step_qubits(qubits) -> tuple[int, ...]:
-    """The qubits a step acts on; a parity step's are the set bits of its legs."""
-    if isinstance(qubits, tuple):
-        return qubits
-    return tuple(q for q in range(qubits.n) if qubits.bits >> q & 1)
+def _hadamard(mask: int) -> list:
+    """H on one qubit, up to its phase of e^{i pi/2}: RZ(pi/2) RX(pi/2) RZ(pi/2)."""
+    return [(False, mask, _PI_2), (True, mask, _PI_2), (False, mask, _PI_2)]
 
 
-def _accumulate(n: int, steps: list, undo_steps: list) -> _Pending:
-    """The kernel after ``steps``, then ``undo_steps`` in reverse order, each inverted."""
-    inverses = ((k, q, None if a is None else -a) for k, q, a in reversed(undo_steps))
-    acc = _Pending(n)
-    for kind, run in itertools.groupby(
-        itertools.chain(steps, inverses), key=lambda step: step[0]
-    ):
-        if kind == "cnot":  # consecutive CNOTs, even across the two circuits: one permutation
-            acc.permute(_cnot_run_rows(n, [qubits for _, qubits, _ in run]))
-            continue
-        for _, qubits, angle in run:
-            if kind in _DIAGONAL:
-                acc.scale(_DIAGONAL[kind](angle)[_local_index(n, qubits)])
-            elif kind in _MIXING:
-                acc.mix(_MIXING[kind](angle), qubits[0])
-            elif kind == "parity":
-                acc.scale(_parity_diagonal(n, angle, _step_qubits(qubits)))
+def _step_rotations(kind: str, qubits, angle) -> tuple[list, complex]:
+    """(rotations, phase factor): a step other than a CNOT as that factor times rotations.
+
+    Each rotation is (is X, qubit mask, angle), qubit q being bit q, in
+    application order.
+    """
+    if kind in ("Z", "X"):
+        return [(kind == "X", qubits, angle)], 1
+    a = 1 << qubits[0]
+    if kind == "h":
+        return _hadamard(a), 1j
+    if kind == "ry":
+        return [(False, a, -_PI_2), (True, a, angle), (False, a, _PI_2)], 1
+    if kind not in ("cz", "cu1", "crz", "crx"):
+        raise ValueError(f"unknown gate kind {kind!r}")
+    b = 1 << qubits[1]
+    if kind in ("cz", "cu1"):
+        t = math.pi if kind == "cz" else angle
+        return [(False, a, t / 2), (False, b, t / 2), (False, a | b, -t / 2)], cmath.exp(0.25j * t)
+    crz = [(False, a | b, -angle / 2), (False, b, angle / 2)]
+    if kind == "crz":
+        return crz, 1
+    return _hadamard(b) + crz + _hadamard(b), -1
+
+
+def _reduced(a: float) -> float:
+    """``a`` reduced exactly into (-pi, pi]: a turn changes a rotation only by a sign."""
+    return a if -math.pi < a <= math.pi else math.atan2(math.sin(a), math.cos(a))
+
+
+def _frame_rotations(n: int, steps: list, undo_steps: list, reduce=_reduced) -> tuple:
+    """(columns of A^-1, rotations, phase factor) of ``steps``, then ``undo_steps`` inverted.
+
+    ``undo_steps`` run in reverse order. A is the net CNOT action: a CNOT
+    (c, t) adds row c of A to row t, and column t of A^-1 to column c.
+    Other steps are ``_step_rotations``, and a rotation about the Z (X)
+    string of qubits S becomes one about the sum of A's rows (A^-1's
+    columns) in S, a mask of row-index bits (qubit q is bit n - 1 - q).
+    Rotations are (is X, string, angle) in application order, each angle
+    passed through ``reduce`` and then, when inverted, negated.
+    """
+    rows = [1 << n - 1 - q for q in range(n)]
+    cols = rows[:]  # columns of A^-1
+    rotations = []
+    phase = 1
+    for sign, run in ((1, steps), (-1, reversed(undo_steps))):
+        for kind, qubits, angle in run:
+            if kind == "cnot":
+                c, t = qubits
+                rows[t] ^= rows[c]
+                cols[c] ^= cols[t]
+            elif kind == "rz":
+                rotations.append((False, rows[qubits[0]], sign * reduce(angle)))
+            elif kind == "rx":
+                rotations.append((True, cols[qubits[0]], sign * reduce(angle)))
             else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-    return acc
+                parts, factor = _step_rotations(kind, qubits, angle)
+                if sign < 0:
+                    parts, factor = parts[::-1], factor.conjugate()
+                phase *= factor
+                for x, mask, a in parts:
+                    frame, string = cols if x else rows, 0
+                    for q in range(mask.bit_length()):
+                        if mask >> q & 1:
+                            string ^= frame[q]
+                    rotations.append((x, string, sign * reduce(a)))
+    return cols, rotations, phase
+
+
+def _permutation(n: int, cols: list[int]) -> np.ndarray | None:
+    """Rows of P_A for A^-1 with columns ``cols`` (see ``_Pending.permute``); None for I.
+
+    Row i of P_A u is row A^-1 i of u, the sum of the columns at i's bits.
+    """
+    if cols == [1 << n - 1 - q for q in range(n)]:
+        return None
+    bits = _bits(n)
+    rows = np.zeros(1 << n, dtype=np.int64)
+    for q, col in enumerate(cols):
+        rows ^= bits[q] * col
+    return rows
 
 
 def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
@@ -369,40 +369,29 @@ def unitary_of_circuit(circuit, undo=None) -> np.ndarray:
     Either side may be a ``GateCircuit``, a ``GadgetCircuit`` or a
     ``NormalForm`` (see ``_steps``). With ``undo``, the product goes on
     through ``undo``'s steps in reverse order, each inverted, and so is
-    U_undo^dag @ U_circuit. Every step is applied; nothing cancels.
+    U_undo^dag @ U_circuit. Every rotation is applied, at its angle as
+    given; nothing merges.
     """
-    return _accumulate(*_operands(circuit, undo)).flush()
+    n, steps, undo_steps = _operands(circuit, undo)
+    cols, rotations, phase = _frame_rotations(n, steps, undo_steps, float)
+    u = _kernel(n, _masks(rotations), _permutation(n, cols)).flush()
+    u *= phase
+    return u
 
 
-def _reduced(a: float) -> float:
-    """``a`` reduced exactly into (-pi, pi]: a turn changes a rotation only by a sign."""
-    return a if -math.pi < a <= math.pi else math.atan2(math.sin(a), math.cos(a))
+def _masks(rotations) -> list:
+    """(is X, string, angle) rotations as (x, z, angle), as ``_Pending.rotate`` takes them."""
+    return [(string, 0, angle) if x else (0, string, angle) for x, string, angle in rotations]
 
 
-def _frame_rotations(n: int, steps: list) -> tuple[list[int], list] | None:
-    """(rows of the net CNOT action, the rotations in the input frame) of {cnot, rz, rx} steps.
-
-    Pushing every CNOT to the end turns RZ on q into Z on row q of the
-    CNOT action A so far, and RX on q into X on column q of A^-1; each
-    rotation is (is X, string as a qubit mask, angle reduced), in
-    application order. A CNOT (c, t) adds row c of A to row t and column
-    t of A^-1 to column c. None for any other step kind.
-    """
-    rows = [1 << q for q in range(n)]
-    cols = rows[:]  # columns of A^-1
-    rotations = []
-    for kind, qubits, angle in steps:
-        if kind == "cnot":
-            c, t = qubits
-            rows[t] ^= rows[c]
-            cols[c] ^= cols[t]
-        elif kind == "rz":
-            rotations.append((False, rows[qubits[0]], _reduced(angle)))
-        elif kind == "rx":
-            rotations.append((True, cols[qubits[0]], _reduced(angle)))
-        else:
-            return None
-    return rows, rotations
+def _kernel(k: int, rotations: list, action: np.ndarray | None) -> _Pending:
+    """The kernel on k qubits after (x, z, angle) ``rotations``, then the permutation ``action``."""
+    acc = _Pending(k)
+    for x, z, angle in rotations:
+        acc.rotate(x, z, angle)
+    if action is not None:
+        acc.permute(action)
+    return acc
 
 
 def _merged(rotations) -> tuple[list, float]:
@@ -415,7 +404,9 @@ def _merged(rotations) -> tuple[list, float]:
     angles add. A sum whose exact reduction r has |r| <= ``_DROP_ANGLE``
     is dropped, which makes the live one before it the latest, and
     2|sin(r/4)|, the spectral distance of its rotation from a sign, is
-    added to the slack. Otherwise a rotation is kept where it stands.
+    added to the slack; so is a rotation that comes within
+    ``_DROP_ANGLE`` of I, so no sum absorbs it whole. Otherwise a
+    rotation is kept where it stands.
     Live strings are indexed, so a rotation with no equal one costs O(1).
     """
     kept: list[list] = []  # [is X, string, angle]; angle None once merged away
@@ -423,7 +414,8 @@ def _merged(rotations) -> tuple[list, float]:
     of_kind: tuple[list[int], list[int]] = ([], [])  # positions of Z, of X rotations
     slack = 0.0
     for x, string, angle in rotations:
-        if not angle:
+        if abs(angle) <= _DROP_ANGLE:  # reduced already, so within a sign of I
+            slack += 2 * abs(math.sin(angle / 4))
             continue
         equal = live.setdefault((x, string), [])
         if equal and _commutes_after(kept, of_kind[not x], equal[-1], string):
@@ -458,15 +450,17 @@ def _commutes_after(kept: list, positions: list[int], p: int, string: int) -> bo
     return True
 
 
-def _merged_steps(n: int, steps: list, undo_steps: list) -> tuple[int, list, float] | None:
-    """(k, what ``_merged`` leaves as rotations on k logical qubits, slack); None off its domain.
+def _merged_steps(n: int, steps: list, undo_steps: list) -> tuple:
+    """(k, what ``_merged`` leaves as rotations on k qubits, slack, rows of P_A or None for I).
 
-    Needs {cnot, rz, rx} steps on both sides and equal net CNOT actions.
-    Then U_circuit = P R and U_undo = P S for one permutation P, so
-    U_undo^dag U_circuit = S^dag R: ``circuit``'s rotations in the input
-    frame, then ``undo``'s in reverse, each at minus its angle. The slack
-    is ``_merged``'s times 2^(n/2), a Frobenius distance.
+    The rotations are those of U_undo^dag U_circuit = P_A R in the input
+    frame (``_frame_rotations``), each angle reduced; the slack is
+    ``_merged``'s times 2^(n/2), a Frobenius distance. Each rotation
+    comes back as (x, z, angle), a rotation about X^x Z^z with x and z
+    disjoint masks of row-index bits. With A != I they are the rotations
+    left on the n qubits, to be followed by P_A.
 
+    With A = I they run on k logical qubits, logical qubit q being bit q.
     Each string left is a vector x | z << n of GF(2)^2n; two anticommute
     when their symplectic product is 1. Symplectic Gram-Schmidt (Aaronson
     and Gottesman, arXiv:quant-ph/0406196) splits their span into r pairs
@@ -479,15 +473,14 @@ def _merged_steps(n: int, steps: list, undo_steps: list) -> tuple[int, list, flo
     and an X vector to an X vector. A string is then the product of
     commuting basis vectors of its own kind, with no phase, and its image
     the product of their images: Z and X on distinct logical qubits, with
-    no Y and no sign. Each rotation comes back as (x, z, angle), a
-    rotation about X^x Z^z with x and z disjoint masks of row-index bits
-    (logical qubit q is bit q).
+    no Y and no sign.
     """
-    ours, theirs = _frame_rotations(n, steps), _frame_rotations(n, undo_steps)
-    if ours is None or theirs is None or ours[0] != theirs[0]:
-        return None
-    inverses = ((x, string, -angle) for x, string, angle in reversed(theirs[1]))
-    left, slack = _merged(itertools.chain(ours[1], inverses))
+    cols, rotations, _ = _frame_rotations(n, steps, undo_steps)
+    left, slack = _merged(rotations)
+    slack *= math.sqrt(1 << n)
+    action = _permutation(n, cols)
+    if action is not None:
+        return n, _masks(left), slack, action
 
     def product(v: int, w: int) -> int:  # symplectic product of two x | z << n vectors
         return ((v & w >> n) ^ (v >> n & w)).bit_count() & 1
@@ -508,7 +501,7 @@ def _merged_steps(n: int, steps: list, undo_steps: list) -> tuple[int, list, flo
         pairs.append((a, b, 1 << len(pairs) + len(centrals)))
         pool = [w ^ (a if product(w, b) else 0) ^ (b if product(w, a) else 0) for w in pool]
         pool = [w for w in pool if w]
-    rotations = []
+    logical = []
     for x, string, angle in left:
         v, lx, lz = string if x else string << n, 0, 0
         for a, b, q in pairs:  # v holds a_i when it anticommutes with b_i, and b_i likewise
@@ -519,8 +512,8 @@ def _merged_steps(n: int, steps: list, undo_steps: list) -> tuple[int, list, flo
         while v:
             c, q = centrals[v.bit_length() - 1]
             v, lz = v ^ c, lz | q
-        rotations.append((lx, lz, angle))
-    return len(pairs) + len(centrals), rotations, slack * math.sqrt(1 << n)
+        logical.append((lx, lz, angle))
+    return len(pairs) + len(centrals), logical, slack, None
 
 
 def product_error(circuit, undo) -> float:
@@ -529,39 +522,26 @@ def product_error(circuit, undo) -> float:
     That is ||U_undo^dag U_circuit - e^{i phi} I||_F with e^{i phi} the
     phase of the product's trace. Either side may be any circuit kind
     ``unitary_of_circuit`` takes. Equal step lists score 0, as
-    U^dag U = I. Where both sides are {CNOT, RZ, RX} circuits of one net
-    CNOT action, rotations merge and what is left is evaluated on its k
-    logical qubits (``_merged_steps``): the error is 2^((n-k)/2) times
-    the logical product's, plus the slack of the sums dropped, so it is
+    U^dag U = I. Otherwise the rotations merge, and what is left is
+    evaluated on k qubits (``_merged_steps``): the error is 2^((n-k)/2)
+    times that product's, plus the slack of the sums dropped, so it is
     never below the dense error and above it by at most twice the slack.
-    An empty remainder scores the slack alone. Off that domain every
-    step is evaluated on n qubits.
+    An empty remainder of one net CNOT action scores the slack alone.
     """
     n, steps, undo_steps = _operands(circuit, undo)
     if steps == undo_steps:
         return 0.0
-    merged = _merged_steps(n, steps, undo_steps)
-    if merged is None:
-        return _accumulate(n, steps, undo_steps).error()
-    k, rotations, slack = merged
-    if not rotations:
+    k, rotations, slack, action = _merged_steps(n, steps, undo_steps)
+    if not k:
         return slack
-    acc = _Pending(k)
-    for x, z, angle in rotations:
-        acc.rotate(x, z, angle)
-    return math.sqrt(1 << n - k) * acc.error() + slack
+    return math.sqrt(1 << n - k) * _kernel(k, rotations, action).error() + slack
 
 
 def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:
-    """Diagonal of a Z phase gadget under the sign convention above."""
-    return _parity_diagonal(n, theta, [q for q in range(n) if legs[q]])
-
-
-def _parity_diagonal(n: int, theta: float, qubits) -> np.ndarray:
-    """``gadget_diagonal`` on the legs ``qubits``: RZ's diagonal read at each index's leg parity."""
+    """Diagonal of a Z phase gadget under the sign convention above: RZ's read at each leg parity."""
     index, parity = _parities(n)
-    legs = sum(1 << (n - 1 - q) for q in qubits)
-    return _rz_diagonal(theta)[parity[index & legs]]
+    mask = sum(1 << (n - 1 - q) for q in range(n) if legs[q])
+    return _rz_diagonal(theta)[parity[index & mask]]
 
 
 def _row_blocks(shape: tuple[int, ...]):

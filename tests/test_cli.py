@@ -288,6 +288,27 @@ def test_bench_samples_below_one_exit_1(sweep, capsys):
     assert captured.err == "error: --samples must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--sweep", "height", "--sweep-values", "2,100000"],
+     ["--sweep", "width", "--sweep-values", "2", "--qubits", "100000"]],
+    ids=["swept", "fixed"],
+)
+def test_bench_sweep_height_over_limit_exits_1(flags, monkeypatch, capsys):
+    # A height is a qubit count: past QUBIT_LIMIT it is rejected before
+    # any leg matrix is drawn, so a 100000 x 100000 one never is.
+    import phasefold.cli as cli
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a leg matrix was drawn before the height was rejected")
+
+    monkeypatch.setattr(cli, "random_matrix", no_draw)
+    assert main(["bench", "--samples", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: height expects at most 256 qubits, got 100000\n"
+
+
 def test_bench_budget_sweep_shares_instances(capsys):
     # Every value anneals the same instances, so more attempts never do worse.
     code = main(

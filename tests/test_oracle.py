@@ -7,10 +7,10 @@ on gadget circuits and normal forms; ``product_error`` is checked against
 the phase-aligned error of the reference product, each also with the
 kernel's column slabs cut down to one column, as from 9 qubits on it
 works in several slabs. Neither a circuit against itself
-nor a product whose rotations all merge away builds a kernel, a merged
-product never steps through ``_accumulate``, the merge stays linear on a
-long circuit, and a merged sum within ``_DROP_ANGLE`` of a turn drops
-with its cost in the slack.
+nor a product whose rotations all merge away builds a kernel, pairs of
+unequal net CNOT actions score the reference error on n qubits, the
+merge stays linear on a long circuit, and a merged sum within
+``_DROP_ANGLE`` of a turn drops with its cost in the slack.
 """
 
 import cmath
@@ -125,8 +125,8 @@ def assert_circuit_kernels_match(monkeypatch, circuit):
 
 
 def kernel_error(c, d) -> float:
-    """The error the kernel reads from the whole product U_d^dag U_c: nothing cancels or merges."""
-    return oracle._accumulate(*oracle._operands(c, d)).error()
+    """The error of the whole product U_d^dag U_c as the kernel builds it: nothing merges."""
+    return phase_aligned_error(unitary_of_circuit(c, d))
 
 
 def assert_errors_match(monkeypatch, c, d):
@@ -397,8 +397,8 @@ def test_equal_trailing_steps_cancel_to_nothing(monkeypatch):
     # scores exactly 0 with no kernel built, on a gate circuit with a
     # CRX, gadget circuits with X gadgets, a normal form and a circuit of
     # every gate kind at MAX_QUBITS. The same gates with the CRX and the
-    # last RZ swapped (they commute) are other steps, off the merge's
-    # domain: they go through the kernel and pass.
+    # last RZ swapped (they commute) are other steps, which merge: they
+    # score the reference error and pass.
     c = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.rz(0.2, 0), ci.crx(0.9, 2, 1)))
     d = GateCircuit(3, (ci.rx(0.4, 0), ci.cnot(1, 2), ci.crx(0.9, 2, 1), ci.rz(0.2, 0)))
     g = gadget_circuit(3, [("X", 0.5, "110"), ("Z", -1.5, "011"), ("X", 0.7, "001")])
@@ -431,7 +431,7 @@ def test_fully_merged_product_builds_no_accumulator(monkeypatch):
     for a, b in ((c, d), (e, f)):
         n, steps, undo_steps = oracle._operands(a, b)
         assert steps != undo_steps
-        assert oracle._merged_steps(n, steps, undo_steps) == (0, [], 0.0)
+        assert oracle._merged_steps(n, steps, undo_steps) == (0, [], 0.0, None)
     monkeypatch.setattr(oracle, "_Pending", None)  # building a kernel would raise
     for a, b in ((c, d), (d, c), (e, f), (f, e)):
         assert product_error(a, b) == 0.0
@@ -448,7 +448,7 @@ def test_wrapped_sum_drops_into_the_slack(monkeypatch):
     residue = oracle._reduced(a + b - ci.wrap_angle(a + b))
     assert 0 < abs(residue) <= oracle._DROP_ANGLE
     slack = math.sqrt(1 << n) * 2 * abs(math.sin(residue / 4))
-    assert oracle._merged_steps(*oracle._operands(c, d)) == (0, [], slack)
+    assert oracle._merged_steps(*oracle._operands(c, d)) == (0, [], slack, None)
     assert phase_aligned_error(unitary_of_circuit(c, d)) <= slack
     monkeypatch.setattr(oracle, "_Pending", None)  # building a kernel would raise
     assert product_error(c, d) == slack
@@ -497,8 +497,9 @@ def test_unequal_last_steps_never_merge(c, d, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
 def test_kernel_matches_reference_all_kinds(n, monkeypatch):
-    # 40 gates carry about 18 row-mixing ones, most after pending CNOTs or
-    # phases; at n = 9 and 10 each mix goes in several column slabs.
+    # 40 gates carry about 18 X-string rotations (RX, RY, H, two per CRX),
+    # most after pending CNOTs or phases; at n = 9 and 10 each goes in
+    # several column slabs.
     rng = np.random.default_rng(600 + n)
     lengths, repeats = ((0, 1, 2, 5, 40), 3) if n <= 7 else ((40,), 1)
     for length in lengths:
@@ -530,7 +531,7 @@ def test_kernel_rz_and_cnot_overlap_in_either_order():
     ]
     for run in runs:
         assert_matches_reference(GateCircuit(3, run))
-        # The same run followed by a row-mixing gate flushes it into the matrix.
+        # The same run followed by X rotations flushes it into the matrix.
         assert_matches_reference(GateCircuit(3, run + (ci.rx(0.4, 0), ci.rx(-0.6, 2))))
 
 
@@ -553,8 +554,8 @@ def test_kernel_empty_circuit():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_gadget_kernel_matches_reference(n, monkeypatch):
-    # An X entry is H on its legs, the parity diagonal, then H on the same
-    # legs again: the second Hadamards mix rows the first ones mixed.
+    # An X entry is one rotation about the X string of its legs: a 2x2
+    # mix on one bit between the CNOTs that spread it over the others.
     rng = np.random.default_rng(700 + n)
     for length in (0, 1, 6):
         entries = []
@@ -597,9 +598,9 @@ def test_gadget_kernel_applies_the_cnot_tail_last(n, monkeypatch):
          "crx-control-0", "crx-control-1", "crx-both-ways"],
 )
 def test_kernel_repeats_and_dependent_directions(gates, monkeypatch):
-    # Mixing gates on qubits already mixed, between diagonals and CNOTs:
-    # after CNOT(0, 1), RX on qubit 0 mixes rows that earlier gates on
-    # qubits 0 and 1 mixed, and a CRX is two H mixes around a diagonal.
+    # X rotations on qubits already mixed, between diagonals and CNOTs:
+    # after CNOT(0, 1), RX on qubit 0 is an X string that earlier gates on
+    # qubits 0 and 1 mixed, and a CRX is CRZ's Z strings between two H.
     assert_circuit_kernels_match(monkeypatch, GateCircuit(4, gates))
 
 
@@ -638,9 +639,10 @@ def test_error_of_a_product_that_never_mixes(gates, error, monkeypatch):
          "never-mixes"],
 )
 def test_kernel_cnot_runs(gates, monkeypatch):
-    # Consecutive CNOTs act as one permutation: runs that cross qubits, and
-    # runs that are the identity, before, between and after mixing gates,
-    # or with no mixing gate at all, where only the pending part is written in.
+    # CNOTs change the frame and act as one permutation at the end: runs
+    # that cross qubits, and runs that are the identity, before, between
+    # and after X rotations, or with no X rotation at all, where only the
+    # pending part is written in.
     c = GateCircuit(4, gates)
     assert_circuit_kernels_match(monkeypatch, c)
     assert_errors_match(monkeypatch, c, c)
@@ -679,7 +681,7 @@ def test_normal_form_on_either_side_matches_reference(n, monkeypatch):
 
 
 def test_unitary_holds_two_matrices(peak_bytes):
-    # Peak allocation of one unitary at MAX_QUBITS: the matrix, mixed in
+    # Peak allocation of one unitary at MAX_QUBITS: the matrix, rotated in
     # place one column slab at a time, and slab-sized temporaries, under
     # the bound of two matrices and four 2^(n+6)-entry arrays (4 x 1 MB).
     n = MAX_QUBITS
@@ -693,26 +695,63 @@ def test_unitary_holds_two_matrices(peak_bytes):
 
 def _halved(c: GateCircuit) -> GateCircuit:
     """c with every rotation split into two halves: the same unitary, but
-    other steps, so the check runs c against it through the kernels, or
-    merges the halves back where every gate is a CNOT, RZ or RX."""
+    other steps, whose halves the check merges back."""
     gates = []
     for g in c.gates:
         gates += [g] if g.angle is None else [ci.Gate(g.kind, g.qubits, g.angle / 2)] * 2
     return GateCircuit(c.n_qubits, tuple(gates))
 
 
+def _turned(gates) -> tuple:
+    """``gates`` with each CNOT written as H (x) H, the CNOT turned round, H (x) H:
+    the same unitary, but steps of another net CNOT action."""
+    out = []
+    for g in gates:
+        hadamards = [ci.h(q) for q in g.qubits]
+        out += hadamards + [ci.cnot(*g.qubits[::-1])] + hadamards if g.kind == "cnot" else [g]
+    return tuple(out)
+
+
+def test_unequal_cnot_actions_match_reference(monkeypatch):
+    # A CNOT ladder between rotations against the same ladder turned round
+    # (``_turned``): the net CNOT actions of the steps differ, so what the
+    # merge leaves runs on the n qubits, followed by the permutation.
+    # Equal, and with one angle bent by 1e-6, either way round, the check
+    # scores the reference error, in the usual column slabs and in slabs
+    # of one column.
+    n = 9
+    rng = np.random.default_rng(83)
+    gates = []
+    for q in range(0, n - 1, 2):
+        gates += [ci.rz(float(rng.uniform(-3, 3)), q), ci.cnot(q, q + 2)]
+        gates.append(ci.rx(float(rng.uniform(-3, 3)), int(rng.integers(n))))
+    c = GateCircuit(n, tuple(gates))
+    turned = _turned(gates)
+    k = next(k for k, g in enumerate(turned) if g.kind == "rx")
+    bent = turned[:k] + (ci.rx(turned[k].angle + 1e-6, turned[k].qubits[0]),) + turned[k + 1 :]
+    reference_c = reference_unitary(c)
+    for gates_d, equal in ((turned, True), (bent, False)):
+        d = GateCircuit(n, gates_d)
+        assert oracle._merged_steps(*oracle._operands(c, d))[3] is not None
+        reference_d = reference_unitary(d)
+        for a, b, ua, ub in ((c, d, reference_c, reference_d), (d, c, reference_d, reference_c)):
+            want = phase_aligned_error(ub.conj().T @ ua)
+            assert (want < oracle.VERIFY_TOL) == equal, want
+            assert_kernels_match(monkeypatch, lambda: product_error(a, b), want)
+
+
 def test_verification_holds_one_matrix(peak_bytes):
     # optimize's check at MAX_QUBITS, the error of the product U_d^dag U_c
-    # off the merge's domain, peaks at one matrix and slab-sized arrays:
-    # each mixing gate rewrites the matrix one column slab at a time, and
-    # the rows are read into the error block by block (2^16 entries). d is
-    # c with its rotations halved, so that the product is not skipped as
-    # equal.
+    # when what the merge leaves runs on the n qubits, peaks at one matrix
+    # and slab-sized arrays: each X rotation rewrites the matrix one column
+    # slab at a time, and the rows are read into the error block by block
+    # (2^16 entries). d is c with its CNOTs turned round (``_turned``), so
+    # the net CNOT actions of the steps differ.
     n = MAX_QUBITS
     rng = np.random.default_rng(78)
     c = GateCircuit(n, tuple(random_gate(rng, n) for _ in range(60)))
-    d = _halved(c)
-    assert oracle._merged_steps(*oracle._operands(c, d)) is None
+    d = GateCircuit(n, _turned(c.gates))
+    assert oracle._merged_steps(*oracle._operands(c, d))[3] is not None
     assert len(oracle._row_blocks((1 << n, 1 << n))) > 1
     matrix_bytes = 16 << (2 * n)
     block_bytes = 16 << (n + 6)
@@ -722,12 +761,11 @@ def test_verification_holds_one_matrix(peak_bytes):
     assert peak < matrix_bytes + 8 * block_bytes, peak / matrix_bytes
 
 
-def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
-    # Mixing gates on five qubits and CNOTs among the other five. d is c
-    # with its rotations halved, which merge back to nothing, and bent is d
-    # after a first RX of 1e-3, which leaves that RX on one logical qubit.
-    # Neither steps through the n-qubit kernel, and each stays well below
-    # one matrix.
+def test_one_group_product_builds_no_matrix(peak_bytes):
+    # RX on five qubits and CNOTs among the other five. d is c with its
+    # rotations halved, which merge back to nothing, and bent is d after a
+    # first RX of 1e-3, which leaves that RX on one logical qubit. Both
+    # run on their logical qubits, and each stays well below one matrix.
     n = MAX_QUBITS
     rng = np.random.default_rng(79)
     gates = []
@@ -742,7 +780,6 @@ def test_one_group_product_builds_no_matrix(monkeypatch, peak_bytes):
     # W = RX(-1e-3) on qubit 0, whose error is 2^(n/2) 2 sin(1e-3 / 4).
     want = math.sqrt(1 << n) * 2 * math.sin(1e-3 / 4)
     matrix_bytes = 16 << (2 * n)
-    monkeypatch.setattr(oracle, "_accumulate", None)  # the n-qubit step path would raise
     assert peak_bytes(lambda: product_error(c, d)) < matrix_bytes // 4
     assert peak_bytes(lambda: product_error(c, bent)) < matrix_bytes // 4
     assert product_error(c, d) < oracle.VERIFY_TOL

@@ -14,12 +14,14 @@ the error of the whole product. So it is where rotations merge: a
 {CNOT, RZ, RX} circuit against its re-synthesised gadget normal form,
 against a copy with one rotation moved back across gates it commutes
 with, against a copy with an RZ/RX pair on one qubit swapped (which is
-rejected), against a circuit of another net CNOT action (nothing
-merges) and with angles up to 1e300 in size all score the dense error.
-On up to 8 qubits, what the merge leaves, anticommuting Z and X strings
-among it, is evaluated on its logical qubits, never through the n-qubit
-step path: the error is the dense one, and the slack of the sums dropped
-bounds the difference.
+rejected), against a circuit of another net CNOT action (what is left
+runs on the n qubits) and with angles up to 1e300 in size all score the
+dense error. A circuit of every gate kind against its lowered circuit,
+and that circuit's normal form against it, merge away entirely, with
+no kernel built. On up to 8 qubits, what the merge leaves, anticommuting
+Z and X strings among it, is evaluated on its logical qubits: the error
+is the dense one, and the slack of the sums dropped bounds the
+difference.
 
 On {CNOT, RZ, RX} circuits, the C that optimize chooses gives an output
 with no more CNOTs than the one built with C = I or with the anneal's
@@ -196,8 +198,8 @@ def test_cancelled_gate_product_is_the_dense_error(c, how, data):
     # A reordered tail, the peephole's rewrite, a bent angle, two
     # neighbouring gates swapped whether or not they commute, and one
     # gate's qubits reversed must all score what the whole product scores:
-    # merged where both sides are {CNOT, RZ, RX} of one net CNOT action,
-    # every step evaluated otherwise.
+    # merged, and what is left evaluated on its logical qubits where the
+    # net CNOT actions agree, or on the n qubits where they do not.
     gates = c.gates
     if how == "reorder":
         gates = _reordered_tail(data, gates)
@@ -217,8 +219,8 @@ def test_cancelled_gate_product_is_the_dense_error(c, how, data):
 
 @given(gadget_circuits(), st.sampled_from(("reorder", "bend", "synth")), st.data())
 def test_cancelled_gadget_product_is_the_dense_error(g, how, data):
-    # As above on gadget circuits, which never merge: parity steps between
-    # Hadamards, and a gadget circuit against its own synthesis.
+    # As above on gadget circuits, each gadget one rotation about the Z or
+    # X string of its legs, and a gadget circuit against its own synthesis.
     if how == "reorder":
         d = GadgetCircuit(g.n_qubits, _reordered_tail(data, g.entries))
     elif how == "bend":
@@ -231,9 +233,22 @@ def test_cancelled_gadget_product_is_the_dense_error(g, how, data):
 BASIS = ("cnot", "rz", "rx")
 
 
-def merges(c, d) -> bool:
-    """True when product_error merges the rotations of c against d."""
-    return oracle._merged_steps(*oracle._operands(c, d)) is not None
+def same_action(c, d) -> bool:
+    """True when c and d have one net CNOT action, so the check runs on logical qubits."""
+    return oracle._merged_steps(*oracle._operands(c, d))[3] is None
+
+
+@given(circuits())
+def test_every_kind_merges_away_against_its_lowering(c):
+    # Every gate kind is written as the Z and X rotations lowering emits,
+    # with the same angles reduced the same way, so a circuit against its
+    # lowered circuit, and that circuit's normal form against the
+    # circuit, merge to nothing but drops into the slack: no kernel.
+    lowered = ci.lower_to_basis(c)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_Pending", None)  # building a kernel would raise
+        assert product_error(c, lowered) < 1e-12
+        assert product_error(extract(lowered), c) < 1e-12
 
 
 @given(circuits(kinds=BASIS), st.sampled_from(("ladder", "tree")))
@@ -244,7 +259,7 @@ def test_merged_normal_form_resynthesis_is_the_dense_error(c, shape):
     nf = extract(c)
     gates = synth_gadget_circuit(nf.gadgets, shape).gates + nf.tail.to_gates().gates
     d = GateCircuit(c.n_qubits, gates)
-    assert merges(c, d)
+    assert same_action(c, d)
     assert_checked_error_is_dense(c, d)
     assert product_error(c, d) < VERIFY_TOL
 
@@ -277,7 +292,7 @@ def test_merged_moved_rotation_is_the_dense_error(c, data):
         first -= 1
     to = data.draw(st.integers(first, k - 1))
     d = GateCircuit(c.n_qubits, gates[:to] + (gates[k],) + gates[to:k] + gates[k + 1 :])
-    assert merges(c, d)
+    assert same_action(c, d)
     assert_checked_error_is_dense(c, d)
     assert product_error(c, d) < VERIFY_TOL
 
@@ -292,20 +307,20 @@ def test_merged_anticommuting_swap_is_the_dense_error(n, a, b, data):
     pair = (ci.rz(a, q), ci.rx(b, q))
     c = GateCircuit(n, before + pair + after)
     d = GateCircuit(n, before + pair[::-1] + after)
-    assert merges(c, d)
+    assert same_action(c, d)
     assert_checked_error_is_dense(c, d)
     assert product_error(c, d) > VERIFY_TOL
 
 
 @given(circuits(min_qubits=2, kinds=BASIS), st.data())
 def test_unequal_cnot_actions_are_the_dense_error(c, data):
-    # One CNOT more anywhere changes the net CNOT action: nothing merges,
-    # and the whole product is evaluated.
+    # One CNOT more anywhere changes the net CNOT action: what the merge
+    # leaves runs on the n qubits, followed by the permutation.
     n = c.n_qubits
     pair = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     k = data.draw(st.integers(0, len(c.gates)))
     d = GateCircuit(n, c.gates[:k] + (ci.cnot(*pair),) + c.gates[k:])
-    assert not merges(c, d)
+    assert not same_action(c, d)
     assert_checked_error_is_dense(c, d)
 
 
@@ -326,9 +341,9 @@ def test_logical_error_is_the_dense_error(c, triples, bend, data):
     # string meet both. d's other gates are peepholed piece by piece,
     # which wraps fused sums past pi and leaves float(2pi) residues that
     # drop into the slack, and one of d's angles may be bent. The check
-    # runs on the logical qubits alone, never through the n-qubit step
-    # path; it is never below the dense error, and above it by at most
-    # twice the slack (the slack it adds and the error the drops may hide).
+    # runs on the logical qubits alone; it is never below the dense error,
+    # and above it by at most twice the slack (the slack it adds and the
+    # error the drops may hide).
     n = c.n_qubits
     cuts = [0, *sorted(data.draw(st.integers(0, len(c.gates))) for _ in triples), len(c.gates)]
     pieces = [c.gates[i:j] for i, j in zip(cuts, cuts[1:])]
@@ -344,14 +359,11 @@ def test_logical_error_is_the_dense_error(c, triples, bend, data):
         g = theirs[i]
         theirs = theirs[:i] + (ci.Gate(g.kind, g.qubits, g.angle + bend),) + theirs[i + 1 :]
     c, d = GateCircuit(n, ours), GateCircuit(n, theirs)
-    merged = oracle._merged_steps(*oracle._operands(c, d))
-    assert merged is not None
-    _, rotations, slack = merged
+    _, rotations, slack, action = oracle._merged_steps(*oracle._operands(c, d))
+    assert action is None
     assert any(x for x, _, _ in rotations) and any(z for _, z, _ in rotations)
     want = phase_aligned_error(unitary_of_circuit(c, d))
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(oracle, "_accumulate", None)  # the n-qubit step path would raise
-        got = product_error(c, d)
+    got = product_error(c, d)
     assert want - 1e-12 <= got <= want + 2 * slack + 1e-12
     assert (got < VERIFY_TOL) == (bend == 0.0)
 
@@ -371,7 +383,7 @@ def test_merged_huge_angles_are_the_dense_error(c, how, data):
             d = GateCircuit(c.n_qubits, (c.gates[k],) + c.gates[:k] + c.gates[k + 1 :])
         else:
             d = c
-    assert merges(c, d)
+    assert same_action(c, d)
     assert_checked_error_is_dense(c, d)
     assert product_error(c, d) < VERIFY_TOL
 

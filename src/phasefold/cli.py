@@ -158,6 +158,7 @@ def _bench_csv(args, results) -> str:
 
 
 SWEEP_AXES = ("attempts", "iterations", "width", "height")
+WIDTH_LIMIT = 4096  # most gadgets per ansatz layer, or leg-matrix columns, a bench run draws
 
 
 def _sweep_csv(args) -> str:
@@ -201,10 +202,15 @@ def cmd_bench(args) -> int:
     if args.sweep is None and args.sweep_values is not None:
         print("error: --sweep-values needs --sweep", file=sys.stderr)
         return 1
+    if args.sweep is not None and not args.sweep_values:
+        print("error: --sweep needs --sweep-values", file=sys.stderr)
+        return 1
+    # A width is checked, as a height is, before anything is drawn.
+    width = max(args.sweep_values if args.sweep == "width" else args.gadgets)
+    if width > WIDTH_LIMIT:
+        print(f"error: width expects at most {WIDTH_LIMIT} gadgets, got {width}", file=sys.stderr)
+        return 1
     if args.sweep is not None:
-        if not args.sweep_values:
-            print("error: --sweep needs --sweep-values", file=sys.stderr)
-            return 1
         _write(args.csv, _sweep_csv(args))
         return 0
     results = _bench_cells(args)

@@ -1,4 +1,4 @@
-"""End-to-end optimisation pipeline and the Euler peephole.
+"""End-to-end optimisation pipeline, the Euler peephole and CNOT cancellation.
 
 ``optimize`` lowers to {CNOT, RZ, RX}, extracts the gadget normal form,
 detects the repeating layer, anneals a change of basis C in GL(n,2) for
@@ -30,6 +30,16 @@ side's CNOTs over every C (``_cnot_floor``) often shows that the input
 side wins; then nothing is annealed or chosen and no gadget or C block
 is synthesised, and the result is what the comparison would give.
 
+The returned side then loses the CNOT pairs that meet across gates they
+commute with (``cancel_cnots``, the gate-cancellation rule of Nam et
+al., arXiv:1710.07345): each CNOT walks back over the earlier gates on
+its two wires and deletes itself with an equal CNOT, and the peephole
+and the scan repeat until nothing is deleted. The pass only deletes
+CNOTs, so the bound, the choice and the comparison stand as they are,
+and no output has more CNOTs than its lowered input. Its walk is its
+own, apart from the oracle's merge, so the check stays independent of
+what it checks.
+
 The returned side is oracle-verified up to global phase when small
 enough: ``oracle.product_error`` runs the one product U_out^dag U_in and
 measures its distance from a phase times the identity, building at most
@@ -43,6 +53,7 @@ ansatz generators live in ``ansatz``.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -97,7 +108,7 @@ class OptimizeReport:
     energy_after: int  # the best energy the anneal reached
     energy_chosen: int  # the energy of the C the output uses
     layers_detected: int
-    output: str  # "optimized" | "input": which side was returned
+    output: str  # "optimized" | "input": which side was returned, then cancelled
     verified: str  # "yes" | "no" | "skipped"
 
     def to_kv(self) -> str:
@@ -308,6 +319,9 @@ def optimize(
             input_side = euler_peephole(lowered)
             if (input_cnots, cnot_depth(input_side)) < (out_cnots, cnot_depth(out)):
                 out, output = input_side, "input"
+    # Only the returned side is cancelled, after the choice: cancelling
+    # deletes CNOTs, so neither the bound nor the comparison above changes.
+    out = cancel_cnots(out)
 
     verified = "skipped"
     if verify and n <= MAX_QUBITS:
@@ -337,6 +351,78 @@ def optimize(
     return out, report
 
 
+_CANCEL_WALK = 256  # most gates one CNOT's walk looks at on its two wires, a partner included
+
+
+def _cancel_round(c: GateCircuit) -> list[ci.Gate]:
+    """One left-to-right scan of ``cancel_cnots``: the gates that survive it, in order."""
+    kept: list[ci.Gate | None] = []
+    wires: list[list[int]] = [[] for _ in range(c.n_qubits)]  # per wire, kept indices in order
+    for g in c.gates:
+        if g.kind == "cnot":
+            a, b = g.qubits
+            if _cancel_partner(kept, wires, a, b):
+                continue
+            wires[a].append(len(kept))
+            wires[b].append(len(kept))
+        else:
+            wires[g.qubits[0]].append(len(kept))
+        kept.append(g)
+    return [g for g in kept if g is not None]
+
+
+def _cancel_partner(kept: list[ci.Gate | None], wires: list[list[int]], a: int, b: int) -> bool:
+    """Delete an equal CNOT(a, b) that CNOT(a, b) reaches back across gates it commutes with.
+
+    The walk visits the gates on wires a and b, latest first. CNOT(a, b)
+    commutes with RZ on a, RX on b, and a CNOT whose control is not b and
+    whose target is not a; any other gate on its wires stops the walk.
+    """
+    wa, wb = wires[a], wires[b]
+    i, j = len(wa) - 1, len(wb) - 1
+    for _ in range(_CANCEL_WALK):
+        k = max(wa[i] if i >= 0 else -1, wb[j] if j >= 0 else -1)
+        if k < 0:
+            return False
+        g = kept[k]
+        if g.kind == "cnot":
+            if g.qubits == (a, b):
+                kept[k] = None
+                del wa[i], wb[j]
+                return True
+            if g.qubits[0] == b or g.qubits[1] == a:
+                return False
+        elif g.kind != ("rz" if g.qubits[0] == a else "rx"):
+            return False
+        if i >= 0 and wa[i] == k:
+            i -= 1
+        if j >= 0 and wb[j] == k:
+            j -= 1
+    return False
+
+
+def cancel_cnots(c: GateCircuit) -> GateCircuit:
+    """Delete pairs of equal CNOTs that meet across the gates they commute with.
+
+    Each CNOT walks back over the earlier gates on its own two wires, at
+    most ``_CANCEL_WALK`` of them, and deletes itself together with the
+    first equal CNOT it reaches; a gate it does not commute with stops the
+    walk. After a scan that deleted something, ``euler_peephole`` fuses the
+    rotations that met, and the scan runs again, until one deletes nothing.
+    The scans delete only CNOTs and change no rotation, so the unitary
+    moves only by the peephole's rounding. Works on {CNOT, RZ, RX}
+    circuits only.
+    """
+    while True:
+        cnots = [g.qubits for g in c.gates if g.kind == "cnot"]
+        if len(set(cnots)) == len(cnots):  # no two equal CNOTs, so no pair to delete
+            return c
+        gates = _cancel_round(c)
+        if len(gates) == len(c.gates):
+            return c
+        c = euler_peephole(GateCircuit(c.n_qubits, tuple(gates)))
+
+
 def _fuse_rotation_run(run: list[tuple[str, float]]) -> list[tuple[str, float]]:
     """Merge adjacent same-basis rotations and drop zero angles."""
     out: list[tuple[str, float]] = []
@@ -349,15 +435,26 @@ def _fuse_rotation_run(run: list[tuple[str, float]]) -> list[tuple[str, float]]:
 
 
 def _collapse_run(run: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Reduce a run of single-qubit rotations ("rz" or "rx", angle) to at most three."""
-    run = _fuse_rotation_run(run)
-    while len(run) > 3:
-        (b0, a1), (_, a2), (_, a3) = run[0], run[1], run[2]
-        b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)
-        other = "rx" if b0 == "rz" else "rz"
-        head = [(other, b1), (b0, b2), (other, b3)]
-        run = _fuse_rotation_run(head + run[3:])
-    return run
+    """Reduce a run of single-qubit rotations ("rz" or "rx", angle) to at most three.
+
+    The fused run alternates, and it is read into a stack of at most
+    three: whenever a fourth rotation arrives, the first three rotate
+    through the Euler identity and the fourth fuses onto the last of them.
+    A zero sum drops and may let the next rotation fuse in turn, so the
+    stack meets each rotation of the fused run once.
+    """
+    out: list[tuple[str, float]] = []
+    for basis, angle in _fuse_rotation_run(run):
+        if len(out) == 3 and out[-1][0] != basis:
+            (b0, a1), (_, a2), (_, a3) = out
+            b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)
+            other = "rx" if b0 == "rz" else "rz"
+            out = _fuse_rotation_run([(other, b1), (b0, b2), (other, b3)])
+        if out and out[-1][0] == basis:
+            angle += out.pop()[1]
+        if not is_zero_angle(angle):
+            out.append((basis, angle))
+    return out
 
 
 def euler_peephole(c: GateCircuit) -> GateCircuit:
@@ -365,10 +462,11 @@ def euler_peephole(c: GateCircuit) -> GateCircuit:
 
     Adjacent same-basis rotations fuse; longer alternating runs rotate
     through the Euler identity until they fit in three. Each angle is
-    first reduced with ``wrap_angle``, so sums add in-range values. Works
-    on {CNOT, RZ, RX} circuits only.
+    first reduced with ``wrap_angle``, so sums add in-range values. A run
+    that nothing fuses, wraps or drops keeps its given gates. Works on
+    {CNOT, RZ, RX} circuits only.
     """
-    pending: list[list[tuple[str, float]]] = [[] for _ in range(c.n_qubits)]
+    pending: list[list[ci.Gate]] = [[] for _ in range(c.n_qubits)]
     gates: list[ci.Gate] = []
 
     def flush(q: int) -> None:
@@ -376,12 +474,19 @@ def euler_peephole(c: GateCircuit) -> GateCircuit:
         if not run:
             return
         pending[q] = []
-        for kind, angle in _collapse_run(run):
-            gates.append(ci.rz(angle, q) if kind == "rz" else ci.rx(angle, q))
+        if len(run) == 1 and -math.pi < run[0].angle <= math.pi and not is_zero_angle(run[0].angle):
+            gates.append(run[0])  # one rotation, in range and not zero, stands
+            return
+        given = [(g.kind, g.angle) for g in run]
+        collapsed = _collapse_run([(kind, ci.wrap_angle(angle)) for kind, angle in given])
+        if collapsed == given:  # nothing fused, wrapped or dropped: the run stands
+            gates.extend(run)
+        else:
+            gates.extend(ci.rz(a, q) if kind == "rz" else ci.rx(a, q) for kind, a in collapsed)
 
     for g in c.gates:
         if g.kind == "rz" or g.kind == "rx":
-            pending[g.qubits[0]].append((g.kind, ci.wrap_angle(g.angle)))
+            pending[g.qubits[0]].append(g)
         elif g.kind == "cnot":
             flush(g.qubits[0])
             flush(g.qubits[1])

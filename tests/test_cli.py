@@ -309,6 +309,39 @@ def test_bench_sweep_height_over_limit_exits_1(flags, monkeypatch, capsys):
     assert captured.err == "error: height expects at most 256 qubits, got 100000\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--sweep", "width", "--sweep-values", "2,100000"],
+     ["--sweep", "attempts", "--sweep-values", "1", "--gadgets", "100000"],
+     ["--gadgets", "2,100000", "--layers", "1"]],
+    ids=["swept", "fixed", "table"],
+)
+def test_bench_width_over_limit_exits_1(flags, monkeypatch, capsys):
+    # A width past WIDTH_LIMIT is rejected before any leg matrix or ansatz
+    # is drawn, so a 100000-column one never is.
+    import phasefold.cli as cli
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a leg matrix or an ansatz was drawn before the width was rejected")
+
+    monkeypatch.setattr(cli, "random_matrix", no_draw)
+    monkeypatch.setattr(cli, "generate", no_draw)
+    assert main(["bench", "--qubits", "3", "--samples", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: width expects at most {cli.WIDTH_LIMIT} gadgets, got 100000\n"
+
+
+def test_bench_width_at_limit_is_accepted(monkeypatch, capsys):
+    # The limit itself is a width: one sample at 1 x 1 budget runs.
+    import phasefold.cli as cli
+
+    width = str(cli.WIDTH_LIMIT)
+    flags = ["--sweep", "width", "--sweep-values", width, "--qubits", "2"]
+    assert main(["bench", "--samples", "1", "--attempts", "1", "--iterations", "1", *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"width,{width},0,")
+
+
 def test_bench_budget_sweep_shares_instances(capsys):
     # Every value anneals the same instances, so more attempts never do worse.
     code = main(

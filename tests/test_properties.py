@@ -34,6 +34,14 @@ oracle: lowering reduces every angle exactly. On up to 8 qubits, the
 block ``pipeline._score`` gives for a random C or for I holds
 ``row_ops(C)``, ``apply_action``'s legs and the CNOT count that
 ``_synthesize`` emits between the prefix and the tail.
+
+On {CNOT, RZ, RX} circuits, and on such a circuit followed by its
+inverse, ``cancel_cnots`` never adds a CNOT, keeps the unitary within
+1e-12 (one scan's deletions on any angles; the whole pass, peephole
+included, on angles that add exactly), and a second application changes
+nothing. The peephole's linear collapse of a rotation run, and the
+peephole itself, equal the quadratic forms they replaced, which stay
+here as the reference.
 """
 
 import dataclasses
@@ -58,7 +66,8 @@ from phasefold.annealing import AnnealParams
 from phasefold.circuits import cnot_count
 from phasefold.gadgets import GadgetCircuit, GadgetEntry, apply_action, is_zero_angle
 from phasefold.gf2 import BitMatrix, BitVec, random_invertible, row_ops
-from phasefold.pipeline import euler_peephole, optimize
+from phasefold.circuits import euler_xzx_to_zxz
+from phasefold.pipeline import _collapse_run, _fuse_rotation_run, cancel_cnots, euler_peephole, optimize
 from phasefold.transform import CnotCircuit, extract, synth_gadget_circuit
 
 
@@ -438,6 +447,11 @@ def test_chosen_c_costs_no_more_than_identity_or_best_c(c, seed):
         assert bound <= cnot_count(side)
         if pick is None:
             assert (forced, forced_report.output) == (out, report.output)
+            # The output is the side the comparison returns, its CNOT pairs
+            # cancelled, and cancelling it again changes nothing.
+            returned = {"optimized": side, "input": euler_peephole(ci.lower_to_basis(c))}
+            assert out == pipeline.cancel_cnots(returned[report.output])
+            assert pipeline.cancel_cnots(out) == out
         else:
             assert product_error(c, side) < VERIFY_TOL
             assert cnot_count(out) <= cnot_count(side)
@@ -474,3 +488,90 @@ def test_scored_block_is_what_synthesis_emits(data, seed, shape):
         identity=pipeline._score(BitMatrix.identity(n), 0, legs),
     )
     assert cnot_count(pipeline._synthesize(parts, block, shape)) == block.cnots
+
+
+def _inverse(c: GateCircuit) -> GateCircuit:
+    """The gates of ``c`` reversed, each rotation's angle negated."""
+    return GateCircuit(c.n_qubits, tuple(
+        g if g.angle is None else ci.Gate(g.kind, g.qubits, -g.angle) for g in reversed(c.gates)
+    ))
+
+
+def _on_grid(c: GateCircuit) -> GateCircuit:
+    """``c`` with every angle rounded to a multiple of 1/64."""
+    return GateCircuit(c.n_qubits, tuple(
+        g if g.angle is None else ci.Gate(g.kind, g.qubits, round(g.angle * 64) / 64)
+        for g in c.gates
+    ))
+
+
+@given(circuits(kinds=("cnot", "rz", "rx"), max_gates=40), st.booleans())
+def test_cancel_cnots_keeps_the_unitary_and_is_idempotent(c, then_inverse):
+    # Deleting CNOT pairs is exact. The peephole it re-runs drops a fused
+    # sum within ZERO_ANGLE_TOL (1e-12) of zero, which alone can cost
+    # 1e-12 * 2^(n/2) / 2; angles on a grid of 1/64 add exactly, so a sum
+    # of the input's angles is 0 or far from it, and the whole pass is
+    # held to 1e-12. Followed by its inverse, a circuit meets itself
+    # mirrored: pairs cancel, the rotations between fuse, and more meet.
+    assert product_error(c, GateCircuit(c.n_qubits, tuple(pipeline._cancel_round(c)))) < 1e-12
+    c = _on_grid(c)
+    if then_inverse:
+        c = GateCircuit(c.n_qubits, c.gates + _inverse(c).gates)
+    out = cancel_cnots(c)
+    assert cnot_count(out) <= cnot_count(c)
+    assert product_error(c, out) < 1e-12
+    assert cancel_cnots(out) == out
+
+
+def _quadratic_collapse(run: list[tuple[str, float]]) -> list[tuple[str, float]]:
+    """The peephole's former collapse: re-fuse the whole rest after each Euler rewrite."""
+    run = _fuse_rotation_run(run)
+    while len(run) > 3:
+        (b0, a1), (_, a2), (_, a3) = run[0], run[1], run[2]
+        b1, b2, b3 = euler_xzx_to_zxz(a1, a2, a3)
+        other = "rx" if b0 == "rz" else "rz"
+        run = _fuse_rotation_run([(other, b1), (b0, b2), (other, b3)] + run[3:])
+    return run
+
+
+# Angles the peephole sees are wrapped to (-pi, pi]; a zero, a pair that
+# sums to zero and a residue below the zero tolerance make fused sums drop.
+RUN_ANGLES = st.one_of(
+    st.sampled_from((0.0, np.pi, -np.pi / 2, 0.5, -0.5, 1e-13)),
+    st.floats(-np.pi, np.pi, exclude_min=True),
+)
+
+
+@given(st.lists(st.tuples(st.sampled_from(("rz", "rx")), RUN_ANGLES), max_size=40))
+def test_linear_collapse_is_the_quadratic_collapse(run):
+    assert _collapse_run(run) == _quadratic_collapse(run)
+
+
+def _reference_peephole(c: GateCircuit) -> GateCircuit:
+    """The peephole's former form: every run wrapped, collapsed quadratically and rebuilt."""
+    pending = [[] for _ in range(c.n_qubits)]
+    gates = []
+
+    def flush(q):
+        for kind, angle in _quadratic_collapse(pending[q]):
+            gates.append(ci.rz(angle, q) if kind == "rz" else ci.rx(angle, q))
+        pending[q] = []
+
+    for g in c.gates:
+        if g.kind == "cnot":
+            flush(g.qubits[0])
+            flush(g.qubits[1])
+            gates.append(g)
+        else:
+            pending[g.qubits[0]].append((g.kind, ci.wrap_angle(g.angle)))
+    for q in range(c.n_qubits):
+        flush(q)
+    return GateCircuit(c.n_qubits, tuple(gates))
+
+
+@given(circuits(kinds=("cnot", "rz", "rx"), max_gates=40), st.booleans())
+def test_peephole_is_the_reference_peephole(c, twice):
+    # Runs that need nothing keep their given gates; the result is the same.
+    if twice:
+        c = _reference_peephole(c)
+    assert euler_peephole(c) == _reference_peephole(c)

@@ -58,6 +58,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    _check_budget(args.attempts, args.iterations)
     circuit = parse(_read(args.input))
     out, report = optimize(
         circuit,
@@ -159,6 +160,19 @@ def _bench_csv(args, results) -> str:
 
 SWEEP_AXES = ("attempts", "iterations", "width", "height")
 WIDTH_LIMIT = 4096  # most gadgets per ansatz layer, or leg-matrix columns, a bench run draws
+ANSATZ_LIMIT = 65536  # most gadgets per layer times layers in one bench table's ansatz
+ITERATION_LIMIT = 1_000_000  # most anneal steps per attempt a run asks for
+ATTEMPT_LIMIT = 4096  # most anneal attempts a run asks for
+
+
+def _check_budget(attempts: int, iterations: int) -> None:
+    """Reject an anneal budget above its limits before anything is drawn."""
+    for name, value, limit in (
+        ("attempts", attempts, ATTEMPT_LIMIT),
+        ("iterations", iterations, ITERATION_LIMIT),
+    ):
+        if value > limit:
+            raise ValueError(f"{name} expects at most {limit}, got {value}")
 
 
 def _sweep_csv(args) -> str:
@@ -205,11 +219,17 @@ def cmd_bench(args) -> int:
     if args.sweep is not None and not args.sweep_values:
         print("error: --sweep needs --sweep-values", file=sys.stderr)
         return 1
-    # A width is checked, as a height is, before anything is drawn.
-    width = max(args.sweep_values if args.sweep == "width" else args.gadgets)
+    # A width, a budget and an ansatz are checked, as a height is, before
+    # anything is drawn; a swept value stands in for its flag.
+    swept = {} if args.sweep is None else {args.sweep: max(args.sweep_values)}
+    width = swept.get("width", max(args.gadgets))
     if width > WIDTH_LIMIT:
         print(f"error: width expects at most {WIDTH_LIMIT} gadgets, got {width}", file=sys.stderr)
         return 1
+    _check_budget(swept.get("attempts", args.attempts), swept.get("iterations", args.iterations))
+    gadgets = max(args.gadgets) * max(args.layers)
+    if args.sweep is None and gadgets > ANSATZ_LIMIT:
+        raise ValueError(f"a bench ansatz expects at most {ANSATZ_LIMIT} gadgets, got {gadgets}")
     if args.sweep is not None:
         _write(args.csv, _sweep_csv(args))
         return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -136,34 +137,30 @@ def commutes(a: GadgetEntry, b: GadgetEntry) -> bool:
 
 
 def fusion_plan(entries: Sequence[GadgetEntry]) -> list[tuple[GadgetEntry, list[int]]]:
-    """Angle-agnostic fusion of equal-(basis, legs) entries across commuting swaps.
+    """Angle-agnostic fusion of equal-(basis, legs) entries across the gadgets they commute with.
 
-    Greedy bubble pass to a fixpoint: entry j is pulled next to entry i
-    when everything between commutes with it. Returns the surviving
-    entries in order, each with the source indices whose angles sum into
-    it, so one plan can be applied to every repetition of a layer.
+    One pass in input order: an entry joins the latest group of its
+    (basis, legs) when every later group of the other basis overlaps its
+    legs evenly, and otherwise starts a group. It could reach an earlier
+    equal group only past that one, and the groups before it are final,
+    so no pass repeats. Returns the groups in order, each with the source
+    indices whose angles sum into it, so one plan serves every repetition.
     """
-    groups = [(e, [i]) for i, e in enumerate(entries)]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(groups):
-            ei, src_i = groups[i]
-            j = i + 1
-            # Walk right while everything commutes with entry i; the first
-            # equal-(basis, legs) entry found this way can be pulled adjacent.
-            while j < len(groups):
-                ej, src_j = groups[j]
-                if ej.basis == ei.basis and ej.legs == ei.legs:
-                    src_i.extend(src_j)
-                    del groups[j]
-                    changed = True
-                    break
-                if not commutes(ej, ei):
-                    break
-                j += 1
-            i += 1
+    groups: list[tuple[GadgetEntry, list[int]]] = []
+    latest: dict[tuple[str, int], int] = {}  # (basis, legs word) -> position of its latest group
+    positions: dict[str, list[int]] = {"Z": [], "X": []}  # each basis' group positions, in order
+    for i, e in enumerate(entries):
+        if e.legs.n != entries[0].legs.n:
+            raise ValueError("gadgets act on different qubit counts")
+        key = (e.basis, e.legs.bits)
+        p = latest.get(key)
+        other = positions["X" if e.basis == "Z" else "Z"]
+        if p is not None and all(commutes(groups[q][0], e) for q in other[bisect(other, p) :]):
+            groups[p][1].append(i)
+            continue
+        latest[key] = len(groups)
+        positions[e.basis].append(len(groups))
+        groups.append((e, [i]))
     return groups
 
 

@@ -100,10 +100,7 @@ _BLOCK_ENTRIES = 1 << 16  # entries per row block of an error sum, or column sla
 _MERGE_WALK = 256  # most rotations of the other kind one merge looks back past
 _DROP_ANGLE = 1e-14  # largest exact reduction of a merged sum that drops into the slack
 
-SQRT2_INV = 1.0 / math.sqrt(2.0)
 _PI_2 = math.pi / 2.0
-
-H_MATRIX = np.array([[SQRT2_INV, SQRT2_INV], [SQRT2_INV, -SQRT2_INV]], dtype=complex)
 
 
 class TooManyQubitsError(ValueError):
@@ -112,45 +109,6 @@ class TooManyQubitsError(ValueError):
 
 def _rz_diagonal(theta: float) -> np.ndarray:
     return np.array((cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)))
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.diag(_rz_diagonal(theta))
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-CZ_MATRIX = np.diag(np.array((1, 1, 1, -1), dtype=complex))
-
-
-def cu1_matrix(theta: float) -> np.ndarray:
-    return np.diag((1, 1, 1, cmath.exp(1j * theta)))
-
-
-def crz_matrix(theta: float) -> np.ndarray:
-    return np.diag((1, 1, cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)))
-
-
-def crx_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    m = np.eye(4, dtype=complex)
-    m[2, 2] = c
-    m[2, 3] = -1j * s
-    m[3, 2] = -1j * s
-    m[3, 3] = c
-    return m
 
 
 def _check_size(n_qubits: int) -> None:
@@ -535,13 +493,6 @@ def product_error(circuit, undo) -> float:
     if not k:
         return slack
     return math.sqrt(1 << n - k) * _kernel(k, rotations, action).error() + slack
-
-
-def gadget_diagonal(n: int, theta: float, legs) -> np.ndarray:
-    """Diagonal of a Z phase gadget under the sign convention above: RZ's read at each leg parity."""
-    index, parity = _parities(n)
-    mask = sum(1 << (n - 1 - q) for q in range(n) if legs[q])
-    return _rz_diagonal(theta)[parity[index & mask]]
 
 
 def _row_blocks(shape: tuple[int, ...]):

@@ -22,15 +22,11 @@ from phasefold.gf2 import (
     mat_mul,
     rank,
 )
-from phasefold.oracle import (
-    equiv_up_to_phase,
-    rx_matrix,
-    rz_matrix,
-    unitary_of_circuit,
-)
+from phasefold.oracle import equiv_up_to_phase, unitary_of_circuit
 from phasefold.ansatz import AnsatzSpec, generate, mppp_period
 from phasefold.pipeline import VERIFY_TOL, metrics_of, optimize
 from phasefold.transform import CnotCircuit, h_x, h_z, synth_gadget_circuit
+from gate_matrices import rx_matrix, rz_matrix
 
 
 def _report(k: int, started: float, detail: str) -> None:

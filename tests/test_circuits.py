@@ -17,14 +17,9 @@ from phasefold.circuits import (
     serialize,
     wrap_angle,
 )
-from phasefold.oracle import (
-    equiv_up_to_phase,
-    phase_aligned_error,
-    rx_matrix,
-    rz_matrix,
-    unitary_of_circuit,
-)
+from phasefold.oracle import equiv_up_to_phase, phase_aligned_error, unitary_of_circuit
 from phasefold.transform import parse_normal_form
+from gate_matrices import rx_matrix, rz_matrix
 
 
 def test_parse_simple():

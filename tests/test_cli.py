@@ -342,6 +342,73 @@ def test_bench_width_at_limit_is_accepted(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith(f"width,{width},0,")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optimize", "IN", "--iterations", "1000001"], "iterations expects at most 1000000, got 1000001"),
+        (["optimize", "IN", "--attempts", "4097"], "attempts expects at most 4096, got 4097"),
+        (["bench", "--iterations", "1000001"], "iterations expects at most 1000000, got 1000001"),
+        (["bench", "--attempts", "4097"], "attempts expects at most 4096, got 4097"),
+        (["bench", "--sweep", "iterations", "--sweep-values", "5,1000001"],
+         "iterations expects at most 1000000, got 1000001"),
+        (["bench", "--sweep", "attempts", "--sweep-values", "5,4097"],
+         "attempts expects at most 4096, got 4097"),
+        (["bench", "--sweep", "width", "--sweep-values", "2", "--attempts", "4097"],
+         "attempts expects at most 4096, got 4097"),
+        (["bench", "--layers", "1,100000000"],
+         "a bench ansatz expects at most 65536 gadgets, got 1000000000"),
+        (["bench", "--gadgets", "17", "--layers", "4096"],
+         "a bench ansatz expects at most 65536 gadgets, got 69632"),
+    ],
+    ids=["optimize-iterations", "optimize-attempts", "bench-iterations", "bench-attempts",
+         "swept-iterations", "swept-attempts", "sweep-flag-attempts", "layers", "gadgets-by-layers"],
+)
+def test_over_limit_budget_exits_1(argv, message, tmp_path, monkeypatch, capsys):
+    # An anneal budget or a bench ansatz past its limit is rejected before
+    # any anneal runs or anything is drawn, so no move stream is allocated.
+    import phasefold.cli as cli
+    import phasefold.pipeline as pipeline
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an anneal ran or something was drawn before the limit was checked")
+
+    for module, name in ((cli, "anneal"), (pipeline, "anneal"), (cli, "generate"), (cli, "random_matrix")):
+        monkeypatch.setattr(module, name, no_draw)
+    path = _write(tmp_path, "in.pf", FIVE_GADGET_CIRCUIT)
+    assert main([path if a == "IN" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+class _Reached(Exception):
+    """Raised by a patched step: the limits let the run through to it."""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "IN", "--iterations", "1000000", "--attempts", "4096"],
+        ["bench", "--iterations", "1000000", "--attempts", "4096", "--gadgets", "16", "--layers", "4096"],
+        ["bench", "--sweep", "iterations", "--sweep-values", "1000000"],
+        ["bench", "--sweep", "attempts", "--sweep-values", "4096"],
+    ],
+    ids=["optimize", "bench", "swept-iterations", "swept-attempts"],
+)
+def test_budget_at_limit_is_accepted(argv, tmp_path, monkeypatch):
+    # Each limit is itself accepted: the run gets as far as its first step.
+    import phasefold.cli as cli
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("optimize", "generate", "random_matrix"):
+        monkeypatch.setattr(cli, name, reached)
+    path = _write(tmp_path, "in.pf", FIVE_GADGET_CIRCUIT)
+    with pytest.raises(_Reached):
+        main([path if a == "IN" else a for a in argv])
+
+
 def test_bench_budget_sweep_shares_instances(capsys):
     # Every value anneals the same instances, so more attempts never do worse.
     code = main(

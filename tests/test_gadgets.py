@@ -1,9 +1,15 @@
-"""Gadget algebra: leg matrices, the GL(n,2) action, commutation and fusion."""
+"""Gadget algebra: leg matrices, the GL(n,2) action, commutation and fusion.
+
+``fusion_plan``'s one indexed pass equals the bubble walk to a fixed
+point that it replaced, which stays here as the reference.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasefold.circuits import ParseError
 from phasefold.gadgets import (
@@ -178,6 +184,78 @@ def test_fuse_idempotent_and_never_grows():
         assert len(fused) <= len(g)
         assert [src for _, src in fusion_plan(fused.entries)] == [[i] for i in range(len(fused))]
         assert equiv_up_to_phase(unitary_of_circuit(fused), unitary_of_circuit(g))
+
+
+def _bubble_plan(entries):
+    """The former fusion plan: pull each entry next to an equal one, pass after pass, to a fixed point."""
+    groups = [(e, [i]) for i, e in enumerate(entries)]
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(groups):
+            ei, src_i = groups[i]
+            j = i + 1
+            while j < len(groups):
+                ej, src_j = groups[j]
+                if ej.basis == ei.basis and ej.legs == ei.legs:
+                    src_i.extend(src_j)
+                    del groups[j]
+                    changed = True
+                    break
+                if not commutes(ej, ei):
+                    break
+                j += 1
+            i += 1
+    return groups
+
+
+def test_fuse_into_the_latest_equal_group():
+    # Entry 5 passes a Z gadget of odd overlap (same basis) and an X gadget
+    # of even overlap into group [2]; the X gadget at 1 keeps it from [0].
+    g = gadget_circuit(
+        3,
+        [("Z", 0.1, "110"), ("X", 0.2, "100"), ("Z", 0.3, "110"),
+         ("Z", 0.4, "100"), ("X", 0.5, "110"), ("Z", 0.6, "110")],
+    )
+    plan = fusion_plan(g.entries)
+    assert [src for _, src in plan] == [[0], [1], [2, 5], [3], [4]]
+    assert plan == _bubble_plan(g.entries)
+    assert equiv_up_to_phase(unitary_of_circuit(_apply_plan(g)), unitary_of_circuit(g))
+
+
+def test_fuse_three_equal_entries_into_the_first():
+    g = gadget_circuit(
+        3,
+        [("Z", 0.1, "110"), ("X", 0.2, "110"), ("Z", 0.3, "110"),
+         ("Z", 0.4, "100"), ("Z", 0.5, "110")],
+    )
+    plan = fusion_plan(g.entries)
+    assert plan == [(g.entries[0], [0, 2, 4]), (g.entries[1], [1]), (g.entries[3], [3])]
+    assert plan == _bubble_plan(g.entries)
+
+
+def test_fuse_rejects_mixed_qubit_counts():
+    for b in (zgadget(0.2, "100"), xgadget(0.2, "100")):
+        with pytest.raises(ValueError, match="different qubit counts"):
+            fusion_plan([zgadget(0.1, "10"), b])
+
+
+@st.composite
+def pooled_units(draw):
+    """Up to 40 entries on n <= 5 qubits, legs from a pool of at most 6 words: merges and blockers abound."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    specs = draw(st.lists(st.tuples(st.sampled_from("ZX"), st.sampled_from(pool)), max_size=40))
+    return [GadgetEntry(basis, 0.1 * k, BitVec(n, word)) for k, (basis, word) in enumerate(specs)]
+
+
+@settings(max_examples=500)
+@given(pooled_units())
+def test_fusion_plan_is_the_bubble_plan(entries):
+    # The same groups in the same order, each with the same sources in the
+    # same order, so every angle sum over a plan is bit-identical.
+    assert fusion_plan(entries) == _bubble_plan(entries)
 
 
 def test_zero_leg_specs_dropped():

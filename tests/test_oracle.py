@@ -27,22 +27,24 @@ from phasefold.gadgets import GadgetCircuit, GadgetEntry, gadget_circuit
 from phasefold.gf2 import BitVec
 from phasefold.transform import CnotCircuit, NormalForm, extract, synth_gadget_circuit
 from phasefold.oracle import (
+    MAX_QUBITS,
+    TooManyQubitsError,
+    equiv_up_to_phase,
+    phase_aligned_error,
+    product_error,
+    unitary_of_circuit,
+)
+from gate_matrices import (
     CNOT_MATRIX,
     CZ_MATRIX,
     H_MATRIX,
-    MAX_QUBITS,
-    TooManyQubitsError,
     crx_matrix,
     crz_matrix,
     cu1_matrix,
-    equiv_up_to_phase,
     gadget_diagonal,
-    phase_aligned_error,
-    product_error,
     rx_matrix,
     ry_matrix,
     rz_matrix,
-    unitary_of_circuit,
 )
 
 KERNEL_TOL = 1e-12
